@@ -14,9 +14,12 @@ from .basis import (
     DAUB4_TAPS,
     Grid,
     Interval,
+    basis_band,
     basis_matrix,
+    coefficient_matrix,
     eval_father,
     gram_check,
+    quadratic_form,
     scaling_values_daub4,
     wavelet_approximation,
 )
@@ -80,9 +83,11 @@ __all__ = [
     "SampleSet",
     "UnitaryBasis",
     "WaveFunction",
+    "basis_band",
     "basis_matrix",
     "born_probability",
     "change_basis",
+    "coefficient_matrix",
     "embedded_density_exact",
     "embedded_density_map",
     "ensemble_from_distribution",
@@ -101,6 +106,7 @@ __all__ = [
     "normalized_ratio",
     "parse_config",
     "probability_from_coefficients",
+    "quadratic_form",
     "quadratic_penalty_log_prior",
     "regularized_incomplete_beta",
     "save_samples",

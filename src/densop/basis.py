@@ -285,12 +285,73 @@ def eval_father(spec: BasisSpec, k: int, s) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
+def basis_band(spec: BasisSpec, s_values):
+    """The live translates at each point: (P x w row index, P x w value).
+
+    A point s meets at most w translates, w = 1 for Haar and 3 for
+    Daubechies 4: those with k in {floor(2**n s) - w + 1, ..., floor(2**n s)}.
+    Row indices count from the first translate of the family; a translate
+    outside translate_range gets value 0 and a clipped index. Values are
+    bit-identical to eval_father, which computes the same x = 2**n s - k.
+    """
+    s = np.asarray(s_values, dtype=float).ravel()
+    width = _SUPPORT_WIDTH[spec.family]
+    x0 = s * 2 ** spec.scale_n
+    ks = np.floor(x0).astype(np.int64)[:, None] + np.arange(1 - width, 1)
+    x = x0[:, None] - ks
+    amp = 2.0 ** (spec.scale_n / 2.0)
+    if spec.family == "haar":
+        values = np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
+    else:
+        values = amp * _mother_daub4(x, spec.table_level)
+    k_min, k_max = spec.translate_range
+    values[(ks < k_min) | (ks > k_max)] = 0.0
+    return np.clip(ks - k_min, 0, spec.size - 1), values
+
+
 def basis_matrix(spec: BasisSpec, s_values) -> np.ndarray:
-    """Matrix of phi_nk(s) values, one row per translate k."""
-    s_values = np.asarray(s_values, dtype=float)
-    out = np.empty((spec.size, s_values.size))
-    for row, k in enumerate(spec.translates):
-        out[row] = eval_father(spec, int(k), s_values)
+    """Matrix of phi_nk(s) values, one row per translate k: basis_band, dense."""
+    rows, values = basis_band(spec, s_values)
+    cols = np.broadcast_to(np.arange(rows.shape[0])[:, None], rows.shape)
+    live = values != 0.0
+    out = np.zeros((spec.size, rows.shape[0]))
+    out[rows[live], cols[live]] = values[live]
+    return out
+
+
+def coefficient_matrix(spec: BasisSpec, s_values, weights) -> np.ndarray:
+    """sum_p weights_p b(s_p) b(s_p)^T over the translates, d x d.
+
+    Each point adds its w x w band block by one bincount scatter, in point
+    order, so the result is exactly symmetric and bit-reproducible.
+    """
+    rows, values = basis_band(spec, s_values)
+    weights = np.asarray(weights, dtype=float).ravel()
+    if weights.shape != rows.shape[:1]:
+        raise ValueError(
+            f"need one weight per point, got {weights.size} weights for "
+            f"{rows.shape[0]} points"
+        )
+    d = spec.size
+    flat = rows[:, :, None] * d + rows[:, None, :]
+    terms = weights[:, None, None] * (values[:, :, None] * values[:, None, :])
+    out = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=d * d)
+    return out.reshape(d, d)
+
+
+def quadratic_form(spec: BasisSpec, matrix, s_values, scale) -> np.ndarray:
+    """b(s)^T diag(scale) M diag(scale) b(s) at each point, in O(P w^2).
+
+    `scale` holds one factor per translate; only the w x w block of M that
+    the point's live translates select is ever read.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    rows, values = basis_band(spec, s_values)
+    u = values * np.asarray(scale, dtype=float)[rows]
+    out = np.zeros(rows.shape[0])
+    for a in range(rows.shape[1]):
+        for b in range(rows.shape[1]):
+            out += u[:, a] * matrix[rows[:, a], rows[:, b]] * u[:, b]
     return out
 
 
@@ -313,8 +374,7 @@ def gram_check(spec: BasisSpec, grid: Grid) -> np.ndarray:
     the dyadic table.
     """
     _require_resolution(spec, grid)
-    b = basis_matrix(spec, grid.points)
-    return (b * grid.weights()) @ b.T
+    return coefficient_matrix(spec, grid.points, grid.weights())
 
 
 def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
@@ -332,6 +392,8 @@ def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
             f"function values shape {f_values.shape} does not match grid "
             f"({grid.points.shape})"
         )
-    b = basis_matrix(spec, grid.points)
-    coeffs = (b * grid.weights()) @ f_values
-    return coeffs @ b
+    rows, values = basis_band(spec, grid.points)
+    terms = values * grid.weights()[:, None] * f_values[:, None]
+    coeffs = np.bincount(rows.ravel(), weights=terms.ravel(),
+                         minlength=spec.size)
+    return np.sum(coeffs[rows] * values, axis=1)

@@ -4,21 +4,33 @@ An embedding operator is a nonnegative combination A = sum_j alpha_j
 |psi_j><psi_j| over an active subset of basis translates. Everything
 downstream only ever needs the kernel K(s, t) = sum_j alpha_j^2
 psi_j(s) psi_j(t) and its diagonal, so the embedded states themselves are
-never materialized. The projection case (all weights 1) is the one used by
-the experiment commands.
+never materialized. The operator carries its squared weights as one vector
+over every translate of the family, zero off the active set. A point meets
+at most w translates (w = 1 for Haar, 3 for Daubechies 4), so the kernel
+diagonal on G points is a banded sum of G x w terms, added in translate
+order with no BLAS call: the same bits at any BLAS thread count. The
+projection case (all weights 1) is the one used by the experiment commands.
+
+The embedded curves in `densop.learn` use the same band: each is the
+quadratic form b(s)^T W M W b(s) / tr of a coefficient matrix M, with W
+the squared weights, and costs O(G w^2). `kernel_eval` and `kernel_matrix`
+build dense basis rows instead. The curves never call them; they remain
+as an independent route to the same numbers, for tests and the oracle
+suites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, Grid, basis_matrix, eval_father
+from .basis import BasisSpec, Grid, basis_band, basis_matrix
 
-# Cross-kernel matrices are built in fixed-size row blocks so peak memory
-# stays bounded and the reduction order never depends on input size.
-_BLOCK = 512
+VANISHING_SAMPLE_TRACE = (
+    "every sample lies outside the support of the embedding operator's "
+    "active translates, so the sample trace vanishes"
+)
 
 
 @dataclass(frozen=True)
@@ -39,6 +51,8 @@ class EmbeddingOperator:
             )
         if w.size == 0:
             raise ValueError("active set must be nonempty")
+        if len(set(active)) != len(active):
+            raise ValueError("active translates must be distinct")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if np.any(w < 0):
@@ -65,13 +79,12 @@ class EmbeddingOperator:
     def is_projection(self) -> bool:
         return bool(np.all(self.weights == 1.0))
 
-    def _basis_rows(self, s_values) -> np.ndarray:
-        s_values = np.asarray(s_values, dtype=float)
-        if self.active == tuple(int(k) for k in self.basis.translates):
-            return basis_matrix(self.basis, s_values)
-        out = np.empty((len(self.active), s_values.size))
-        for row, k in enumerate(self.active):
-            out[row] = eval_father(self.basis, k, s_values)
+    @property
+    def squared_weights(self) -> np.ndarray:
+        """alpha_j^2 for every translate of the basis, 0 off the active set."""
+        out = np.zeros(self.basis.size)
+        out[np.array(self.active) - self.basis.translate_range[0]] = (
+            self.weights ** 2)
         return out
 
 
@@ -81,10 +94,9 @@ def kernel_eval(A: EmbeddingOperator, s, t):
     t = np.asarray(t, dtype=float)
     scalar = s.ndim == 0 and t.ndim == 0
     s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
-    bs = A._basis_rows(s.ravel())
-    bt = A._basis_rows(t.ravel())
-    w2 = A.weights ** 2
-    out = np.einsum("j,jp,jp->p", w2, bs, bt).reshape(s.shape)
+    bs = basis_matrix(A.basis, s.ravel())
+    bt = basis_matrix(A.basis, t.ravel())
+    out = np.einsum("j,jp,jp->p", A.squared_weights, bs, bt).reshape(s.shape)
     return float(out.ravel()[0]) if scalar else out
 
 
@@ -92,24 +104,17 @@ def kernel_diag(A: EmbeddingOperator, s):
     """K(s, s) = sum_j alpha_j^2 psi_j(s)^2, always >= 0."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
-    b = A._basis_rows(np.atleast_1d(s).ravel())
-    out = ((A.weights ** 2)[:, None] * b * b).sum(axis=0)
+    rows, values = basis_band(A.basis, s)
+    out = np.sum(A.squared_weights[rows] * values * values, axis=1)
     out = out.reshape(np.atleast_1d(s).shape)
     return float(out.ravel()[0]) if scalar else out
 
 
 def kernel_matrix(A: EmbeddingOperator, s_values, t_values) -> np.ndarray:
-    """Cross matrix K(s_a, t_b) for point vectors, built in row blocks."""
-    s_values = np.asarray(s_values, dtype=float).ravel()
-    t_values = np.asarray(t_values, dtype=float).ravel()
-    w2 = A.weights ** 2
-    bt = A._basis_rows(t_values)
-    out = np.empty((s_values.size, t_values.size))
-    for start in range(0, s_values.size, _BLOCK):
-        stop = min(start + _BLOCK, s_values.size)
-        bs = A._basis_rows(s_values[start:stop])
-        out[start:stop] = (bs * w2[:, None]).T @ bt
-    return out
+    """Cross matrix K(s_a, t_b) for point vectors."""
+    bs = basis_matrix(A.basis, np.asarray(s_values, dtype=float).ravel())
+    bt = basis_matrix(A.basis, np.asarray(t_values, dtype=float).ravel())
+    return (bs * A.squared_weights[:, None]).T @ bt
 
 
 def trace_k_rho(A: EmbeddingOperator, zeta_values, grid: Grid) -> float:
@@ -149,4 +154,7 @@ def trace_k_map(A: EmbeddingOperator, samples) -> float:
     points = np.asarray(getattr(samples, "points", samples), dtype=float)
     if points.size == 0:
         raise ValueError("empty sample set")
-    return float(np.mean(kernel_diag(A, points.ravel())))
+    value = float(np.mean(kernel_diag(A, points.ravel())))
+    if value <= 1e-14:
+        raise ValueError(VANISHING_SAMPLE_TRACE)
+    return value

@@ -5,9 +5,20 @@ position-basis posterior over a density curve, and the coefficient-basis
 posterior over a symmetric matrix in some orthonormal basis. Their
 agreement on discrete spaces is the package's central invariance check.
 Under a homogeneous prior and noiseless samples the posterior mode has a
-closed form, the empirical coefficient matrix, and the matching embedded
-density can be evaluated through the squared kernel without ever building
-basis projections of the samples.
+closed form, the empirical coefficient matrix M = (1/N) sum_i b(S_i)
+b(S_i)^T over the basis vector b(s).
+
+Both embedded curves are one quadratic form. The kernel-trick sums
+sum_i K(S_i, s)^2 / N and integral zeta(s') K(s, s')^2 ds' expand to
+b(s)^T W M W b(s), with W the diagonal of squared operator weights and M
+either the empirical matrix or the quadrature matrix sum_p h_p zeta_p
+b(s_p) b(s_p)^T; dividing by the trace sum_j W_jj M_jj gives the curve.
+Every translate is compactly supported, so each point meets at most w
+translates (w = 1 for Haar, 3 for Daubechies 4): M is assembled by one
+scatter over the w x w blocks of the points, and a curve on G grid points
+reads w^2 entries of M per point, O(G w^2) in all, with no dense basis or
+kernel matrix. The reductions are fixed-order numpy sums with no BLAS
+call, so curves are bit-identical across reruns and BLAS thread counts.
 
 Noisy embedded learning has no closed form; for that case only the
 posterior evaluator `log_posterior_position` is provided (it accepts any
@@ -22,16 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, Grid, Interval, basis_matrix
+from .basis import (
+    BasisSpec,
+    Grid,
+    Interval,
+    coefficient_matrix,
+    quadratic_form,
+)
 from .embedding import (
+    VANISHING_SAMPLE_TRACE,
     EmbeddingOperator,
     kernel_diag,
-    kernel_matrix,
-    trace_k_map,
     trace_k_rho,
 )
-
-_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,8 @@ class DensityCurve:
                 f"values shape {values.shape} does not match grid "
                 f"({self.grid.points.shape})"
             )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("density values must be finite")
         if np.any(values < -1e-12):
             raise ValueError("density values must be nonnegative")
         values = np.maximum(values, 0.0)
@@ -131,6 +147,8 @@ class MapCoefficients:
                 f"matrix size {m.shape[0]} does not match the "
                 f"{self.basis.size} basis translates"
             )
+        if not np.all(np.isfinite(m)):
+            raise ValueError("coefficient matrix must be finite")
         if np.max(np.abs(m - m.T)) > 1e-12:
             raise ValueError("coefficient matrix must be symmetric")
         m.flags.writeable = False
@@ -271,48 +289,49 @@ def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:
         )
     if samples.n == 0:
         raise ValueError("empty sample set")
-    b = basis_matrix(basis, samples.points)
-    m = (b @ b.T) / samples.n
-    m = 0.5 * (m + m.T)
+    ones = np.ones(samples.n)
+    m = coefficient_matrix(basis, samples.points, ones) / samples.n
     return MapCoefficients(basis=basis, matrix=m)
+
+
+def _embedded_curve(A: EmbeddingOperator, matrix, trace: float,
+                    grid: Grid) -> DensityCurve:
+    values = quadratic_form(A.basis, matrix, grid.points, A.squared_weights)
+    return DensityCurve(grid=grid, values=values / trace)
 
 
 def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
                            grid: Grid) -> DensityCurve:
     """Embedded image of a known density: (1/T) integral zeta(s') K(s, s')^2.
 
-    T is trace_k_rho on zeta's own grid. For projection operators the
-    output integrates to 1 up to quadrature error, provided the grid covers
-    the span of the active translates.
+    T is trace_k_rho on zeta's own grid. The integral is the quadratic form
+    of the trapezoid matrix sum_p h_p zeta_p b(s_p) b(s_p)^T. For projection
+    operators the output integrates to 1 up to quadrature error, provided
+    the grid covers the span of the active translates.
     """
     trace = trace_k_rho(A, zeta.values, zeta.grid)
     weighted = zeta.grid.weights() * zeta.values
-    out = np.empty(grid.points.size)
-    for start in range(0, out.size, _BLOCK):
-        stop = min(start + _BLOCK, out.size)
-        cross = kernel_matrix(A, grid.points[start:stop], zeta.grid.points)
-        out[start:stop] = (cross * cross) @ weighted
-    return DensityCurve(grid=grid, values=out / trace)
+    matrix = coefficient_matrix(A.basis, zeta.grid.points, weighted)
+    return _embedded_curve(A, matrix, trace, grid)
 
 
 def embedded_density_map(A: EmbeddingOperator, samples: SampleSet,
                          grid: Grid) -> DensityCurve:
     """Kernel-trick MAP density: sum_i K(S_i, s)^2 / (N tr).
 
-    The samples never get projected onto the basis; only kernel values
-    appear. Requires a nonempty, non-noisy sample set.
+    Evaluated as the quadratic form of the closed-form MAP matrix M, with
+    tr = sum_j alpha_j^2 M_jj, the mean kernel diagonal over the samples.
+    Requires a nonempty, non-noisy sample set with a nonzero trace.
     """
     if samples.n == 0:
         raise ValueError("empty sample set")
     if samples.noise is not None:
         raise ValueError("kernel-trick MAP requires non-noisy samples")
-    trace = trace_k_map(A, samples)
-    out = np.empty(grid.points.size)
-    for start in range(0, out.size, _BLOCK):
-        stop = min(start + _BLOCK, out.size)
-        cross = kernel_matrix(A, samples.points, grid.points[start:stop])
-        out[start:stop] = np.sum(cross * cross, axis=0)
-    return DensityCurve(grid=grid, values=out / (samples.n * trace))
+    matrix = map_coefficients(samples, A.basis).matrix
+    trace = float(np.sum(A.squared_weights * np.diagonal(matrix)))
+    if trace <= 1e-14:
+        raise ValueError(VANISHING_SAMPLE_TRACE)
+    return _embedded_curve(A, matrix, trace, grid)
 
 
 def normalized_ratio(curve: DensityCurve, A: EmbeddingOperator) -> DensityCurve:

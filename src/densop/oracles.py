@@ -18,6 +18,7 @@ from .basis import (
     DAUB4_TAPS,
     Grid,
     Interval,
+    basis_matrix,
     gram_check,
     scaling_values_daub4,
 )
@@ -205,10 +206,9 @@ def suite_embedding() -> list[CheckResult]:
     fine_spec = BasisSpec("daubechies4", 2, interval, table_level=12)
     fine_proj = EmbeddingOperator.projection(fine_spec)
     fine_grid = Grid.uniform(span, int(round(span.width * 2 ** 14)))
-    b = fine_proj._basis_rows(fine_grid.points)
-    gram = (b * fine_grid.weights()) @ b.T
+    gram = gram_check(fine_spec, fine_grid)
     probe = rng.uniform(span.lo, span.hi, size=25)
-    bp = fine_proj._basis_rows(probe)
+    bp = basis_matrix(fine_spec, probe)
     composed = bp.T @ gram @ bp
     direct = kernel_eval(fine_proj, probe[:, None], probe[None, :])
     results.append(_check("projection kernel idempotence (K o K = K)",

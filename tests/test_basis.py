@@ -18,9 +18,12 @@ from densop import (
     DAUB4_TAPS,
     Grid,
     Interval,
+    basis_band,
     basis_matrix,
+    coefficient_matrix,
     eval_father,
     gram_check,
+    quadratic_form,
     scaling_values_daub4,
     wavelet_approximation,
 )
@@ -230,6 +233,78 @@ def test_basis_matrix_rows_match_eval_father():
     b = basis_matrix(spec, g.points)
     assert b.shape == (14, 65)
     assert_allclose(b[5], eval_father(spec, 3, g.points), rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------- band
+
+BAND_SPECS = [("haar", n) for n in range(4)] + [
+    ("daubechies4", n) for n in (0, 2, 5)]
+
+
+def band_probe_points(spec):
+    # every dyadic edge of the scale, the interval ends, the span ends,
+    # points just inside and outside them, points past the span, and a
+    # random spread over the span
+    span = spec.span()
+    two_n = 2 ** spec.scale_n
+    edges = np.arange(math.floor(span.lo * two_n) - 1,
+                      math.ceil(span.hi * two_n) + 2) / two_n
+    ends = np.array([UNIT.lo, UNIT.hi, span.lo, span.hi])
+    rng = np.random.Generator(np.random.PCG64(spec.scale_n))
+    return np.concatenate([
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        ends, ends - 1e-9, ends + 1e-9, [span.lo - 1.0, span.hi + 2.5],
+        rng.uniform(span.lo, span.hi, size=200),
+    ])
+
+
+@pytest.mark.parametrize("family, scale_n", BAND_SPECS)
+def test_band_matrix_equals_eval_father_bitwise(family, scale_n):
+    spec = BasisSpec(family, scale_n, UNIT)
+    s = band_probe_points(spec)
+    b = basis_matrix(spec, s)
+    assert b.shape == (spec.size, s.size)
+    for row, k in enumerate(spec.translates):
+        assert_allclose(b[row], eval_father(spec, int(k), s), rtol=0, atol=0)
+    rows, values = basis_band(spec, s)
+    width = {"haar": 1, "daubechies4": 3}[family]
+    assert rows.shape == values.shape == (s.size, width)
+    assert rows.min() >= 0 and rows.max() < spec.size
+
+
+def test_band_is_zero_outside_the_span():
+    spec = BasisSpec("daubechies4", 2, UNIT)
+    span = spec.span()
+    s = np.array([span.lo - 0.3, span.lo, span.hi, span.hi + 0.7])
+    _, values = basis_band(spec, s)
+    assert np.all(values == 0.0)
+
+
+@pytest.mark.parametrize("family, scale_n", [("haar", 2), ("daubechies4", 2),
+                                             ("daubechies4", 5)])
+def test_coefficient_matrix_and_quadratic_form_match_dense(family, scale_n):
+    spec = BasisSpec(family, scale_n, UNIT)
+    rng = np.random.Generator(np.random.PCG64(11))
+    span = spec.span()
+    pts = rng.uniform(span.lo, span.hi, size=300)
+    weights = rng.uniform(0.0, 2.0, size=pts.size)
+    b = basis_matrix(spec, pts)
+    m = coefficient_matrix(spec, pts, weights)
+    dense = (b * weights) @ b.T
+    assert np.array_equal(m, m.T)
+    assert_allclose(m, dense, rtol=0, atol=1e-13 * np.max(np.abs(dense)))
+    scale = rng.uniform(0.5, 1.5, size=spec.size)
+    probe = rng.uniform(span.lo - 0.2, span.hi + 0.2, size=97)
+    bp = basis_matrix(spec, probe) * scale[:, None]
+    expect = np.einsum("jp,jk,kp->p", bp, m, bp)
+    got = quadratic_form(spec, m, probe, scale)
+    assert_allclose(got, expect, rtol=0, atol=1e-13 * np.max(np.abs(expect)))
+
+
+def test_coefficient_matrix_checks_weights():
+    spec = BasisSpec("haar", 1, UNIT)
+    with pytest.raises(ValueError, match="one weight per point"):
+        coefficient_matrix(spec, np.array([0.5, 1.5]), np.ones(3))
 
 
 # ---------------------------------------------------------------- gram

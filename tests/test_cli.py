@@ -5,14 +5,17 @@ python -m wiring. Small grids keep these fast while the acceptance tests
 exercise the full-size defaults.
 """
 
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import densop
 from densop import ExperimentConfig, Interval, load_config, parse_config
 from densop.cli import FIGURES, main
 from densop.oracles import run_suite
@@ -182,6 +185,30 @@ def test_default_output_name(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "fig2b.csv"
 
 
+def test_fig3a_is_identical_across_blas_thread_counts(tmp_path):
+    # The curves use no BLAS call, so the thread count cannot change them.
+    # The default count is the machine's core count: on a 2-core machine
+    # this compares 1 thread with 2, and a wider machine compares more.
+    src = str(Path(densop.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"fig3a-{threads or 'default'}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "densop", "reproduce", "--figure", "fig3a",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_written_values_round_trip_at_full_precision(tmp_path):
     # %.17g prints enough digits that loadtxt recovers the exact doubles
     cfgpath = write_small_config(tmp_path)
@@ -260,6 +287,22 @@ def test_estimate_rejects_malformed_lines(tmp_path, capsys):
     assert main(["estimate", str(samples), "--config", str(cfgpath),
                  "--out", str(tmp_path / "est.csv")]) == 1
     assert "line 2" in capsys.readouterr().err
+
+
+def test_estimate_with_no_sample_in_any_support_exits_one(tmp_path, capsys):
+    # both samples sit at the interval's right end, outside every half-open
+    # Haar box, so the sample trace is 0 and no curve exists
+    cfgpath = write_small_config(tmp_path, family="haar", scale_n=2)
+    samples = tmp_path / "edge.txt"
+    samples.write_text("3\n3\n")
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(samples),
+                 "--config", str(cfgpath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "outside the support" in err
+    assert "trace vanishes" in err
+    assert not out.exists()
 
 
 def test_estimate_missing_file(tmp_path, capsys):

@@ -53,6 +53,8 @@ def test_operator_validation():
         EmbeddingOperator(spec, (99,), [1.0])  # outside translate range
     with pytest.raises(ValueError):
         EmbeddingOperator(spec, (), [])  # empty
+    with pytest.raises(ValueError, match="distinct"):
+        EmbeddingOperator(spec, (3, 3), [1.0, 1.0])  # repeated translate
 
 
 # ---------------------------------------------------------------- kernel

@@ -29,6 +29,8 @@ from densop import (
     ensemble_from_distribution,
     homogeneous_log_prior,
     kernel_diag,
+    kernel_eval,
+    kernel_matrix,
     log_posterior_coefficients,
     log_posterior_discrete,
     log_posterior_position,
@@ -430,6 +432,97 @@ def test_map_embedding_rejects_bad_samples():
     noisy = SampleSet(np.array([1.0]), noise=GaussianNoise(0.4, UNIT))
     with pytest.raises(ValueError, match="non-noisy"):
         embedded_density_map(op, noisy, grid)
+
+
+def test_map_embedding_refuses_samples_outside_every_support():
+    # the right domain end lies outside every half-open Haar box
+    spec = BasisSpec("haar", 2, UNIT)
+    op = EmbeddingOperator.projection(spec)
+    samples = SampleSet(np.array([3.0, 3.0]))
+    with pytest.raises(ValueError, match="trace vanishes"):
+        trace_k_map(op, samples)
+    with pytest.raises(ValueError, match="trace vanishes"):
+        embedded_density_map(op, samples, Grid.uniform(UNIT, 300))
+    # a sample set that misses the only active translate does the same
+    single = EmbeddingOperator(BasisSpec("daubechies4", 2, UNIT), (3,), [0.7])
+    far = SampleSet(np.array([2.5, 2.9]))
+    with pytest.raises(ValueError, match="trace vanishes"):
+        embedded_density_map(single, far, Grid.uniform(UNIT, 300))
+
+
+def test_curves_and_matrices_reject_non_finite_values():
+    grid = Grid.uniform(UNIT, 3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            DensityCurve(grid, np.array([0.1, bad, 0.2, 0.3]))
+        with pytest.raises(ValueError, match="finite"):
+            MapCoefficients(BasisSpec("haar", 0, UNIT),
+                            np.diag([1.0, bad, 1.0]))
+
+
+# --------------------------------------- banded form against kernel trick
+
+
+def equivalence_operators(spec):
+    # the projection, one active translate with a non-unit weight, and
+    # unequal weights over every translate
+    d = spec.size
+    single = int(spec.translates[d // 3])
+    return [
+        EmbeddingOperator.projection(spec),
+        EmbeddingOperator(spec, (single,), [0.7]),
+        EmbeddingOperator(spec, tuple(int(k) for k in spec.translates),
+                          np.linspace(0.2, 1.5, d)),
+    ]
+
+
+EQUIVALENCE_SPECS = [("haar", n) for n in range(4)] + [
+    ("daubechies4", 2), ("daubechies4", 5)]
+
+
+def kernel_trick_exact(op, zeta, out):
+    # dense kernel matrices, squared and integrated; the trace comes from
+    # dense kernel evaluation rather than the banded diagonal
+    pts = zeta.grid.points
+    cross = kernel_matrix(op, out.points, pts)
+    trace = zeta.grid.integrate(zeta.values * kernel_eval(op, pts, pts))
+    return (cross * cross) @ (zeta.grid.weights() * zeta.values) / trace
+
+
+def kernel_trick_map(op, samples, out):
+    cross = kernel_matrix(op, samples.points, out.points)
+    trace = np.mean(kernel_eval(op, samples.points, samples.points))
+    return np.sum(cross * cross, axis=0) / (samples.n * trace)
+
+
+@pytest.mark.parametrize("family, scale_n", EQUIVALENCE_SPECS)
+def test_banded_curves_match_the_kernel_trick(family, scale_n):
+    spec = BasisSpec(family, scale_n, UNIT)
+    target = BetaTarget(2.0, 5.0, UNIT)
+    zeta_grid = Grid.uniform(UNIT, 3 * 2 ** 10)
+    # the uniform density is nonzero at the ends, where the trapezoid
+    # weights are halved
+    zetas = [DensityCurve(zeta_grid, target.density(zeta_grid.points)),
+             DensityCurve(zeta_grid, np.full(zeta_grid.points.size, 1 / 3))]
+    samples = target.sample(200, seed=3)
+    out = Grid.uniform(spec.span(), 700)
+    for op in equivalence_operators(spec):
+        pairs = [(embedded_density_exact(op, zeta, out),
+                  kernel_trick_exact(op, zeta, out)) for zeta in zetas]
+        pairs.append((embedded_density_map(op, samples, out),
+                      kernel_trick_map(op, samples, out)))
+        for got, expect in pairs:
+            err = np.max(np.abs(got.values - expect))
+            assert err <= 1e-12 * np.max(expect), (op.active, err)
+
+
+def test_map_matrix_matches_dense_basis_route():
+    spec = BasisSpec("daubechies4", 3, UNIT)
+    samples = BetaTarget(2.0, 5.0, UNIT).sample(500, seed=8)
+    b = basis_matrix(spec, samples.points)
+    coeffs = map_coefficients(samples, spec)
+    assert np.array_equal(coeffs.matrix, coeffs.matrix.T)
+    assert_allclose(coeffs.matrix, b @ b.T / samples.n, rtol=0, atol=1e-14)
 
 
 # ------------------------------------------------------- normalized ratio
