@@ -2,9 +2,13 @@
 
 Three subcommands: `reproduce` writes one of the reference figure tables,
 `estimate` runs the kernel-trick estimator on a user sample file, and
-`oracle` runs the invariant suites. Output tables are comma-delimited
-text, one header line naming each curve, values at 17 significant digits;
-identical config and seed produce byte-identical files.
+`oracle` runs the invariant suites.
+
+Output tables are plain text: one header line with the column names
+joined by `,`, then one line per grid point with each value printed as
+`%.17g` and separated by `,`. Every line ends in `\n`, and there is no
+comment prefix. Parsing a value recovers the exact double, and identical
+config and seed produce byte-identical files.
 
 Exit status: 0 success, 1 validation or usage error, 2 oracle failure.
 """
@@ -27,6 +31,7 @@ from .learn import (
 )
 from .oracles import SUITES, run_suite
 from .target import load_samples
+from .textio import write_rows
 
 FIGURES = ("fig2a", "fig2b", "fig3a", "fig3b")
 
@@ -73,8 +78,9 @@ def _add_common(sub: argparse.ArgumentParser):
 
 def _write_table(path: str, names, columns) -> None:
     stacked = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    np.savetxt(path, stacked, fmt="%.17g", delimiter=",",
-               header=",".join(names), comments="")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        write_rows(fh, stacked)
 
 
 def _figure_table(figure: str, cfg: ExperimentConfig):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .basis import Interval
 from .learn import SampleSet
+from .textio import write_rows
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
@@ -204,9 +205,8 @@ class BetaTarget:
 def save_samples(path, samples) -> None:
     """Write sample points one per line at full precision."""
     points = np.asarray(getattr(samples, "points", samples), dtype=float)
-    with open(path, "w") as fh:
-        for value in points:
-            fh.write(f"{value:.17g}\n")
+    with open(path, "w", newline="\n") as fh:
+        write_rows(fh, points.reshape(-1, 1))
 
 
 def load_samples(path) -> SampleSet:

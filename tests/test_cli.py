@@ -17,8 +17,9 @@ from numpy.testing import assert_allclose
 
 import densop
 from densop import ExperimentConfig, Interval, load_config, parse_config
-from densop.cli import FIGURES, main
+from densop.cli import FIGURES, _write_table, main
 from densop.oracles import run_suite
+from densop.textio import _block_rows
 
 # ------------------------------------------------------------- config
 
@@ -235,6 +236,67 @@ def test_fig2b_haar_approximation_is_piecewise_constant(tmp_path):
     for k in range(12):
         mask = (idx == k) & (s < 3.0)
         assert np.ptp(approx[mask]) == 0.0
+
+
+# ------------------------------------------------------------- table format
+
+# Both zeros, the smallest subnormal and normal doubles, a decimal with no
+# exact binary form, the values where %.17g switches from fixed to exponent
+# notation, a 17-digit mantissa and a short dyadic fraction.
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1,
+                  1.0, 1e16, 1e17, 1.2345678901234567e300, -3.0078125]
+
+
+def _table_cases():
+    # 388 columns is fig2a at scale_n = 7: s, 386 translates, the diagonal.
+    # At that width only the block edges are checked; 49 665 rows would
+    # spend seconds in np.savetxt.
+    for ncols in (1, 3, 4, 388):
+        b = _block_rows(ncols)
+        rows = [1, b - 1, b, b + 1, 2 * b + 1]
+        if ncols < 388:
+            rows.append(49_665)
+        for nrows in rows:
+            yield ncols, nrows
+
+
+@pytest.mark.parametrize("ncols,nrows", list(_table_cases()))
+def test_write_table_matches_savetxt(tmp_path, ncols, nrows):
+    rng = np.random.default_rng(nrows * 1000 + ncols)
+    size = nrows * ncols
+    # random doubles of either sign over the whole exponent range
+    values = np.ldexp(rng.random(size), rng.integers(-1074, 1024, size))
+    values[rng.random(size) < 0.5] *= -1
+    # Cycled through the first rows: no column count here is a multiple of
+    # 11, so from 11 rows on every column holds every special value.
+    k = min(size, len(SPECIAL_VALUES) * ncols)
+    values[:k] = np.resize(SPECIAL_VALUES, k)
+    stacked = values.reshape(nrows, ncols)
+    names = [f"c{j}" for j in range(ncols)]
+    expected = tmp_path / "savetxt.csv"
+    np.savetxt(expected, stacked, fmt="%.17g", delimiter=",",
+               header=",".join(names), comments="")
+    written = tmp_path / "table.csv"
+    _write_table(str(written), names, list(stacked.T))
+    assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["reproduce", "estimate"])
+def test_unwritable_out_path_exits_one(tmp_path, capsys, command):
+    cfgpath = write_small_config(tmp_path)
+    out = tmp_path / "missing" / "table.csv"
+    if command == "reproduce":
+        argv = ["reproduce", "--figure", "fig2b"]
+    else:
+        samples = tmp_path / "s.txt"
+        samples.write_text("1.0\n1.5\n2.0\n")
+        argv = ["estimate", str(samples)]
+    assert main(argv + ["--config", str(cfgpath), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert str(out) in captured.err
+    assert not out.parent.exists()
 
 
 # ------------------------------------------------------------- estimate

@@ -184,6 +184,18 @@ def test_save_load_round_trip(tmp_path):
     assert back.seed is None
 
 
+def test_save_samples_writes_one_17_digit_line_per_point(tmp_path):
+    rng = np.random.default_rng(5)
+    points = np.ldexp(rng.random(100_000), rng.integers(-1074, 1024, 100_000))
+    points[rng.random(points.size) < 0.5] *= -1
+    points[:6] = [-0.0, 0.0, 5e-324, 1e16, 1e17, 0.1]
+    path = tmp_path / "samples.txt"
+    save_samples(path, points)
+    assert path.read_text() == "".join(f"{v:.17g}\n" for v in points)
+    back = load_samples(path).points
+    assert back.tobytes() == points.tobytes()  # sign of zero included
+
+
 def test_load_samples_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.5\n\n2.0\nnot-a-number\n")
