@@ -16,6 +16,7 @@ Exit status: 0 success, 1 validation or usage error, 2 oracle failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -74,6 +75,23 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="override the config seed")
     sub.add_argument("--out", default=None,
                      help="output path (default <figure>.csv / estimate.csv)")
+
+
+def _require_writable(path: str) -> None:
+    """Reject an output path that cannot be written, before any work.
+
+    Nothing is created: the table is opened only once it is complete, so a
+    failure in between leaves no partial file behind.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    if not os.path.exists(parent):
+        raise ValueError(f"cannot write {path}: {parent} does not exist")
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: {parent} is not a directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write {path}: {parent} is not writable")
 
 
 def _write_table(path: str, names, columns) -> None:
@@ -164,12 +182,14 @@ def main(argv=None) -> int:
             cfg = cfg.replace(seed=args.seed)
         if args.out is not None:
             cfg = cfg.replace(out=args.out)
-        if args.command == "reproduce":
+        reproduce = args.command == "reproduce"
+        out_path = cfg.out or (
+            f"{args.figure}.csv" if reproduce else "estimate.csv")
+        _require_writable(out_path)
+        if reproduce:
             names, cols = _figure_table(args.figure, cfg)
-            out_path = cfg.out or f"{args.figure}.csv"
         else:
             names, cols = _estimate_table(args.samples, cfg)
-            out_path = cfg.out or "estimate.csv"
         _write_table(out_path, names, cols)
         print(out_path)
         return 0

@@ -181,12 +181,9 @@ def suite_embedding() -> list[CheckResult]:
 
     haar = EmbeddingOperator.projection(BasisSpec("haar", 2, interval))
     pts = rng.uniform(0.0, 3.0, size=40)
-    worst = 0.0
-    for s in pts:
-        for t in pts[:10]:
-            same_bin = np.floor(s * 4) == np.floor(t * 4)
-            expect = 4.0 if same_bin else 0.0
-            worst = max(worst, abs(kernel_eval(haar, float(s), float(t)) - expect))
+    s, t = pts[:, None], pts[None, :10]
+    expect = np.where(np.floor(s * 4) == np.floor(t * 4), 4.0, 0.0)
+    worst = float(np.max(np.abs(kernel_eval(haar, s, t) - expect)))
     results.append(_check("haar kernel block values", worst, 1e-12))
 
     spec = BasisSpec("daubechies4", 2, interval)

@@ -3,10 +3,12 @@
 The incomplete beta function and its quantile are implemented here rather
 than pulled from a statistics package so that sampled streams are
 bit-reproducible from (seed, n) alone: a log-gamma front factor, the Lentz
-continued fraction for the regularized incomplete beta, and a fixed-count
-bisection for the quantile. The uniform stream is numpy's PCG64 generator,
-whose output for a given seed is stable under numpy's random-stream
-compatibility policy.
+continued fraction for the regularized incomplete beta, and for the
+quantile a safeguarded Newton iteration started from a table of the
+incomplete beta on dyadic nodes. Every quantile lane depends only on its
+own u, so the first m points of a stream are the same for any n >= m. The
+uniform stream is numpy's PCG64 generator, whose output for a given seed is
+stable under numpy's random-stream compatibility policy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .textio import write_rows
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
 _CF_MAX_ITER = 300
-_BISECT_ITER = 60
+_TABLE_LEVEL = 8
+_STOP_ULPS = 16
+_SOLVE_MAX_ITER = 64
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -106,6 +110,55 @@ def regularized_incomplete_beta(x, a: float, b: float):
     return float(out[0]) if scalar else out
 
 
+def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    """x in [0, 1] with I_x(a, b) = u, lane by lane; see BetaTarget.quantile."""
+    nodes = np.linspace(0.0, 1.0, 2 ** _TABLE_LEVEL + 1)
+    # searchsorted needs a sorted table, which rounding alone does not
+    # promise across the continued fraction's two branches
+    table = np.maximum.accumulate(regularized_incomplete_beta(nodes, a, b))
+    cells = nodes.size - 1
+    k = np.clip(np.searchsorted(table, u, side="left"), 1, cells)
+    lo, hi = nodes[k - 1], nodes[k]
+    f_lo, f_hi = table[k - 1], table[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (u - f_lo) / (f_hi - f_lo)
+        # I_x(a, b) grows like x**a from 0 and 1 - I_x(a, b) like
+        # (1 - x)**b towards 1, so the end cells interpolate that power law.
+        t = np.where(k == 1, (u / f_hi) ** (1.0 / a), t)
+        t = np.where(k == cells,
+                     1.0 - ((1.0 - u) / (1.0 - f_lo)) ** (1.0 / b), t)
+    t = np.where(f_hi > f_lo, t, 0.0)
+    x = lo + t * (hi - lo)
+    out = np.empty_like(u)
+    lanes = np.arange(u.size)
+    step = step_before = hi - lo
+    log_norm = _log_beta(a, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_SOLVE_MAX_ITER):
+            f = regularized_incomplete_beta(x, a, b) - u
+            lo = np.where(f < 0, x, lo)
+            hi = np.where(f > 0, x, hi)
+            pdf = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
+                         - log_norm)
+            newton = f / pdf
+            x_next = x - newton
+            # NaN and inf fail the bracket test, so they bisect too
+            bisect = ~((x_next >= lo) & (x_next <= hi))
+            bisect |= np.abs(2.0 * newton) > np.abs(step_before)
+            x_next = np.where(bisect, lo + 0.5 * (hi - lo), x_next)
+            # a root stays put even where the pdf is 0 or inf
+            x_next = np.where(f == 0, x, x_next)
+            step_before, step = step, x - x_next
+            tol = _STOP_ULPS * np.spacing(x_next)
+            out[lanes] = x_next
+            going = (f != 0) & (np.abs(step) > tol) & (hi - lo > tol)
+            if not going.any():
+                break
+            lanes, u, x, lo, hi, step, step_before = (
+                v[going] for v in (lanes, u, x_next, lo, hi, step, step_before))
+    return out
+
+
 @dataclass(frozen=True)
 class BetaTarget:
     """Beta(a, b) density rescaled from [0, 1] onto an interval."""
@@ -158,25 +211,27 @@ class BetaTarget:
         return regularized_incomplete_beta(np.clip(x, 0.0, 1.0), self.a, self.b)
 
     def quantile(self, u):
-        """Inverse CDF by bisection, accurate to about 1e-12 in s.
+        """Inverse CDF: the x in [0, 1] with I_x(a, b) = u, mapped onto s.
 
-        The bisection interval halves deterministically, so _BISECT_ITER
-        iterations pin the root to width / 2**_BISECT_ITER regardless of
-        the data.
+        A table of I on the 2**_TABLE_LEVEL + 1 dyadic nodes of [0, 1]
+        brackets each u, and interpolation inside the bracket gives the
+        starting point: linear in the inner cells, along the x**a and
+        (1 - x)**b power laws of I in the two end cells. A safeguarded
+        Newton iteration with the beta pdf then refines it, taking the
+        bisection step whenever the Newton step leaves the bracket, is not
+        finite, or has not halved the step from two iterations before. A
+        lane stops when I(x) == u, or when its step or bracket is within
+        _STOP_ULPS units in the last place of x, and at the latest after
+        _SOLVE_MAX_ITER evaluations. Only lanes still running are
+        evaluated, and each lane's result depends on (u, a, b) alone, so a
+        sampled stream does not depend on how many points are drawn with it.
         """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
         u = np.atleast_1d(u).astype(float)
-        if np.any((u < 0) | (u > 1)):
+        if not np.all((u >= 0) & (u <= 1)):
             raise ValueError("u must lie in [0, 1]")
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(_BISECT_ITER):
-            mid = 0.5 * (lo + hi)
-            below = regularized_incomplete_beta(mid, self.a, self.b) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        x = 0.5 * (lo + hi)
+        x = _beta_quantile(u.ravel(), self.a, self.b).reshape(u.shape)
         out = self.interval.lo + self.interval.width * x
         return float(out[0]) if scalar else out
 

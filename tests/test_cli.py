@@ -299,6 +299,52 @@ def test_unwritable_out_path_exits_one(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
+def _refuse_to_build(*args):
+    raise AssertionError("the table was built for an unusable --out")
+
+
+@pytest.mark.parametrize("kind", ["missing directory", "file as directory",
+                                  "out is a directory"])
+@pytest.mark.parametrize("command", ["reproduce", "estimate"])
+def test_unusable_out_path_fails_before_the_table_is_built(
+        tmp_path, capsys, monkeypatch, command, kind):
+    monkeypatch.setattr("densop.cli._figure_table", _refuse_to_build)
+    monkeypatch.setattr("densop.cli._estimate_table", _refuse_to_build)
+    if kind == "missing directory":
+        out = tmp_path / "missing" / "table.csv"
+    elif kind == "file as directory":
+        (tmp_path / "plain").write_text("")
+        out = tmp_path / "plain" / "table.csv"
+    else:
+        out = tmp_path
+    if command == "reproduce":
+        argv = ["reproduce", "--figure", "fig2a"]
+    else:
+        samples = tmp_path / "s.txt"
+        samples.write_text("1.0\n")
+        argv = ["estimate", str(samples)]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert str(out) in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_read_only_out_directory_fails_before_the_table_is_built(
+        tmp_path, capsys, monkeypatch):
+    # os.access stands in for directory permissions, which root bypasses
+    monkeypatch.setattr("densop.cli._figure_table", _refuse_to_build)
+    monkeypatch.setattr("densop.cli.os.access", lambda path, mode: False)
+    out = tmp_path / "fig2a.csv"
+    assert main(["reproduce", "--figure", "fig2a", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err
+    assert "not writable" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- estimate
 
 

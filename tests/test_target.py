@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.special import betainc as scipy_betainc
+from scipy.special import betaincinv as scipy_betaincinv
 
 from densop import (
     BetaTarget,
@@ -122,6 +123,47 @@ def test_quantile_validation():
     target = BetaTarget(2.0, 5.0, UNIT)
     with pytest.raises(ValueError):
         target.quantile(1.5)
+    with pytest.raises(ValueError):
+        target.quantile(np.nan)
+
+
+QUANTILE_SHAPES = [(2.0, 5.0), (0.5, 0.5), (0.3, 3.0), (5.0, 0.7),
+                   (30.0, 40.0), (1.0, 1.0), (2.3, 4.1)]
+
+
+@pytest.mark.parametrize("a,b", QUANTILE_SHAPES)
+def test_quantile_matches_scipy_betaincinv(a, b):
+    u = np.linspace(1e-3, 1.0 - 1e-3, 4001)
+    x = BetaTarget(a, b, Interval(0.0, 1.0)).quantile(u)
+    assert np.max(np.abs(x - scipy_betaincinv(a, b, u))) <= 1e-13
+
+
+@pytest.mark.parametrize("a,b", QUANTILE_SHAPES + [(0.05, 200.0),
+                                                    (200.0, 0.05)])
+def test_quantile_at_the_ends_is_finite_and_monotone(a, b):
+    u = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0])
+    x = BetaTarget(a, b, Interval(0.0, 1.0)).quantile(u)
+    assert np.all(np.isfinite(x))
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert np.all(np.diff(x) >= 0.0)
+    assert x[0] == 0.0
+
+
+@pytest.mark.parametrize("a,b", [(0.05, 200.0), (200.0, 0.05)])
+def test_quantile_terminates_for_extreme_shapes(a, b):
+    u = np.random.Generator(np.random.PCG64(4)).random(2000)
+    x = BetaTarget(a, b, Interval(0.0, 1.0)).quantile(u)
+    assert np.all(np.isfinite(x))
+    assert np.all((x >= 0.0) & (x <= 1.0))
+
+
+def test_quantile_keeps_the_shape_of_u():
+    target = BetaTarget(2.0, 5.0, UNIT)
+    u = np.linspace(0.1, 0.9, 6).reshape(2, 3)
+    x = target.quantile(u)
+    assert x.shape == (2, 3)
+    assert np.array_equal(x.ravel(), target.quantile(u.ravel()))
+    assert isinstance(target.quantile(0.25), float)
 
 
 # ------------------------------------------------------- sampler
@@ -134,6 +176,15 @@ def test_sampler_is_deterministic():
     assert np.all(first.points == second.points)
     other = target.sample(50, seed=43)
     assert np.any(first.points != other.points)
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 5.0), (0.5, 0.5), (30.0, 40.0)])
+def test_sampler_prefix_does_not_depend_on_n(a, b):
+    # each point depends on its own uniform draw alone, not on the batch
+    target = BetaTarget(a, b, UNIT)
+    full = target.sample(4000, seed=17).points
+    for m in (1, 2, 7, 100, 3999):
+        assert target.sample(m, seed=17).points.tobytes() == full[:m].tobytes()
 
 
 def test_sampler_support_strictly_inside():
