@@ -2,9 +2,11 @@
 
 Each criterion is one test, so `pytest -v` prints exactly one pass/fail
 line per criterion; the prints inside (visible with -s) carry the
-measured residuals. Tolerances and time budgets are stated inline and
-are the contract for this package; nothing here may be loosened to make
-a failing build pass.
+measured residuals. Criteria 1-6 call the named checks of
+`densop.oracles`, the registry `densop oracle` runs, at their own seeds
+and sizes. Tolerances and time budgets are stated inline and are the
+contract for this package; nothing here may be loosened to make a
+failing build pass.
 """
 
 import time
@@ -12,31 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from densop import (
-    BasisSpec,
-    BetaTarget,
-    DAUB4_TAPS,
-    DensityCurve,
-    EmbeddingOperator,
-    ExperimentConfig,
-    Grid,
-    Interval,
-    basis_matrix,
-    born_probability,
-    change_basis,
-    embedded_density_exact,
-    embedded_density_map,
-    gram_check,
-    homogeneous_log_prior,
-    log_posterior_coefficients,
-    log_posterior_discrete,
-    probability_from_coefficients,
-    scaling_values_daub4,
-)
+from densop import ExperimentConfig, basis_matrix, oracles
 from densop.cli import FIGURES, main
-from densop.discrete import random_density_matrix, random_ensemble, random_unitary
-
-UNIT = Interval(0.0, 3.0)
 
 
 def test_criterion_1_born_rule_basis_invariance():
@@ -45,18 +24,7 @@ def test_criterion_1_born_rule_basis_invariance():
     # contracting the coefficient matrix against the unitary rows must
     # agree to 1e-10, in under 10 seconds.
     start = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(101))
-    worst = 0.0
-    for _ in range(1000):
-        d = int(rng.integers(2, 9))
-        rho = random_density_matrix(d, rng)
-        u = random_unitary(d, rng)
-        w = change_basis(rho, u)
-        direct = np.array([born_probability(rho, j) for j in range(d)])
-        contracted = np.array(
-            [probability_from_coefficients(w, u, j) for j in range(d)]
-        )
-        worst = max(worst, float(np.max(np.abs(direct - contracted))))
+    worst = oracles.born_rule_invariance(np.random.default_rng(101), 1000)
     elapsed = time.perf_counter() - start
     print(f"criterion 1: worst residual {worst:.3e} in {elapsed:.2f}s")
     assert worst <= 1e-10
@@ -68,25 +36,8 @@ def test_criterion_2_posterior_coordinate_invariance():
     # row-stochastic noise matrix: the position-basis posterior and the
     # coefficient-basis posterior agree to 1e-8, in under 30 seconds.
     start = time.perf_counter()
-    rng = np.random.Generator(np.random.PCG64(202))
-    worst = 0.0
-    for i in range(500):
-        d = int(rng.integers(2, 9))
-        rho = random_ensemble(d, rng)
-        z = np.diagonal(rho.entries).real
-        u = random_unitary(d, rng)
-        w = change_basis(rho, u)
-        draws = rng.integers(0, d, size=int(rng.integers(1, 21)))
-        if i % 2:
-            noise = rng.random((d, d)) + 0.05
-            noise /= noise.sum(axis=1, keepdims=True)
-        else:
-            noise = None
-        by_position = log_posterior_discrete(
-            homogeneous_log_prior, z, draws, noise)
-        by_coefficients = log_posterior_coefficients(
-            homogeneous_log_prior, w, u, draws, noise)
-        worst = max(worst, abs(by_position - by_coefficients))
+    worst = oracles.posterior_coordinate_invariance(
+        np.random.default_rng(202), 500)
     elapsed = time.perf_counter() - start
     print(f"criterion 2: worst residual {worst:.3e} in {elapsed:.2f}s")
     assert worst <= 1e-8
@@ -99,27 +50,9 @@ def test_criterion_3_cascade_table_invariants():
     # translates at scale 2 are orthonormal to 1e-6 under trapezoid
     # quadrature on a table-aligned grid; under 10 seconds in total.
     start = time.perf_counter()
-    level = 12
-    table = scaling_values_daub4(level)
-    scale = 2 ** level
-    idx = np.arange(table.size)
-    rhs = np.zeros(table.size)
-    for t in range(4):
-        src = 2 * idx - t * scale
-        ok = (src >= 0) & (src < table.size)
-        rhs[ok] += DAUB4_TAPS[t] * table[src[ok]]
-    refinement = float(np.max(np.abs(table - rhs)))
-
-    frac = np.arange(1, scale)
-    total = table[frac] + table[frac + scale] + table[frac + 2 * scale]
-    partition = float(np.max(np.abs(total - 1.0)))
-
-    spec = BasisSpec("daubechies4", 2, UNIT, table_level=level)
-    grid = Grid.uniform(UNIT, 3 * 2 ** 14)
-    g = gram_check(spec, grid)
-    rows = spec.interior_translates() - spec.translate_range[0]
-    sub = g[np.ix_(rows, rows)]
-    gram = float(np.max(np.abs(sub - np.eye(sub.shape[0]))))
+    refinement = oracles.refinement_residual(12)
+    partition = oracles.partition_of_unity(12)
+    gram = oracles.daub4_interior_gram(2, 12)
     elapsed = time.perf_counter() - start
     print(f"criterion 3: refinement {refinement:.3e}, partition "
           f"{partition:.3e}, gram {gram:.3e} in {elapsed:.2f}s")
@@ -133,21 +66,7 @@ def test_criterion_4_haar_map_is_the_histogram():
     # at every scale n in 0..3 the kernel-trick estimate with a Haar
     # projection equals the sample histogram at 1e-12, under 5 seconds
     start = time.perf_counter()
-    target = BetaTarget(2.0, 5.0, UNIT)
-    samples = target.sample(1000, seed=2)
-    grid = Grid.uniform(UNIT, 1200)
-    worst = 0.0
-    for n in range(4):
-        op = EmbeddingOperator.projection(BasisSpec("haar", n, UNIT))
-        curve = embedded_density_map(op, samples, grid)
-        bins = 3 * 2 ** n
-        counts, _ = np.histogram(samples.points,
-                                 bins=np.linspace(0.0, 3.0, bins + 1))
-        which = np.minimum(np.floor(grid.points * 2 ** n).astype(int),
-                           bins - 1)
-        hist = counts[which] * (2 ** n) / samples.n
-        hist[grid.points >= 3.0] = 0.0
-        worst = max(worst, float(np.max(np.abs(curve.values - hist))))
+    worst = oracles.haar_map_histogram(2, 1000, range(4), 1200)
     elapsed = time.perf_counter() - start
     print(f"criterion 4: worst residual {worst:.3e} in {elapsed:.2f}s")
     assert worst <= 1e-12
@@ -158,17 +77,10 @@ def test_criterion_5_embedded_densities_have_unit_mass():
     # on the default experiment the exact embedded curve and the MAP
     # curves for seeds 1..3 at 300 and 3000 samples all integrate to 1
     # within 1e-5
-    cfg = ExperimentConfig()
-    proj = cfg.operator()
-    grid = cfg.curve_grid()
-    target = cfg.target()
-    zeta = DensityCurve(grid, target.density(grid.points))
-    exact = embedded_density_exact(proj, zeta, grid)
-    residuals = [abs(exact.mass() - 1.0)]
-    for seed in (1, 2, 3):
-        for n in (300, 3000):
-            mapped = embedded_density_map(proj, target.sample(n, seed), grid)
-            residuals.append(abs(mapped.mass() - 1.0))
+    cells = ExperimentConfig().grid_cells
+    residuals = [oracles.exact_density_mass(cells)] + [
+        oracles.map_density_mass(seed, n, cells)
+        for seed in (1, 2, 3) for n in (300, 3000)]
     worst = max(residuals)
     print(f"criterion 5: worst mass residual {worst:.3e} "
           f"(exact {residuals[0]:.3e})")
@@ -181,22 +93,8 @@ def test_criterion_6_map_error_falls_with_sample_size():
     # and the median two-decade error ratio sits in [10/3, 30] (the
     # Monte Carlo rate predicts 10); under 60 seconds
     start = time.perf_counter()
-    spec = BasisSpec("daubechies4", 2, UNIT)
-    proj = EmbeddingOperator.projection(spec)
-    target = BetaTarget(2.0, 5.0, UNIT)
-    coarse = Grid.uniform(spec.span(), int(round(spec.span().width * 1024)))
-    zeta = DensityCurve(coarse, target.density(coarse.points))
-    exact = embedded_density_exact(proj, zeta, coarse)
-
-    def l2_error(n_draws, seed):
-        est = embedded_density_map(proj, target.sample(n_draws, seed), coarse)
-        diff = est.values - exact.values
-        return float(np.sqrt(coarse.integrate(diff * diff)))
-
-    errors = np.array([
-        [l2_error(n, seed) for n in (100, 1000, 10000)]
-        for seed in range(1, 11)
-    ])
+    errors = np.array([oracles.map_l2_errors(seed, (100, 1000, 10000), 1024)
+                       for seed in range(1, 11)])
     # every seed improves across the two decades; per-seed adjacent
     # comparisons are left to the medians because a lucky draw at one
     # size can dip below the noise floor of the next

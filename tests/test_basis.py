@@ -27,6 +27,12 @@ from densop import (
     scaling_values_daub4,
     wavelet_approximation,
 )
+from densop.oracles import (
+    daub4_interior_gram,
+    partition_of_unity,
+    refinement_residual,
+    riemann_integral,
+)
 
 UNIT = Interval(0.0, 3.0)
 
@@ -105,16 +111,7 @@ def test_support_boundary_values_are_zero():
 
 
 def test_refinement_relation_holds_on_the_table():
-    level = 12
-    table = scaling_values_daub4(level)
-    scale = 2 ** level
-    idx = np.arange(table.size)
-    rhs = np.zeros(table.size)
-    for t in range(4):
-        src = 2 * idx - t * scale
-        ok = (src >= 0) & (src < table.size)
-        rhs[ok] += DAUB4_TAPS[t] * table[src[ok]]
-    assert np.max(np.abs(table - rhs)) <= 1e-10
+    assert refinement_residual(12) <= 1e-10
 
 
 def test_coarse_tables_are_restrictions_of_fine_ones():
@@ -124,17 +121,11 @@ def test_coarse_tables_are_restrictions_of_fine_ones():
 
 
 def test_riemann_sum_approaches_unit_integral():
-    table = scaling_values_daub4(12)
-    assert abs(float(table.sum()) / 2 ** 12 - 1.0) <= 1e-4
+    assert riemann_integral(12) <= 1e-4
 
 
 def test_partition_of_unity_at_interior_points():
-    level = 12
-    table = scaling_values_daub4(level)
-    scale = 2 ** level
-    frac = np.arange(1, scale)
-    total = table[frac] + table[frac + scale] + table[frac + 2 * scale]
-    assert np.max(np.abs(total - 1.0)) <= 1e-8
+    assert partition_of_unity(12) <= 1e-8
 
 
 def test_table_level_bounds():
@@ -337,12 +328,7 @@ def test_haar_gram_disjoint_supports():
 def test_daub4_interior_gram_is_identity():
     # grid spacing 2^-(table_level + n) puts every sample on the dyadic
     # table, which is what the 1e-6 statement needs
-    spec = BasisSpec("daubechies4", 2, UNIT, table_level=12)
-    grid = interval_grid(3 * 2 ** 14)
-    g = gram_check(spec, grid)
-    rows = spec.interior_translates() - spec.translate_range[0]
-    sub = g[np.ix_(rows, rows)]
-    assert np.max(np.abs(sub - np.eye(sub.shape[0]))) <= 1e-6
+    assert daub4_interior_gram(2, 12) <= 1e-6
 
 
 # ---------------------------------------------------------------- projection

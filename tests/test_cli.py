@@ -5,6 +5,8 @@ python -m wiring. Small grids keep these fast while the acceptance tests
 exercise the full-size defaults.
 """
 
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import densop
@@ -420,6 +423,48 @@ def test_estimate_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# one line of a sample file: a point inside [0, 3], an interval endpoint,
+# a non-finite or out-of-interval value, or a blank line
+SAMPLE_LINES = st.one_of(
+    st.floats(min_value=0.0, max_value=3.0).map(repr),
+    st.sampled_from(["0", "3", "0.0", "3.0", "1.5", "nan", "inf", "-inf",
+                     "-0.5", "3.5", "1e300", "", "   "]),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(family=st.sampled_from(["haar", "daubechies4"]),
+       scale_n=st.integers(min_value=0, max_value=3),
+       grid_cells=st.integers(min_value=8, max_value=2048),
+       lines=st.lists(SAMPLE_LINES, max_size=12),
+       repeat=st.booleans())
+def test_estimate_has_exactly_two_outcomes(tmp_path_factory, family, scale_n,
+                                           grid_cells, lines, repeat):
+    # either exit 0 with a finite, nonnegative table whose ratio has unit
+    # trapezoid mass, or exit 1 with a message and no output file
+    tmp = tmp_path_factory.mktemp("contract")
+    cfgpath = write_small_config(tmp, family=family, scale_n=scale_n,
+                                 grid_cells=grid_cells)
+    samples = tmp / "s.txt"
+    samples.write_text("\n".join(lines * (2 if repeat else 1)) + "\n")
+    out = tmp / "est.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["estimate", str(samples), "--config", str(cfgpath),
+                     "--out", str(out)])
+    if code == 0:
+        data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(data))
+        s, mapped, ratio = data.T
+        assert np.all(mapped >= 0.0) and np.all(ratio >= 0.0)
+        assert abs(np.trapezoid(ratio, s) - 1.0) <= 1e-12
+    else:
+        assert code == 1
+        assert err.getvalue().startswith("error:"), err.getvalue()
+        assert not out.exists()
+
+
 # ------------------------------------------------------------- exit codes
 
 
@@ -456,16 +501,48 @@ def test_oracle_command_reports_pass_lines(capsys):
     assert out.strip().splitlines()[-1].endswith("0 failed")
 
 
+ORACLE_CHECKS = [
+    "born-rule basis invariance",
+    "ensemble round-trip",
+    "born probabilities sum to 1",
+    "spectrum preserved by basis change",
+    "tap-4 refinement residual",
+    "partition of unity",
+    "integer values solve the refinement matrix",
+    "unit integral (Riemann sum)",
+    "interior gram identity (daubechies4 n=2)",
+    "haar gram identity (dyadic-aligned grid)",
+    "haar kernel block values",
+    "mercer positivity of the kernel",
+    "kernel symmetry",
+    "projection kernel idempotence (K o K = K)",
+    "haar trace against a density equals 4",
+    "haar trace over samples equals 4",
+    "coordinate invariance of the posterior",
+    "haar map density equals the histogram",
+    "map coefficient matrix is psd",
+    "map coefficient trace equals the sample trace",
+    "exact embedded density has unit mass",
+    "map embedded density has unit mass",
+    "map error ratio across two decades (expect ~10)",
+]
+
+
 def test_run_suite_all_green():
     results = run_suite("all")
-    assert results
+    assert [r.name for r in results] == ORACLE_CHECKS
     assert all(r.passed for r in results)
+    # the tolerance is printed with at most 3 significant digits
     pattern = re.compile(
         r"\[PASS\] .+: residual \d\.\d{3}e[+-]\d{2,3} "
-        r"\(tolerance \de[+-]\d{2,3}\)"
+        r"\(tolerance ((\d+(?:\.\d+)?)(?:e[+-]\d{2,3})?)\)"
     )
     for r in results:
-        assert pattern.fullmatch(r.line()), r.line()
+        match = pattern.fullmatch(r.line())
+        assert match, r.line()
+        assert len(match[2].replace(".", "").lstrip("0")) <= 3, r.line()
+        assert abs(float(match[1]) - r.tolerance) <= 5e-3 * r.tolerance, \
+            r.line()
 
 
 def test_run_suite_rejects_unknown_names():

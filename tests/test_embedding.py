@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from densop import (
     BasisSpec,
-    BetaTarget,
     EmbeddingOperator,
     Grid,
     Interval,
@@ -18,6 +17,7 @@ from densop import (
     trace_k_map,
     trace_k_rho,
 )
+from densop.oracles import haar_trace_against_density
 
 UNIT = Interval(0.0, 3.0)
 
@@ -159,15 +159,8 @@ def test_projection_kernel_idempotent_under_quadrature():
 # ---------------------------------------------------------------- traces
 
 
-def beta_curve(grid):
-    return BetaTarget(2.0, 5.0, UNIT).density(grid.points)
-
-
 def test_trace_k_rho_haar_equals_scale():
-    op = haar_projection()
-    grid = Grid.uniform(UNIT, 3 * 2 ** 10)
-    value = trace_k_rho(op, beta_curve(grid), grid)
-    assert abs(value - 4.0) <= 1e-5
+    assert haar_trace_against_density(2, 3 * 2 ** 10) <= 1e-5
 
 
 def test_trace_k_rho_single_weighted_index():
