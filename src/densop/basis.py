@@ -59,10 +59,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        return (s >= self.lo) & (s <= self.hi)
-
 
 class Grid:
     """Uniform quadrature grid on an interval.
@@ -225,14 +221,8 @@ class BasisSpec:
         k_min, k_max = self.translate_range
         return k_max - k_min + 1
 
-    def support(self, k: int) -> Interval:
-        """Support of the translate phi_nk before domain truncation."""
-        width = _SUPPORT_WIDTH[self.family]
-        two_n = 2 ** self.scale_n
-        return Interval(k / two_n, (k + width) / two_n)
-
     def span(self) -> Interval:
-        """Union of the interval and every active translate support."""
+        """Union of the interval and every translate support."""
         k_min, k_max = self.translate_range
         width = _SUPPORT_WIDTH[self.family]
         two_n = 2 ** self.scale_n

@@ -133,17 +133,9 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
 
 
 def _estimate_table(samples_path: str, cfg: ExperimentConfig):
-    samples = load_samples(samples_path)
+    samples = load_samples(samples_path, cfg.interval())
     if samples.n == 0:
         raise ValueError(f"{samples_path}: sample file is empty")
-    interval = cfg.interval()
-    outside = (samples.points < interval.lo) | (samples.points > interval.hi)
-    if np.any(outside):
-        pos = int(np.argmax(outside))
-        raise ValueError(
-            f"{samples_path}: sample {samples.points[pos]:g} on line "
-            f"{pos + 1} lies outside [{interval.lo:g}, {interval.hi:g}]"
-        )
     operator = cfg.operator()
     grid = cfg.curve_grid()
     mapped = embedded_density_map(operator, samples, grid)

@@ -21,8 +21,10 @@ class ExperimentConfig:
     """Defaults mirror the reference experiment: Daubechies 4 at scale n=2
     on [0, 3], projection weights, beta(2, 5) target, 300 samples.
 
-    grid_cells counts quadrature cells per unit length; curve grids cover
-    the span of the active translates (wider than the interval when
+    `weights` holds one nonnegative weight per basis translate, or None
+    for the projection; the embedding operator built from it validates
+    them. grid_cells counts quadrature cells per unit length; curve grids
+    cover the span of every translate (wider than the interval when
     boundary translates stick out), so the written tables have
     round(span width * grid_cells) + 1 rows.
     """
@@ -47,14 +49,12 @@ class ExperimentConfig:
         if self.grid_cells < 1:
             raise ValueError(f"grid_cells must be >= 1, got {self.grid_cells}")
         if self.weights is not None:
-            w = tuple(float(v) for v in self.weights)
-            if any(v < 0 for v in w):
-                raise ValueError("weights must be nonnegative")
-            object.__setattr__(self, "weights", w)
+            object.__setattr__(self, "weights",
+                               tuple(float(v) for v in self.weights))
         # Constructor validation of the derived objects; errors here carry
         # the field-level messages.
         self.interval()
-        self.basis()
+        self.operator()
         self.target()
 
     def interval(self) -> Interval:
@@ -68,12 +68,7 @@ class ExperimentConfig:
         spec = self.basis()
         if self.weights is None:
             return EmbeddingOperator.projection(spec)
-        if len(self.weights) != spec.size:
-            raise ValueError(
-                f"got {len(self.weights)} weights for {spec.size} translates"
-            )
-        ks = tuple(int(k) for k in spec.translates)
-        return EmbeddingOperator(spec, ks, list(self.weights))
+        return EmbeddingOperator(spec, self.weights)
 
     def target(self) -> BetaTarget:
         return BetaTarget(a=self.target_a, b=self.target_b,

@@ -1,27 +1,28 @@
 """Weighted basis embeddings and their squared kernel.
 
 An embedding operator is a nonnegative combination A = sum_j alpha_j
-|psi_j><psi_j| over an active subset of basis translates. Everything
-downstream only ever needs the kernel K(s, t) = sum_j alpha_j^2
-psi_j(s) psi_j(t) and its diagonal, so the embedded states themselves are
-never materialized. The operator carries its squared weights as one vector
-over every translate of the family, zero off the active set. A point meets
-at most w translates (w = 1 for Haar, 3 for Daubechies 4), so the kernel
-diagonal on G points is a banded sum of G x w terms, added in translate
-order with no BLAS call: the same bits at any BLAS thread count. The
-projection case (all weights 1) is the one used by the experiment commands.
+|psi_j><psi_j| over the translates of a basis family, with one weight per
+translate; a zero weight leaves its translate out. Everything downstream
+only ever needs the kernel K(s, t) = sum_j alpha_j^2 psi_j(s) psi_j(t) and
+its diagonal, so the embedded states themselves are never materialized. A
+point meets at most w translates (w = 1 for Haar, 3 for Daubechies 4), so
+the kernel diagonal on G points is a banded sum of G x w terms, added in
+translate order with no BLAS call: the same bits at any BLAS thread count.
+The projection case (all weights 1) is the one used by the experiment
+commands.
 
 The embedded curves in `densop.learn` use the same band: each is the
 quadratic form b(s)^T W M W b(s) / tr of a coefficient matrix M, with W
-the squared weights, and costs O(G w^2). `kernel_eval` and `kernel_matrix`
-build dense basis rows instead. The curves never call them; they remain
-as an independent route to the same numbers, for tests and the oracle
-suites.
+the squared weights and tr = sum_j W_jj M_jj, and costs O(G w^2).
+`kernel_eval`, `kernel_matrix`, `trace_k_rho` and `trace_k_map` build the
+same numbers another way (dense basis rows, quadrature of the kernel
+diagonal). The curves never call them; they remain as an independent
+route for tests and the oracle suites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,63 +30,44 @@ from .basis import BasisSpec, Grid, basis_band, basis_matrix
 
 VANISHING_SAMPLE_TRACE = (
     "every sample lies outside the support of the embedding operator's "
-    "active translates, so the sample trace vanishes"
+    "weighted translates, so the sample trace vanishes"
+)
+VANISHING_DENSITY_TRACE = (
+    "density is supported in the kernel of the embedding operator"
 )
 
 
 @dataclass(frozen=True)
 class EmbeddingOperator:
-    """A = sum over active translates of weight_j |psi_j><psi_j|."""
+    """A = sum_j weight_j |psi_j><psi_j|, one weight per basis translate."""
 
     basis: BasisSpec
-    active: tuple
     weights: np.ndarray
+    squared_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        active = tuple(int(k) for k in self.active)
-        w = np.ascontiguousarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size != len(active):
+        w = np.array(self.weights, dtype=float)
+        if w.shape != (self.basis.size,):
             raise ValueError(
-                f"need one weight per active translate, got {w.size} "
-                f"weights for {len(active)} translates"
+                f"need one weight per basis translate, got {w.size} "
+                f"weights for {self.basis.size} translates"
             )
-        if w.size == 0:
-            raise ValueError("active set must be nonempty")
-        if len(set(active)) != len(active):
-            raise ValueError("active translates must be distinct")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("weights must not all be zero")
-        k_min, k_max = self.basis.translate_range
-        for k in active:
-            if not k_min <= k <= k_max:
-                raise ValueError(
-                    f"translate {k} outside basis range [{k_min}, {k_max}]"
-                )
+        squared = w ** 2
         w.flags.writeable = False
-        object.__setattr__(self, "active", active)
+        squared.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "squared_weights", squared)
 
     @classmethod
     def projection(cls, basis: BasisSpec) -> "EmbeddingOperator":
         """Orthogonal projection onto the full family (all weights 1)."""
-        ks = tuple(int(k) for k in basis.translates)
-        return cls(basis, ks, np.ones(len(ks)))
-
-    @property
-    def is_projection(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
-
-    @property
-    def squared_weights(self) -> np.ndarray:
-        """alpha_j^2 for every translate of the basis, 0 off the active set."""
-        out = np.zeros(self.basis.size)
-        out[np.array(self.active) - self.basis.translate_range[0]] = (
-            self.weights ** 2)
-        return out
+        return cls(basis, np.ones(basis.size))
 
 
 def kernel_eval(A: EmbeddingOperator, s, t):
@@ -139,9 +121,7 @@ def trace_k_rho(A: EmbeddingOperator, zeta_values, grid: Grid) -> float:
         )
     value = grid.integrate(zeta_values * kernel_diag(A, grid.points))
     if value <= 1e-14:
-        raise ValueError(
-            "density is supported in the kernel of the embedding operator"
-        )
+        raise ValueError(VANISHING_DENSITY_TRACE)
     return float(value)
 
 

@@ -13,6 +13,9 @@ sum_i K(S_i, s)^2 / N and integral zeta(s') K(s, s')^2 ds' expand to
 b(s)^T W M W b(s), with W the diagonal of squared operator weights and M
 either the empirical matrix or the quadrature matrix sum_p h_p zeta_p
 b(s_p) b(s_p)^T; dividing by the trace sum_j W_jj M_jj gives the curve.
+Both curves take that trace from their own M, by one rule; the kernel
+routes `trace_k_rho` and `trace_k_map` reach the same value independently
+and serve as oracles only.
 Every translate is compactly supported, so each point meets at most w
 translates (w = 1 for Haar, 3 for Daubechies 4): M is assembled by one
 scatter over the w x w blocks of the points, and a curve on G grid points
@@ -41,10 +44,10 @@ from .basis import (
     quadratic_form,
 )
 from .embedding import (
+    VANISHING_DENSITY_TRACE,
     VANISHING_SAMPLE_TRACE,
     EmbeddingOperator,
     kernel_diag,
-    trace_k_rho,
 )
 
 
@@ -217,6 +220,18 @@ def _check_noise_matrix(noise_matrix, d: int) -> np.ndarray:
     return noise
 
 
+def _log_likelihood(observed, sample_indices) -> float:
+    """Sum of log observed[b] over the draws b, in draw order; -inf as soon
+    as one draw has zero likelihood."""
+    total = 0.0
+    for b in sample_indices:
+        like = float(observed[int(b)])
+        if like <= 0.0:
+            return -math.inf
+        total += math.log(like)
+    return total
+
+
 def log_posterior_discrete(prior_log, probabilities, sample_indices,
                            noise_matrix=None) -> float:
     """Position-basis log posterior on a discrete sample space.
@@ -231,13 +246,7 @@ def log_posterior_discrete(prior_log, probabilities, sample_indices,
         raise ValueError("probabilities must form a vector")
     observed = z if noise_matrix is None else z @ _check_noise_matrix(
         noise_matrix, z.size)
-    total = 0.0
-    for b in sample_indices:
-        like = float(observed[int(b)])
-        if like <= 0.0:
-            return -math.inf
-        total += math.log(like)
-    return float(prior_log(z)) + total
+    return float(prior_log(z)) + _log_likelihood(observed, sample_indices)
 
 
 def log_posterior_coefficients(prior_log, w, unitary, sample_indices,
@@ -266,13 +275,7 @@ def log_posterior_coefficients(prior_log, w, unitary, sample_indices,
     p = np.einsum("jk,kl,jl->j", u, w, np.conj(u)).real
     observed = p if noise_matrix is None else p @ _check_noise_matrix(
         noise_matrix, d)
-    total = 0.0
-    for b in sample_indices:
-        like = float(observed[int(b)])
-        if like <= 0.0:
-            return -math.inf
-        total += math.log(like)
-    return float(prior_log(w)) + total
+    return float(prior_log(w)) + _log_likelihood(observed, sample_indices)
 
 
 def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:
@@ -294,8 +297,15 @@ def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:
     return MapCoefficients(basis=basis, matrix=m)
 
 
-def _embedded_curve(A: EmbeddingOperator, matrix, trace: float,
-                    grid: Grid) -> DensityCurve:
+def _embedded_curve(A: EmbeddingOperator, matrix, grid: Grid,
+                    vanishing: str) -> DensityCurve:
+    """b(s)^T W M W b(s) / tr on the grid, with tr = sum_j W_jj M_jj.
+
+    Raises with `vanishing` when tr <= 1e-14, where no curve exists.
+    """
+    trace = float(np.sum(A.squared_weights * np.diagonal(matrix)))
+    if trace <= 1e-14:
+        raise ValueError(vanishing)
     values = quadratic_form(A.basis, matrix, grid.points, A.squared_weights)
     return DensityCurve(grid=grid, values=values / trace)
 
@@ -304,15 +314,21 @@ def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
                            grid: Grid) -> DensityCurve:
     """Embedded image of a known density: (1/T) integral zeta(s') K(s, s')^2.
 
-    T is trace_k_rho on zeta's own grid. The integral is the quadratic form
-    of the trapezoid matrix sum_p h_p zeta_p b(s_p) b(s_p)^T. For projection
-    operators the output integrates to 1 up to quadrature error, provided
-    the grid covers the span of the active translates.
+    The integral is the quadratic form of the trapezoid matrix
+    M = sum_p h_p zeta_p b(s_p) b(s_p)^T on zeta's own grid, and T is its
+    trace tr(A rho A*) = sum_j alpha_j^2 M_jj. Refuses a zeta whose
+    quadrature mass is not 1 within 1e-6, and a zeta in the kernel of A.
+    For projection operators the output integrates to 1 up to quadrature
+    error, provided the grid covers the span of the translates.
     """
-    trace = trace_k_rho(A, zeta.values, zeta.grid)
+    mass = zeta.mass()
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(
+            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6"
+        )
     weighted = zeta.grid.weights() * zeta.values
     matrix = coefficient_matrix(A.basis, zeta.grid.points, weighted)
-    return _embedded_curve(A, matrix, trace, grid)
+    return _embedded_curve(A, matrix, grid, VANISHING_DENSITY_TRACE)
 
 
 def embedded_density_map(A: EmbeddingOperator, samples: SampleSet,
@@ -323,15 +339,8 @@ def embedded_density_map(A: EmbeddingOperator, samples: SampleSet,
     tr = sum_j alpha_j^2 M_jj, the mean kernel diagonal over the samples.
     Requires a nonempty, non-noisy sample set with a nonzero trace.
     """
-    if samples.n == 0:
-        raise ValueError("empty sample set")
-    if samples.noise is not None:
-        raise ValueError("kernel-trick MAP requires non-noisy samples")
     matrix = map_coefficients(samples, A.basis).matrix
-    trace = float(np.sum(A.squared_weights * np.diagonal(matrix)))
-    if trace <= 1e-14:
-        raise ValueError(VANISHING_SAMPLE_TRACE)
-    return _embedded_curve(A, matrix, trace, grid)
+    return _embedded_curve(A, matrix, grid, VANISHING_SAMPLE_TRACE)
 
 
 def normalized_ratio(curve: DensityCurve, A: EmbeddingOperator) -> DensityCurve:

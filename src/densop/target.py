@@ -264,11 +264,12 @@ def save_samples(path, samples) -> None:
         write_rows(fh, points.reshape(-1, 1))
 
 
-def load_samples(path) -> SampleSet:
+def load_samples(path, interval: Interval | None = None) -> SampleSet:
     """Read a one-column sample file written by save_samples.
 
-    Blank lines are ignored. A malformed line raises ValueError naming the
-    line number. The returned set carries no seed provenance.
+    Blank lines are ignored. A malformed line, or with `interval` a value
+    outside it, raises ValueError naming the line number in the file. The
+    returned set carries no seed provenance.
     """
     points = []
     with open(path) as fh:
@@ -277,9 +278,16 @@ def load_samples(path) -> SampleSet:
             if not text:
                 continue
             try:
-                points.append(float(text))
+                value = float(text)
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: could not parse {text!r}"
                 ) from None
+            if interval is not None and (value < interval.lo
+                                         or value > interval.hi):
+                raise ValueError(
+                    f"{path}: sample {value:g} on line {lineno} lies "
+                    f"outside [{interval.lo:g}, {interval.hi:g}]"
+                )
+            points.append(value)
     return SampleSet(points=np.asarray(points, dtype=float), seed=None)

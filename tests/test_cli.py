@@ -37,7 +37,7 @@ def test_default_config_derived_objects():
     assert grid.points[0] == -0.5
     assert grid.points[-1] == 3.5
     assert grid.cells == 4 * 4096
-    assert cfg.operator().is_projection
+    assert np.all(cfg.operator().weights == 1.0)
 
 
 def test_config_grid_cells_count_per_unit():
@@ -59,7 +59,7 @@ def test_config_round_trip_with_weights():
     cfg = base.replace(weights=weights)
     back = parse_config(cfg.serialize())
     assert back == cfg
-    assert not back.operator().is_projection
+    assert np.array_equal(back.operator().weights, weights)
 
 
 def test_parse_config_merges_over_base():
@@ -94,11 +94,22 @@ def test_config_validation():
         ExperimentConfig(lo=3.0, hi=0.0)
     with pytest.raises(ValueError):
         ExperimentConfig(target_a=0.0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(weights=(1.0, -2.0))
-    short = ExperimentConfig(family="haar", scale_n=0, weights=(1.0, 2.0))
-    with pytest.raises(ValueError, match="weights"):
-        short.operator()
+
+
+@pytest.mark.parametrize("weights, message", [
+    ((1.0, 2.0), "one weight per"),       # haar n = 0 has 3 translates
+    ((1.0, 2.0, 3.0, 4.0), "one weight per"),
+    ((1.0, -2.0, 3.0), "nonnegative"),
+    ((1.0, float("nan"), 3.0), "finite"),
+    ((0.0, 0.0, 0.0), "all be zero"),
+], ids=["short", "long", "negative", "nan", "all-zero"])
+def test_config_rejects_bad_weights_at_construction(weights, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(family="haar", scale_n=0, weights=weights)
+    text = "family = haar\nscale_n = 0\nweights = " + ",".join(
+        str(w) for w in weights) + "\n"
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)
 
 
 def test_load_config_reads_files(tmp_path):
@@ -389,6 +400,19 @@ def test_estimate_rejects_out_of_interval_samples(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err
     assert "outside" in err
+
+
+def test_out_of_interval_sample_names_its_file_line(tmp_path, capsys):
+    # blank lines are skipped but still counted: 4.2 is on line 4
+    cfgpath = write_small_config(tmp_path)
+    samples = tmp_path / "s.txt"
+    samples.write_text("1.0\n\n\n4.2\n")
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(samples), "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sample 4.2 on line 4 lies outside [0, 3]" in err
+    assert not out.exists()
 
 
 def test_estimate_rejects_malformed_lines(tmp_path, capsys):

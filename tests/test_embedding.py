@@ -31,30 +31,52 @@ def daub_projection(n=2, table_level=12):
     return EmbeddingOperator.projection(spec)
 
 
+def single_translate(spec, k, weight=1.0):
+    # one nonzero weight, on translate k; every other translate is left out
+    weights = np.zeros(spec.size)
+    weights[k - spec.translate_range[0]] = weight
+    return EmbeddingOperator(spec, weights)
+
+
 # ---------------------------------------------------------------- operator
 
 
 def test_projection_covers_all_translates_with_unit_weights():
     op = daub_projection()
-    assert op.active == tuple(range(-2, 12))
+    assert op.weights.shape == (14,)  # translates -2 .. 11
     assert np.all(op.weights == 1.0)
-    assert op.is_projection
+    assert np.all(op.squared_weights == 1.0)
+
+
+def test_operator_holds_read_only_copies():
+    spec = BasisSpec("haar", 0, UNIT)
+    given = np.array([0.5, 0.0, 2.0])
+    op = EmbeddingOperator(spec, given)
+    given[0] = 9.0
+    assert np.array_equal(op.weights, [0.5, 0.0, 2.0])
+    assert np.array_equal(op.squared_weights, [0.25, 0.0, 4.0])
+    for arr in (op.weights, op.squared_weights):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_operator_validation():
-    spec = BasisSpec("daubechies4", 2, UNIT)
-    with pytest.raises(ValueError):
-        EmbeddingOperator(spec, (0, 1), [1.0])  # length mismatch
-    with pytest.raises(ValueError):
-        EmbeddingOperator(spec, (0,), [-1.0])  # negative weight
-    with pytest.raises(ValueError):
-        EmbeddingOperator(spec, (0, 1), [0.0, 0.0])  # all zero
-    with pytest.raises(ValueError):
-        EmbeddingOperator(spec, (99,), [1.0])  # outside translate range
-    with pytest.raises(ValueError):
-        EmbeddingOperator(spec, (), [])  # empty
-    with pytest.raises(ValueError, match="distinct"):
-        EmbeddingOperator(spec, (3, 3), [1.0, 1.0])  # repeated translate
+    spec = BasisSpec("daubechies4", 2, UNIT)  # 14 translates
+    ones = np.ones(spec.size)
+    with pytest.raises(ValueError, match="one weight per"):
+        EmbeddingOperator(spec, ones[:-1])  # too short
+    with pytest.raises(ValueError, match="one weight per"):
+        EmbeddingOperator(spec, np.ones(spec.size + 1))  # too long
+    with pytest.raises(ValueError, match="one weight per"):
+        EmbeddingOperator(spec, ones.reshape(2, 7))  # not a vector
+    with pytest.raises(ValueError, match="nonnegative"):
+        EmbeddingOperator(spec, np.where(np.arange(14) == 3, -1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        EmbeddingOperator(spec, np.where(np.arange(14) == 3, np.nan, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        EmbeddingOperator(spec, np.where(np.arange(14) == 3, np.inf, 1.0))
+    with pytest.raises(ValueError, match="all be zero"):
+        EmbeddingOperator(spec, np.zeros(spec.size))
 
 
 # ---------------------------------------------------------------- kernel
@@ -72,7 +94,7 @@ def test_haar_kernel_is_a_bin_indicator():
 
 def test_rank_one_kernel():
     spec = BasisSpec("daubechies4", 2, UNIT)
-    op = EmbeddingOperator(spec, (3,), [1.0])
+    op = single_translate(spec, 3)
     s, t = 0.9, 1.1
     expect = eval_father(spec, 3, s) * eval_father(spec, 3, t)
     assert_allclose(kernel_eval(op, s, t), expect, rtol=0, atol=1e-15)
@@ -80,8 +102,8 @@ def test_rank_one_kernel():
 
 def test_weights_enter_squared():
     spec = BasisSpec("daubechies4", 2, UNIT)
-    plain = EmbeddingOperator(spec, (3,), [1.0])
-    scaled = EmbeddingOperator(spec, (3,), [0.5])
+    plain = single_translate(spec, 3)
+    scaled = single_translate(spec, 3, 0.5)
     s, t = 0.9, 1.1
     assert_allclose(kernel_eval(scaled, s, t),
                     0.25 * kernel_eval(plain, s, t), rtol=0, atol=1e-15)
@@ -116,7 +138,7 @@ def test_haar_kernel_diag_constant_inside():
 
 def test_kernel_diag_zero_where_no_support():
     spec = BasisSpec("daubechies4", 2, UNIT)
-    op = EmbeddingOperator(spec, (0,), [1.0])  # support [0, 0.75]
+    op = single_translate(spec, 0)  # support [0, 0.75]
     assert kernel_diag(op, 2.5) == 0.0
 
 
@@ -167,7 +189,7 @@ def test_trace_k_rho_single_weighted_index():
     # uniform density against a single weighted interior translate:
     # alpha^2 * integral(psi^2) / width = alpha^2 / 3
     spec = BasisSpec("daubechies4", 2, UNIT)
-    op = EmbeddingOperator(spec, (4,), [0.7])
+    op = single_translate(spec, 4, 0.7)
     grid = Grid.uniform(UNIT, 3 * 2 ** 12)
     uniform = np.full(grid.points.size, 1.0 / 3.0)
     value = trace_k_rho(op, uniform, grid)
@@ -187,7 +209,7 @@ def test_trace_k_rho_rejects_bad_density():
 
 def test_trace_k_rho_detects_kernel_of_operator():
     spec = BasisSpec("daubechies4", 2, UNIT)
-    op = EmbeddingOperator(spec, (0,), [1.0])  # support [0, 0.75]
+    op = single_translate(spec, 0)  # support [0, 0.75]
     grid = Grid.uniform(UNIT, 3072)
     zeta = np.where(grid.points >= 2.0, 1.0, 0.0)
     zeta /= grid.integrate(zeta)

@@ -45,6 +45,13 @@ from densop.oracles import haar_map_histogram
 UNIT = Interval(0.0, 3.0)
 
 
+def single_translate(spec, k, weight=1.0):
+    # one nonzero weight, on translate k; every other translate is left out
+    weights = np.zeros(spec.size)
+    weights[k - spec.translate_range[0]] = weight
+    return EmbeddingOperator(spec, weights)
+
+
 # ------------------------------------------------------------ data types
 
 
@@ -436,11 +443,39 @@ def test_map_embedding_refuses_samples_outside_every_support():
         trace_k_map(op, samples)
     with pytest.raises(ValueError, match="trace vanishes"):
         embedded_density_map(op, samples, Grid.uniform(UNIT, 300))
-    # a sample set that misses the only active translate does the same
-    single = EmbeddingOperator(BasisSpec("daubechies4", 2, UNIT), (3,), [0.7])
+    # a sample set that misses the only weighted translate does the same
+    single = single_translate(BasisSpec("daubechies4", 2, UNIT), 3, 0.7)
     far = SampleSet(np.array([2.5, 2.9]))
     with pytest.raises(ValueError, match="trace vanishes"):
         embedded_density_map(single, far, Grid.uniform(UNIT, 300))
+
+
+def test_exact_embedding_refuses_a_zeta_without_unit_mass():
+    op = EmbeddingOperator.projection(BasisSpec("haar", 2, UNIT))
+    grid = Grid.uniform(UNIT, 3072)
+    uniform = np.full(grid.points.size, 1.0 / 3.0)
+    # the right end lies outside every half-open Haar box
+    curve = embedded_density_exact(op, DensityCurve(grid, uniform), grid)
+    assert abs(curve.mass() - 1.0) <= 1e-3
+    for scale in (1.0 + 2e-6, 1.0 - 2e-6, 3.0):
+        with pytest.raises(ValueError, match="is not 1 within 1e-6"):
+            embedded_density_exact(op, DensityCurve(grid, scale * uniform),
+                                   grid)
+
+
+def test_exact_embedding_refuses_a_zeta_in_the_kernel():
+    # zeta lives on [2, 3]; the only weighted translate, k = 0, is
+    # supported on [0, 0.75]
+    spec = BasisSpec("daubechies4", 2, UNIT)
+    op = single_translate(spec, 0)
+    grid = Grid.uniform(UNIT, 3072)
+    zeta = np.where(grid.points >= 2.0, 1.0, 0.0)
+    zeta = DensityCurve(grid, zeta / grid.integrate(zeta))
+    with pytest.raises(ValueError, match="in the kernel of the embedding"):
+        embedded_density_exact(op, zeta, grid)
+    # the same zeta against every translate has a curve
+    projection = EmbeddingOperator.projection(spec)
+    assert embedded_density_exact(projection, zeta, grid).mass() > 0.0
 
 
 def test_curves_and_matrices_reject_non_finite_values():
@@ -457,15 +492,13 @@ def test_curves_and_matrices_reject_non_finite_values():
 
 
 def equivalence_operators(spec):
-    # the projection, one active translate with a non-unit weight, and
+    # the projection, one weighted translate with a non-unit weight, and
     # unequal weights over every translate
     d = spec.size
-    single = int(spec.translates[d // 3])
     return [
         EmbeddingOperator.projection(spec),
-        EmbeddingOperator(spec, (single,), [0.7]),
-        EmbeddingOperator(spec, tuple(int(k) for k in spec.translates),
-                          np.linspace(0.2, 1.5, d)),
+        single_translate(spec, int(spec.translates[d // 3]), 0.7),
+        EmbeddingOperator(spec, np.linspace(0.2, 1.5, d)),
     ]
 
 
@@ -506,7 +539,7 @@ def test_banded_curves_match_the_kernel_trick(family, scale_n):
                       kernel_trick_map(op, samples, out)))
         for got, expect in pairs:
             err = np.max(np.abs(got.values - expect))
-            assert err <= 1e-12 * np.max(expect), (op.active, err)
+            assert err <= 1e-12 * np.max(expect), (op.weights, err)
 
 
 def test_map_matrix_matches_dense_basis_route():
