@@ -37,6 +37,9 @@ DAUB4_TAPS = np.array([
 #: at level m holds 3 * 2**m + 1 doubles, about 100 MB at the cap.
 MAX_TABLE_LEVEL = 22
 
+#: Cells a grid needs per translate shift 2**-n: RESOLUTION * 2**n per unit.
+RESOLUTION = 64
+
 FAMILIES = ("haar", "daubechies4")
 
 _SUPPORT_WIDTH = {"haar": 1, "daubechies4": 3}
@@ -60,44 +63,29 @@ class Interval:
         return self.hi - self.lo
 
 
+@dataclass(frozen=True)
 class Grid:
-    """Uniform quadrature grid on an interval.
+    """Uniform quadrature grid of `cells` equal cells on an interval.
 
-    Stores the strictly increasing point vector and the common spacing h.
+    `points` holds the cells + 1 read-only points, both endpoints exact.
     Integration is composite trapezoid with a fixed summation order, so
     repeated runs produce bit-identical results.
     """
 
-    __slots__ = ("points", "h")
+    interval: Interval
+    cells: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __init__(self, points):
-        points = np.ascontiguousarray(points, dtype=float)
-        if points.ndim != 1 or points.size < 2:
-            raise ValueError("grid needs a 1-d vector of at least 2 points")
-        steps = np.diff(points)
-        if np.any(steps <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        h = (points[-1] - points[0]) / (points.size - 1)
-        if np.max(np.abs(steps - h)) > 1e-12 * max(1.0, abs(h)):
-            raise ValueError("grid spacing is not uniform")
+    def __post_init__(self):
+        if self.cells < 1:
+            raise ValueError(f"need at least 1 cell, got {self.cells}")
+        points = np.linspace(self.interval.lo, self.interval.hi, self.cells + 1)
         points.flags.writeable = False
-        self.points = points
-        self.h = float(h)
-
-    @classmethod
-    def uniform(cls, interval: Interval, cells: int) -> "Grid":
-        """Grid with `cells` equal cells (cells + 1 points) on `interval`."""
-        if cells < 1:
-            raise ValueError(f"need at least 1 cell, got {cells}")
-        return cls(np.linspace(interval.lo, interval.hi, cells + 1))
+        object.__setattr__(self, "points", points)
 
     @property
-    def cells(self) -> int:
-        return self.points.size - 1
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(float(self.points[0]), float(self.points[-1]))
+    def h(self) -> float:
+        return self.interval.width / self.cells
 
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights aligned with the points."""
@@ -115,19 +103,6 @@ class Grid:
             )
         interior = float(np.sum(values[1:-1]))
         return self.h * (interior + 0.5 * (float(values[0]) + float(values[-1])))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.points.shape == other.points.shape
-            and bool(np.all(self.points == other.points))
-        )
-
-    def __repr__(self):
-        return (
-            f"Grid({self.points[0]:g}..{self.points[-1]:g}, "
-            f"{self.cells} cells)"
-        )
 
 
 @lru_cache(maxsize=8)
@@ -203,11 +178,10 @@ class BasisSpec:
                 f"table_level must be in [0, {MAX_TABLE_LEVEL}], "
                 f"got {self.table_level}"
             )
-        width = _SUPPORT_WIDTH[self.family]
         two_n = 2 ** self.scale_n
-        # k is kept iff k/2^n < hi and (k+width)/2^n > lo, i.e. the open
+        # k is kept iff k/2^n < hi and (k+w)/2^n > lo, i.e. the open
         # support interior meets the interval.
-        k_min = math.floor(self.interval.lo * two_n - width) + 1
+        k_min = math.floor(self.interval.lo * two_n - self.support_width) + 1
         k_max = math.ceil(self.interval.hi * two_n) - 1
         object.__setattr__(self, "translate_range", (k_min, k_max))
 
@@ -221,23 +195,26 @@ class BasisSpec:
         k_min, k_max = self.translate_range
         return k_max - k_min + 1
 
+    @property
+    def support_width(self) -> int:
+        """w: the mother support length, the most translates a point meets."""
+        return _SUPPORT_WIDTH[self.family]
+
     def span(self) -> Interval:
         """Union of the interval and every translate support."""
         k_min, k_max = self.translate_range
-        width = _SUPPORT_WIDTH[self.family]
         two_n = 2 ** self.scale_n
         return Interval(
             min(self.interval.lo, k_min / two_n),
-            max(self.interval.hi, (k_max + width) / two_n),
+            max(self.interval.hi, (k_max + self.support_width) / two_n),
         )
 
     def interior_translates(self) -> np.ndarray:
         """Translates whose full support lies inside the interval."""
         ks = self.translates
-        width = _SUPPORT_WIDTH[self.family]
         two_n = 2 ** self.scale_n
         keep = (ks / two_n >= self.interval.lo - 1e-12) & (
-            (ks + width) / two_n <= self.interval.hi + 1e-12
+            (ks + self.support_width) / two_n <= self.interval.hi + 1e-12
         )
         return ks[keep]
 
@@ -285,9 +262,9 @@ def basis_band(spec: BasisSpec, s_values):
     bit-identical to eval_father, which computes the same x = 2**n s - k.
     """
     s = np.asarray(s_values, dtype=float).ravel()
-    width = _SUPPORT_WIDTH[spec.family]
     x0 = s * 2 ** spec.scale_n
-    ks = np.floor(x0).astype(np.int64)[:, None] + np.arange(1 - width, 1)
+    ks = np.floor(x0).astype(np.int64)[:, None] + np.arange(
+        1 - spec.support_width, 1)
     x = x0[:, None] - ks
     amp = 2.0 ** (spec.scale_n / 2.0)
     if spec.family == "haar":
@@ -346,12 +323,14 @@ def quadratic_form(spec: BasisSpec, matrix, s_values, scale) -> np.ndarray:
 
 
 def _require_resolution(spec: BasisSpec, grid: Grid):
-    need = 2 ** (spec.scale_n + 8)
-    if grid.cells < need:
+    """Refuse a grid with fewer than RESOLUTION cells per translate shift."""
+    n = spec.scale_n
+    per_shift = grid.cells / (grid.interval.width * 2 ** n)
+    if per_shift < RESOLUTION:
         raise ValueError(
-            f"grid has {grid.cells} cells; scale n={spec.scale_n} "
-            f"needs at least {need}"
-        )
+            f"grid has {per_shift:.3g} cells per translate shift 2**-{n}, "
+            f"under {RESOLUTION}; scale n={n} needs grid_cells >= "
+            f"{RESOLUTION * 2 ** n}")
 
 
 def gram_check(spec: BasisSpec, grid: Grid) -> np.ndarray:

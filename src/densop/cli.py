@@ -175,6 +175,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = cfg.replace(out=args.out)
         reproduce = args.command == "reproduce"
+        cfg.require_memory(args.figure if reproduce else "estimate")
         out_path = cfg.out or (
             f"{args.figure}.csv" if reproduce else "estimate.csv")
         _require_writable(out_path)

@@ -4,6 +4,11 @@ The config file format is one `key = value` pair per line, `#` comments,
 blank lines ignored. Unknown keys are rejected so typos fail loudly.
 `weights` is either the word `projection` or a comma-separated list with
 one nonnegative value per basis translate.
+
+Two limits hold for every command. Its curve grid must resolve the
+translates: grid_cells >= RESOLUTION * 2**scale_n, checked when the grid
+is built. Its main arrays must fit in MEMORY_LIMIT bytes, checked from the
+config alone before anything is allocated.
 """
 
 from __future__ import annotations
@@ -11,9 +16,34 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .basis import BasisSpec, Grid, Interval
+from .basis import BasisSpec, Grid, Interval, _require_resolution
 from .embedding import EmbeddingOperator
 from .target import BetaTarget
+
+#: Bytes that the main arrays of one command may take; see `footprint`.
+MEMORY_LIMIT = 2 ** 30
+
+
+def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
+              n_samples: int = 0) -> int:
+    """Bytes of the main float arrays `command` allocates, from d, G and w.
+
+    Every command holds the d operator weights and the G x w basis band of
+    its curve grid of G points. fig2a adds the d x G basis rows; fig3a and
+    fig3b add two d x d coefficient matrices and the n_samples x w x w
+    sample scatter; estimate adds one d x d matrix. None counts only the
+    part every command shares. Nothing is allocated.
+    """
+    d, w = spec.size, spec.support_width
+    g = round(spec.span().width * grid_cells) + 1
+    count = d + g * w
+    if command == "fig2a":
+        count += d * g
+    elif command in ("fig3a", "fig3b"):
+        count += 2 * d * d + n_samples * w * w
+    elif command == "estimate":
+        count += d * d
+    return 8 * count
 
 
 @dataclass(frozen=True)
@@ -52,8 +82,10 @@ class ExperimentConfig:
             object.__setattr__(self, "weights",
                                tuple(float(v) for v in self.weights))
         # Constructor validation of the derived objects; errors here carry
-        # the field-level messages.
+        # the field-level messages. The memory bound comes before the
+        # operator allocates its d weights.
         self.interval()
+        self.require_memory()
         self.operator()
         self.target()
 
@@ -75,10 +107,27 @@ class ExperimentConfig:
                           interval=self.interval())
 
     def curve_grid(self) -> Grid:
-        """Uniform grid over the basis span at grid_cells cells per unit."""
-        span = self.basis().span()
-        cells = max(1, round(span.width * self.grid_cells))
-        return Grid.uniform(span, cells)
+        """Uniform grid over the basis span at grid_cells cells per unit.
+
+        Refuses grid_cells < RESOLUTION * 2**scale_n, too coarse to
+        resolve the translates.
+        """
+        spec = self.basis()
+        span = spec.span()
+        grid = Grid(span, max(1, round(span.width * self.grid_cells)))
+        _require_resolution(spec, grid)
+        return grid
+
+    def require_memory(self, command: str | None = None) -> None:
+        """Refuse a config whose `command` needs over MEMORY_LIMIT bytes."""
+        need = footprint(self.basis(), self.grid_cells, command,
+                         self.n_samples)
+        if need > MEMORY_LIMIT:
+            raise ValueError(
+                f"{command or 'every command'} at scale_n={self.scale_n} "
+                f"and grid_cells={self.grid_cells} needs {need / 2**30:.3g} "
+                f"GiB of arrays, over the {MEMORY_LIMIT / 2**30:g} GiB limit"
+            )
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)

@@ -20,7 +20,7 @@ _PSD_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
     """Unit-norm complex amplitude vector."""
 
@@ -43,7 +43,7 @@ class WaveFunction:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, trace-one matrix.
 
@@ -83,7 +83,7 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability vector over the discrete sample space."""
 
@@ -106,7 +106,7 @@ class DiscreteDistribution:
         return self.probabilities.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryBasis:
     """Matrix whose column j holds basis function psi_j in position coordinates."""
 

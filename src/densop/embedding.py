@@ -37,7 +37,7 @@ VANISHING_DENSITY_TRACE = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingOperator:
     """A = sum_j weight_j |psi_j><psi_j|, one weight per basis translate."""
 

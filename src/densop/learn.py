@@ -86,7 +86,7 @@ class GaussianNoise:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Ordered sample points with seed provenance and an optional noise kernel."""
 
@@ -108,7 +108,7 @@ class SampleSet:
         return self.points.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityCurve:
     """A nonnegative function tabulated on a grid."""
 
@@ -134,7 +134,7 @@ class DensityCurve:
         return self.grid.integrate(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapCoefficients:
     """Empirical coefficient matrix w(j, l) = mean of psi_j(S_i) psi_l(S_i)."""
 

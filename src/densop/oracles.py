@@ -188,7 +188,7 @@ def daub4_interior_gram(scale_n: int, level: int) -> float:
     """Interior Daubechies-4 Gram matrix against the identity, on the
     table-aligned grid of spacing 2**-(level + scale_n)."""
     spec = BasisSpec("daubechies4", scale_n, _UNIT, table_level=level)
-    grid = Grid.uniform(_UNIT, 3 * 2 ** (level + scale_n))
+    grid = Grid(_UNIT, 3 * 2 ** (level + scale_n))
     rows = spec.interior_translates() - spec.translate_range[0]
     sub = gram_check(spec, grid)[np.ix_(rows, rows)]
     return float(np.max(np.abs(sub - np.eye(sub.shape[0]))))
@@ -200,7 +200,7 @@ def haar_interior_gram(scale_n: int, cells: int) -> float:
     """Interior Haar Gram matrix against the identity."""
     spec = BasisSpec("haar", scale_n, _UNIT)
     rows = np.arange(1, spec.size - 1)
-    sub = gram_check(spec, Grid.uniform(_UNIT, cells))[np.ix_(rows, rows)]
+    sub = gram_check(spec, Grid(_UNIT, cells))[np.ix_(rows, rows)]
     return float(np.max(np.abs(sub - np.eye(sub.shape[0]))))
 
 
@@ -241,7 +241,7 @@ def projection_idempotence(rng, n_probe: int, level: int) -> float:
     spec = BasisSpec("daubechies4", 2, _UNIT, table_level=level)
     proj = EmbeddingOperator.projection(spec)
     span = spec.span()
-    grid = Grid.uniform(span, int(round(span.width * 2 ** (level + 2))))
+    grid = Grid(span, int(round(span.width * 2 ** (level + 2))))
     gram = gram_check(spec, grid)
     probe = rng.uniform(span.lo, span.hi, size=n_probe)
     bp = basis_matrix(spec, probe)
@@ -253,7 +253,7 @@ def projection_idempotence(rng, n_probe: int, level: int) -> float:
         2, 3 * 2 ** 10)
 def haar_trace_against_density(scale_n: int, cells: int) -> float:
     """Trace of the Haar kernel against the beta density, minus 2**scale_n."""
-    grid = Grid.uniform(_UNIT, cells)
+    grid = Grid(_UNIT, cells)
     zeta = ExperimentConfig().target().density(grid.points)
     return abs(trace_k_rho(_projection("haar", scale_n), zeta, grid)
                - 2.0 ** scale_n)
@@ -296,7 +296,7 @@ def posterior_coordinate_invariance(rng, trials: int) -> float:
 def haar_map_histogram(seed: int, n_samples: int, scales, cells: int) -> float:
     """Haar MAP curve at each scale in `scales` against the histogram."""
     samples = ExperimentConfig().target().sample(n_samples, seed)
-    grid = Grid.uniform(_UNIT, cells)
+    grid = Grid(_UNIT, cells)
     worst = 0.0
     for n in scales:
         curve = embedded_density_map(_projection("haar", n), samples, grid)

@@ -38,7 +38,7 @@ UNIT = Interval(0.0, 3.0)
 
 
 def interval_grid(cells):
-    return Grid.uniform(UNIT, cells)
+    return Grid(UNIT, cells)
 
 
 # ---------------------------------------------------------------- interval
@@ -57,16 +57,24 @@ def test_grid_uniform_shape_and_spacing():
     g = interval_grid(300)
     assert g.cells == 300
     assert g.points[0] == 0.0 and g.points[-1] == 3.0
+    assert not g.points.flags.writeable
+    assert g.h == (g.points[-1] - g.points[0]) / (g.points.size - 1)
     assert_allclose(np.diff(g.points), 0.01, rtol=0, atol=1e-14)
 
 
-def test_grid_rejects_nonuniform_points():
+def test_grid_is_a_value_of_interval_and_cells():
+    g = interval_grid(300)
+    assert g == Grid(Interval(0.0, 3.0), 300)
+    assert g != interval_grid(301)
+    assert hash(g) == hash(interval_grid(300))
+    assert repr(g) == "Grid(interval=Interval(lo=0.0, hi=3.0), cells=300)"
+
+
+def test_grid_rejects_bad_cells_and_interval():
+    with pytest.raises(ValueError, match="at least 1 cell"):
+        Grid(UNIT, 0)
     with pytest.raises(ValueError):
-        Grid(np.array([0.0, 0.1, 0.3]))
-    with pytest.raises(ValueError):
-        Grid(np.array([0.0, 0.0, 0.1]))
-    with pytest.raises(ValueError):
-        Grid(np.array([0.0]))
+        Grid(Interval(1.0, 1.0), 4)
 
 
 def test_grid_trapezoid_matches_numpy_reference():
@@ -338,7 +346,7 @@ def fine_spec_and_grid(scale_n=0, level=17):
     spec = BasisSpec("daubechies4", scale_n, UNIT, table_level=level)
     span = spec.span()
     cells = int(round(span.width * 2 ** (level + scale_n)))
-    return spec, Grid.uniform(span, cells)
+    return spec, Grid(span, cells)
 
 
 def test_projection_reproduces_a_basis_element():
@@ -376,7 +384,7 @@ def test_haar_projection_idempotent_away_from_left_edge():
 def test_beta_wavelet_transform_takes_negative_values():
     spec = BasisSpec("daubechies4", 2, UNIT)
     span = spec.span()
-    grid = Grid.uniform(span, int(round(span.width * 4096)))
+    grid = Grid(span, int(round(span.width * 4096)))
     target = BetaTarget(2.0, 5.0, UNIT)
     out = wavelet_approximation(target.density(grid.points), spec, grid)
     assert out.min() < -1e-3
@@ -390,11 +398,12 @@ def test_total_mass_converges_with_scale():
     for n in range(4):
         spec = BasisSpec("daubechies4", n, UNIT)
         span = spec.span()
-        grid = Grid.uniform(span, int(round(span.width * 1024)))
+        grid = Grid(span, int(round(span.width * 1024)))
         approx = wavelet_approximation(target.density(grid.points), spec, grid)
-        inside = (grid.points >= UNIT.lo) & (grid.points <= UNIT.hi)
-        sub = Grid(grid.points[inside])
-        errs.append(abs(sub.integrate(approx[inside]) - 1.0))
+        # the restriction to the interval: its 3 * 1024 cells of the grid
+        first = round((UNIT.lo - span.lo) * 1024)
+        inside = approx[first:first + 3 * 1024 + 1]
+        errs.append(abs(interval_grid(3 * 1024).integrate(inside) - 1.0))
     for n in range(3):
         assert errs[n + 1] <= 2.0 * errs[n]
     assert errs[3] < errs[0]

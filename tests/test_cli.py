@@ -19,8 +19,18 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import densop
-from densop import ExperimentConfig, Interval, load_config, parse_config
+from densop import (
+    BasisSpec,
+    ExperimentConfig,
+    Interval,
+    load_config,
+    map_coefficients,
+    parse_config,
+)
+from densop import config as config_module
+from densop.basis import RESOLUTION
 from densop.cli import FIGURES, _write_table, main
+from densop.config import MEMORY_LIMIT, footprint
 from densop.oracles import run_suite
 from densop.textio import _block_rows
 
@@ -46,6 +56,60 @@ def test_config_grid_cells_count_per_unit():
     # the haar span never extends past the interval
     assert grid.interval == Interval(0.0, 3.0)
     assert grid.cells == 300
+
+
+def test_curve_grid_needs_resolution_cells_per_translate_shift():
+    # at scale 2 a shift is 1/4, so 64 cells per shift is 256 per unit
+    assert RESOLUTION == 64
+    assert ExperimentConfig(grid_cells=256).curve_grid().cells == 4 * 256
+    with pytest.raises(ValueError, match="grid_cells >= 256"):
+        ExperimentConfig(grid_cells=255).curve_grid()
+    # only building the grid refuses; the config itself parses
+    assert ExperimentConfig(grid_cells=8).grid_cells == 8
+
+
+def test_footprint_arithmetic_at_scale_20_and_30():
+    # d weights and the G x w band for every command, plus d x d matrices
+    # or the d x G basis rows; computed from the config, never allocated
+    spec = BasisSpec("daubechies4", 20, Interval(0.0, 3.0))
+    d = 3 * 2 ** 20 + 2
+    # the span [-2, 3 * 2**20 + 2] / 2**20 rounds to 3 * 4096 cells
+    g = 3 * 4096 + 1
+    assert spec.size == d
+    assert footprint(spec, 4096) == 8 * (d + 3 * g)
+    assert footprint(spec, 4096) < MEMORY_LIMIT
+    assert footprint(spec, 4096, "fig2a") == 8 * (d + 3 * g + d * g)
+    assert footprint(spec, 4096, "fig3a", 300) == 8 * (
+        d + 3 * g + 2 * d * d + 300 * 9)
+    assert footprint(spec, 4096, "estimate") == 8 * (d + 3 * g + d * d)
+    assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096)
+    for command in ("fig2a", "fig3a", "fig3b", "estimate"):
+        assert footprint(spec, 4096, command, 300) > MEMORY_LIMIT
+    # at scale 30 the d weights alone take about 26 GB
+    spec = BasisSpec("daubechies4", 30, Interval(0.0, 3.0))
+    assert footprint(spec, 4096) > 8 * 3 * 2 ** 30 > 25e9 > MEMORY_LIMIT
+
+
+def test_config_checks_memory_before_building_the_operator(monkeypatch):
+    # the default config's shared arrays are d = 14 weights and a
+    # 16385 x 3 band, 393 352 bytes
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 393_351)
+    with pytest.raises(ValueError, match="every command .* over the"):
+        ExperimentConfig()
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 393_352)
+    assert ExperimentConfig().scale_n == 2
+
+
+def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
+    # fig2a at scale 10 would hold 3074 x 393 730 basis values, 9.7 GB
+    cfgpath = write_small_config(tmp_path, scale_n=10, grid_cells=131072)
+    out = tmp_path / "fig2a.csv"
+    assert main(["reproduce", "--figure", "fig2a",
+                 "--config", str(cfgpath), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fig2a at scale_n=10")
+    assert "GiB limit" in err
+    assert not out.exists()
 
 
 def test_config_serialize_parse_round_trip():
@@ -238,7 +302,7 @@ def test_written_values_round_trip_at_full_precision(tmp_path):
 
 
 def test_fig2b_haar_approximation_is_piecewise_constant(tmp_path):
-    # 512 cells per unit clears the 2**(n+8) resolution floor on [0, 3]
+    # 512 cells per unit clears the 64 * 2**n resolution floor at n = 2
     cfgpath = write_small_config(tmp_path, family="haar", scale_n=2,
                                  grid_cells=512)
     out = tmp_path / "h.csv"
@@ -447,6 +511,11 @@ def test_estimate_missing_file(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# A resolved grid has at least RESOLUTION cells per translate shift, so a
+# Haar box gains or loses at most one cell: 1/RESOLUTION of its mass. The
+# Daubechies-4 curves stay within 2e-3 of their mass at that resolution.
+EMBEDDED_MASS_BOUND = 1.0 / RESOLUTION
+
 # one line of a sample file: a point inside [0, 3], an interval endpoint,
 # a non-finite or out-of-interval value, or a blank line
 SAMPLE_LINES = st.one_of(
@@ -483,10 +552,89 @@ def test_estimate_has_exactly_two_outcomes(tmp_path_factory, family, scale_n,
         s, mapped, ratio = data.T
         assert np.all(mapped >= 0.0) and np.all(ratio >= 0.0)
         assert abs(np.trapezoid(ratio, s) - 1.0) <= 1e-12
+        assert abs(np.trapezoid(mapped, s) - 1.0) <= EMBEDDED_MASS_BOUND
     else:
         assert code == 1
         assert err.getvalue().startswith("error:"), err.getvalue()
         assert not out.exists()
+
+
+def _is_density(name):
+    return name in ("zeta", "kernel_diag") or name.startswith(
+        ("embedded_", "ratio_"))
+
+
+@settings(deadline=None, max_examples=60)
+@given(figure=st.sampled_from(FIGURES),
+       family=st.sampled_from(["haar", "daubechies4"]),
+       scale_n=st.integers(min_value=0, max_value=3),
+       grid_cells=st.integers(min_value=8, max_value=2048),
+       projection=st.booleans(),
+       data=st.data())
+def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, family,
+                                            scale_n, grid_cells, projection,
+                                            data):
+    # either exit 0 with a finite table whose density columns are
+    # nonnegative and whose ratio columns have unit trapezoid mass, or exit
+    # 1 with a message and no output file
+    tmp = tmp_path_factory.mktemp("contract")
+    size = BasisSpec(family, scale_n, Interval(0.0, 3.0)).size
+    weights = "projection" if projection else ",".join(map(repr, data.draw(
+        st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0, 17.5]),
+                 min_size=size, max_size=size), label="weights")))
+    cfgpath = write_small_config(tmp, family=family, scale_n=scale_n,
+                                 grid_cells=grid_cells, weights=weights)
+    out = tmp / "table.csv"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["reproduce", "--figure", figure,
+                     "--config", str(cfgpath), "--out", str(out)])
+    if code != 0:
+        assert code == 1
+        assert err.getvalue().startswith("error:"), err.getvalue()
+        assert not out.exists()
+        return
+    names = out.read_text().splitlines()[0].split(",")
+    table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.isfinite(table))
+    s = table[:, 0]
+    for name, column in zip(names, table.T):
+        if _is_density(name):
+            assert np.all(column >= 0.0), name
+        if name.startswith("ratio_"):
+            assert abs(np.trapezoid(column, s) - 1.0) <= 1e-12, name
+    if figure == "fig3a":
+        # a weighted curve integrates to sum a^4 M_jj / sum a^2 M_jj
+        cfg = load_config(cfgpath)
+        m = np.diagonal(map_coefficients(
+            cfg.target().sample(cfg.n_samples, cfg.seed), cfg.basis()).matrix)
+        a2 = cfg.operator().squared_weights
+        expect = np.sum(a2 * a2 * m) / np.sum(a2 * m)
+        mass = np.trapezoid(table[:, names.index("embedded_map")], s)
+        assert abs(mass / expect - 1.0) <= EMBEDDED_MASS_BOUND
+
+
+def test_grids_too_coarse_for_the_translates_exit_one(tmp_path, capsys):
+    # Both once exited 0: the estimate with a 25-row table of mass 0.577,
+    # fig3a with curves of mass 1.17 and 1.15.
+    samples = tmp_path / "s.txt"
+    points = ExperimentConfig().target().sample(300, seed=3).points
+    samples.write_text("".join(f"{v:.17g}\n" for v in points))
+    coarse = write_small_config(tmp_path, scale_n=7, grid_cells=8)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(samples), "--config", str(coarse),
+                 "--out", str(out)]) == 1
+    assert "grid_cells >= 8192" in capsys.readouterr().err
+    assert not out.exists()
+    scale10 = tmp_path / "scale10.cfg"
+    scale10.write_text("scale_n = 10\n")
+    out = tmp_path / "fig3a.csv"
+    assert main(["reproduce", "--figure", "fig3a", "--config", str(scale10),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "grid_cells >= 65536" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- exit codes

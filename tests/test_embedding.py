@@ -169,7 +169,7 @@ def test_projection_kernel_idempotent_under_quadrature():
     # quadrature of K(s,u) K(u,t) du equals K(s,t) for projections
     op = daub_projection()
     span = op.basis.span()
-    grid = Grid.uniform(span, int(round(span.width * 2 ** 14)))
+    grid = Grid(span, int(round(span.width * 2 ** 14)))
     rng = np.random.Generator(np.random.PCG64(9))
     probe = rng.uniform(span.lo, span.hi, size=20)
     left = kernel_matrix(op, probe, grid.points)
@@ -190,7 +190,7 @@ def test_trace_k_rho_single_weighted_index():
     # alpha^2 * integral(psi^2) / width = alpha^2 / 3
     spec = BasisSpec("daubechies4", 2, UNIT)
     op = single_translate(spec, 4, 0.7)
-    grid = Grid.uniform(UNIT, 3 * 2 ** 12)
+    grid = Grid(UNIT, 3 * 2 ** 12)
     uniform = np.full(grid.points.size, 1.0 / 3.0)
     value = trace_k_rho(op, uniform, grid)
     assert abs(value - 0.49 / 3.0) <= 1e-5
@@ -198,7 +198,7 @@ def test_trace_k_rho_single_weighted_index():
 
 def test_trace_k_rho_rejects_bad_density():
     op = haar_projection()
-    grid = Grid.uniform(UNIT, 2048)
+    grid = Grid(UNIT, 2048)
     with pytest.raises(ValueError):
         trace_k_rho(op, np.full(grid.points.size, 1.0), grid)  # mass 3
     bad = np.full(grid.points.size, 1.0 / 3.0)
@@ -210,7 +210,7 @@ def test_trace_k_rho_rejects_bad_density():
 def test_trace_k_rho_detects_kernel_of_operator():
     spec = BasisSpec("daubechies4", 2, UNIT)
     op = single_translate(spec, 0)  # support [0, 0.75]
-    grid = Grid.uniform(UNIT, 3072)
+    grid = Grid(UNIT, 3072)
     zeta = np.where(grid.points >= 2.0, 1.0, 0.0)
     zeta /= grid.integrate(zeta)
     with pytest.raises(ValueError):

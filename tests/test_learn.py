@@ -16,12 +16,16 @@ from densop import (
     BasisSpec,
     BetaTarget,
     DensityCurve,
+    DensityMatrix,
+    DiscreteDistribution,
     EmbeddingOperator,
     GaussianNoise,
     Grid,
     Interval,
     MapCoefficients,
     SampleSet,
+    UnitaryBasis,
+    WaveFunction,
     basis_matrix,
     change_basis,
     embedded_density_exact,
@@ -55,6 +59,27 @@ def single_translate(spec, k, weight=1.0):
 # ------------------------------------------------------------ data types
 
 
+@pytest.mark.parametrize("build", [
+    lambda: WaveFunction(np.array([0.6, 0.8])),
+    lambda: DensityMatrix(np.eye(2) / 2.0),
+    lambda: DiscreteDistribution(np.array([0.25, 0.75])),
+    lambda: UnitaryBasis(np.eye(2)),
+    lambda: SampleSet(np.array([0.5, 1.5])),
+    lambda: DensityCurve(Grid(UNIT, 3), np.full(4, 1.0 / 3.0)),
+    lambda: MapCoefficients(BasisSpec("haar", 0, UNIT), np.eye(3) / 3.0),
+    lambda: EmbeddingOperator.projection(BasisSpec("haar", 0, UNIT)),
+], ids=["WaveFunction", "DensityMatrix", "DiscreteDistribution",
+        "UnitaryBasis", "SampleSet", "DensityCurve", "MapCoefficients",
+        "EmbeddingOperator"])
+def test_array_holding_types_compare_by_identity(build):
+    # == on array fields would raise "truth value ... is ambiguous"; these
+    # types compare by identity instead, so == always returns a bool
+    a, b = build(), build()
+    assert (a == a) is True
+    assert (a == b) is False
+    assert (a != b) is True
+
+
 def test_sample_set_basics():
     s = SampleSet(np.array([0.5, 1.5]), seed=7)
     assert s.n == 2
@@ -72,7 +97,7 @@ def test_sample_set_validation():
 
 
 def test_density_curve_validation():
-    grid = Grid.uniform(UNIT, 4)
+    grid = Grid(UNIT, 4)
     with pytest.raises(ValueError):
         DensityCurve(grid, np.zeros(3))
     with pytest.raises(ValueError):
@@ -109,7 +134,7 @@ def test_gaussian_noise_has_unit_mass_for_any_center():
     # truncation to the interval is renormalized, so even a center on the
     # boundary keeps total mass one
     noise = GaussianNoise(0.4, UNIT)
-    grid = Grid.uniform(UNIT, 8192)
+    grid = Grid(UNIT, 8192)
     for center in (0.0, 0.5, 1.5, 2.9, 3.0):
         mass = grid.integrate(noise.density(center, grid.points))
         assert abs(mass - 1.0) <= 1e-6
@@ -135,7 +160,7 @@ def test_priors():
 
 
 def test_position_posterior_interpolates():
-    grid = Grid(np.array([0.0, 1.0, 2.0, 3.0]))
+    grid = Grid(UNIT, 3)
     curve = DensityCurve(grid, np.array([0.0, 0.5, 0.5, 0.0]))
     samples = SampleSet(np.array([0.5, 2.0]))
     lp = log_posterior_position(homogeneous_log_prior, curve, samples)
@@ -145,21 +170,21 @@ def test_position_posterior_interpolates():
 
 
 def test_position_posterior_zero_likelihood_is_minus_inf():
-    grid = Grid(np.array([0.0, 1.0, 2.0, 3.0]))
+    grid = Grid(UNIT, 3)
     curve = DensityCurve(grid, np.array([0.0, 0.5, 0.5, 0.0]))
     bad = SampleSet(np.array([0.5, 3.0]))
     assert log_posterior_position(homogeneous_log_prior, curve, bad) == -math.inf
 
 
 def test_position_posterior_rejects_empty_samples():
-    grid = Grid.uniform(UNIT, 4)
+    grid = Grid(UNIT, 4)
     curve = DensityCurve(grid, np.full(5, 1.0 / 3.0))
     with pytest.raises(ValueError):
         log_posterior_position(homogeneous_log_prior, curve, SampleSet(np.array([])))
 
 
 def test_position_posterior_uniform_curve():
-    grid = Grid.uniform(UNIT, 128)
+    grid = Grid(UNIT, 128)
     curve = DensityCurve(grid, np.full(129, 1.0 / 3.0))
     samples = SampleSet(np.linspace(0.1, 2.9, 20))
     lp = log_posterior_position(homogeneous_log_prior, curve, samples)
@@ -170,7 +195,7 @@ def test_noisy_posterior_spike_curve_reads_off_the_kernel():
     # a unit-mass spike at a grid point turns each likelihood quadrature
     # into the noise density evaluated at the spike; with 3072 cells the
     # spacing is exactly 2**-10, so the quadrature is bit-exact
-    grid = Grid.uniform(UNIT, 3072)
+    grid = Grid(UNIT, 3072)
     i0 = 1500
     center = float(grid.points[i0])
     values = np.zeros(grid.points.size)
@@ -187,7 +212,7 @@ def test_noisy_posterior_spike_curve_reads_off_the_kernel():
 
 
 def test_noisy_posterior_zero_curve_is_minus_inf():
-    grid = Grid.uniform(UNIT, 64)
+    grid = Grid(UNIT, 64)
     curve = DensityCurve(grid, np.zeros(65))
     noise = GaussianNoise(0.4, UNIT)
     samples = SampleSet(np.array([1.0]), noise=noise)
@@ -201,7 +226,7 @@ def test_noisy_posterior_stable_under_grid_refinement():
     samples = SampleSet(pts, seed=5, noise=noise)
     values = []
     for cells in (2048, 4096):
-        grid = Grid.uniform(UNIT, cells)
+        grid = Grid(UNIT, cells)
         curve = DensityCurve(grid, target.density(grid.points))
         values.append(
             log_posterior_position(homogeneous_log_prior, curve, samples)
@@ -379,14 +404,14 @@ def test_exact_embedding_haar_closed_form():
     # 16 q_k / T on bin k, where q_k is the quadrature mass of zeta there
     spec = BasisSpec("haar", 2, UNIT)
     op = EmbeddingOperator.projection(spec)
-    zeta_grid = Grid.uniform(UNIT, 3072)
+    zeta_grid = Grid(UNIT, 3072)
     target = BetaTarget(2.0, 5.0, UNIT)
     zeta = DensityCurve(zeta_grid, target.density(zeta_grid.points))
     weighted = zeta_grid.weights() * zeta.values
     ind_z = basis_matrix(spec, zeta_grid.points) ** 2 / 4.0
     q = ind_z @ weighted
     trace = zeta_grid.integrate(4.0 * ind_z.sum(axis=0) * zeta.values)
-    for out_grid in (zeta_grid, Grid.uniform(UNIT, 600)):
+    for out_grid in (zeta_grid, Grid(UNIT, 600)):
         curve = embedded_density_exact(op, zeta, out_grid)
         ind_out = basis_matrix(spec, out_grid.points) ** 2 / 4.0
         expected = (16.0 / trace) * (q @ ind_out)
@@ -399,7 +424,7 @@ def test_map_embedding_single_bin_samples():
     spec = BasisSpec("haar", 2, UNIT)
     op = EmbeddingOperator.projection(spec)
     samples = SampleSet(np.array([1.01, 1.05, 1.2, 1.24]))
-    grid = Grid.uniform(UNIT, 300)
+    grid = Grid(UNIT, 300)
     curve = embedded_density_map(op, samples, grid)
     inside = (grid.points >= 1.0) & (grid.points < 1.25)
     assert np.all(curve.values[inside] == 4.0)
@@ -418,7 +443,7 @@ def test_map_embedding_single_sample_has_unit_mass():
     # already produces a normalized curve up to quadrature error
     spec = BasisSpec("daubechies4", 2, UNIT)
     op = EmbeddingOperator.projection(spec)
-    grid = Grid.uniform(spec.span(), 4 * 4096)
+    grid = Grid(spec.span(), 4 * 4096)
     curve = embedded_density_map(op, SampleSet(np.array([1.3])), grid)
     assert abs(curve.mass() - 1.0) <= 1e-4
 
@@ -426,7 +451,7 @@ def test_map_embedding_single_sample_has_unit_mass():
 def test_map_embedding_rejects_bad_samples():
     spec = BasisSpec("haar", 1, UNIT)
     op = EmbeddingOperator.projection(spec)
-    grid = Grid.uniform(UNIT, 50)
+    grid = Grid(UNIT, 50)
     with pytest.raises(ValueError, match="empty"):
         embedded_density_map(op, SampleSet(np.array([])), grid)
     noisy = SampleSet(np.array([1.0]), noise=GaussianNoise(0.4, UNIT))
@@ -442,17 +467,17 @@ def test_map_embedding_refuses_samples_outside_every_support():
     with pytest.raises(ValueError, match="trace vanishes"):
         trace_k_map(op, samples)
     with pytest.raises(ValueError, match="trace vanishes"):
-        embedded_density_map(op, samples, Grid.uniform(UNIT, 300))
+        embedded_density_map(op, samples, Grid(UNIT, 300))
     # a sample set that misses the only weighted translate does the same
     single = single_translate(BasisSpec("daubechies4", 2, UNIT), 3, 0.7)
     far = SampleSet(np.array([2.5, 2.9]))
     with pytest.raises(ValueError, match="trace vanishes"):
-        embedded_density_map(single, far, Grid.uniform(UNIT, 300))
+        embedded_density_map(single, far, Grid(UNIT, 300))
 
 
 def test_exact_embedding_refuses_a_zeta_without_unit_mass():
     op = EmbeddingOperator.projection(BasisSpec("haar", 2, UNIT))
-    grid = Grid.uniform(UNIT, 3072)
+    grid = Grid(UNIT, 3072)
     uniform = np.full(grid.points.size, 1.0 / 3.0)
     # the right end lies outside every half-open Haar box
     curve = embedded_density_exact(op, DensityCurve(grid, uniform), grid)
@@ -468,7 +493,7 @@ def test_exact_embedding_refuses_a_zeta_in_the_kernel():
     # supported on [0, 0.75]
     spec = BasisSpec("daubechies4", 2, UNIT)
     op = single_translate(spec, 0)
-    grid = Grid.uniform(UNIT, 3072)
+    grid = Grid(UNIT, 3072)
     zeta = np.where(grid.points >= 2.0, 1.0, 0.0)
     zeta = DensityCurve(grid, zeta / grid.integrate(zeta))
     with pytest.raises(ValueError, match="in the kernel of the embedding"):
@@ -479,7 +504,7 @@ def test_exact_embedding_refuses_a_zeta_in_the_kernel():
 
 
 def test_curves_and_matrices_reject_non_finite_values():
-    grid = Grid.uniform(UNIT, 3)
+    grid = Grid(UNIT, 3)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             DensityCurve(grid, np.array([0.1, bad, 0.2, 0.3]))
@@ -525,13 +550,13 @@ def kernel_trick_map(op, samples, out):
 def test_banded_curves_match_the_kernel_trick(family, scale_n):
     spec = BasisSpec(family, scale_n, UNIT)
     target = BetaTarget(2.0, 5.0, UNIT)
-    zeta_grid = Grid.uniform(UNIT, 3 * 2 ** 10)
+    zeta_grid = Grid(UNIT, 3 * 2 ** 10)
     # the uniform density is nonzero at the ends, where the trapezoid
     # weights are halved
     zetas = [DensityCurve(zeta_grid, target.density(zeta_grid.points)),
              DensityCurve(zeta_grid, np.full(zeta_grid.points.size, 1 / 3))]
     samples = target.sample(200, seed=3)
-    out = Grid.uniform(spec.span(), 700)
+    out = Grid(spec.span(), 700)
     for op in equivalence_operators(spec):
         pairs = [(embedded_density_exact(op, zeta, out),
                   kernel_trick_exact(op, zeta, out)) for zeta in zetas]
@@ -559,7 +584,7 @@ def test_ratio_with_constant_diagonal_preserves_shape():
     # the input shape normalized to unit mass, bit for bit
     spec = BasisSpec("haar", 2, UNIT)
     op = EmbeddingOperator.projection(spec)
-    grid = Grid.uniform(UNIT, 2048)
+    grid = Grid(UNIT, 2048)
     target = BetaTarget(2.0, 5.0, UNIT)
     curve = DensityCurve(grid, target.density(grid.points))
     ratio = normalized_ratio(curve, op)
@@ -569,7 +594,7 @@ def test_ratio_with_constant_diagonal_preserves_shape():
 def test_ratio_of_the_diagonal_is_flat():
     spec = BasisSpec("daubechies4", 2, UNIT)
     op = EmbeddingOperator.projection(spec)
-    grid = Grid.uniform(spec.span(), 4096)
+    grid = Grid(spec.span(), 4096)
     diag = kernel_diag(op, grid.points)
     ratio = normalized_ratio(DensityCurve(grid, diag), op)
     live = diag > 1e-8 * float(np.max(diag))
@@ -582,11 +607,11 @@ def test_ratio_error_paths():
     spec = BasisSpec("haar", 0, Interval(0.0, 1.0))
     op = EmbeddingOperator.projection(spec)
     # curve mass sits entirely where the diagonal vanishes
-    grid = Grid.uniform(Interval(0.0, 2.0), 200)
+    grid = Grid(Interval(0.0, 2.0), 200)
     vals = np.where(grid.points >= 1.5, 2.0, 0.0)
     with pytest.raises(ValueError, match="zero mass"):
         normalized_ratio(DensityCurve(grid, vals), op)
     # grid entirely outside the diagonal support
-    far = Grid.uniform(Interval(1.5, 2.0), 50)
+    far = Grid(Interval(1.5, 2.0), 50)
     with pytest.raises(ValueError, match="vanishes"):
         normalized_ratio(DensityCurve(far, np.full(51, 2.0)), op)
