@@ -118,6 +118,15 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
         cols = [s, zeta, wavelet_approximation(zeta, spec, grid)]
     else:
         zeta_curve = DensityCurve(grid, target.density(s))
+        # embedded_density_exact refuses a zeta whose quadrature mass is
+        # off by over 1e-6. The target has unit mass, so here that is
+        # quadrature error, which only a finer grid reduces.
+        mass = zeta_curve.mass()
+        if abs(mass - 1.0) > 1e-6:
+            raise ValueError(
+                f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 at "
+                f"grid_cells={cfg.grid_cells}; the Beta({target.a:g}, "
+                f"{target.b:g}) target needs a finer grid")
         samples = target.sample(cfg.n_samples, cfg.seed)
         exact = embedded_density_exact(operator, zeta_curve, grid)
         mapped = embedded_density_map(operator, samples, grid)
@@ -136,6 +145,7 @@ def _estimate_table(samples_path: str, cfg: ExperimentConfig):
     samples = load_samples(samples_path, cfg.interval())
     if samples.n == 0:
         raise ValueError(f"{samples_path}: sample file is empty")
+    cfg.require_memory("estimate", samples.n)
     operator = cfg.operator()
     grid = cfg.curve_grid()
     mapped = embedded_density_map(operator, samples, grid)
@@ -175,7 +185,11 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = cfg.replace(out=args.out)
         reproduce = args.command == "reproduce"
-        cfg.require_memory(args.figure if reproduce else "estimate")
+        if reproduce:
+            cfg.require_memory(args.figure)
+        else:
+            # the samples count once `_estimate_table` has read them
+            cfg.require_memory("estimate", 0)
         out_path = cfg.out or (
             f"{args.figure}.csv" if reproduce else "estimate.csv")
         _require_writable(out_path)

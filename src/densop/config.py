@@ -26,23 +26,25 @@ MEMORY_LIMIT = 2 ** 30
 
 def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
               n_samples: int = 0) -> int:
-    """Bytes of the main float arrays `command` allocates, from d, G and w.
+    """Bytes of the main arrays `command` allocates, from d, G, w and N.
 
     Every command holds the d operator weights and the G x w basis band of
-    its curve grid of G points. fig2a adds the d x G basis rows; fig3a and
-    fig3b add two d x d coefficient matrices and the n_samples x w x w
-    sample scatter; estimate adds one d x d matrix. None counts only the
-    part every command shares. Nothing is allocated.
+    its curve grid of G points. fig2a adds the d x G basis rows. fig3a and
+    fig3b add two d x d coefficient matrices, estimate adds one, and all
+    three add the MAP scatter of N = n_samples points: its N x w x w
+    index and term arrays. None counts only the part every command
+    shares. Nothing is allocated.
     """
     d, w = spec.size, spec.support_width
     g = round(spec.span().width * grid_cells) + 1
     count = d + g * w
+    scatter = 2 * n_samples * w * w
     if command == "fig2a":
         count += d * g
     elif command in ("fig3a", "fig3b"):
-        count += 2 * d * d + n_samples * w * w
+        count += 2 * d * d + scatter
     elif command == "estimate":
-        count += d * d
+        count += d * d + scatter
     return 8 * count
 
 
@@ -118,15 +120,23 @@ class ExperimentConfig:
         _require_resolution(spec, grid)
         return grid
 
-    def require_memory(self, command: str | None = None) -> None:
-        """Refuse a config whose `command` needs over MEMORY_LIMIT bytes."""
-        need = footprint(self.basis(), self.grid_cells, command,
-                         self.n_samples)
+    def require_memory(self, command: str | None = None,
+                       n_samples: int | None = None) -> None:
+        """Refuse a config whose `command` needs over MEMORY_LIMIT bytes.
+
+        `n_samples` is the number of points the command scatters, the
+        config's own n_samples unless given; estimate passes its file's.
+        """
+        n = self.n_samples if n_samples is None else n_samples
+        need = footprint(self.basis(), self.grid_cells, command, n)
         if need > MEMORY_LIMIT:
+            samples = (f", N={n} samples"
+                       if command in ("fig3a", "fig3b", "estimate") else "")
             raise ValueError(
-                f"{command or 'every command'} at scale_n={self.scale_n} "
-                f"and grid_cells={self.grid_cells} needs {need / 2**30:.3g} "
-                f"GiB of arrays, over the {MEMORY_LIMIT / 2**30:g} GiB limit"
+                f"{command or 'every command'} at scale_n={self.scale_n}"
+                f"{samples} and grid_cells={self.grid_cells} needs "
+                f"{need / 2**30:.3g} GiB of arrays, over the "
+                f"{MEMORY_LIMIT / 2**30:g} GiB limit"
             )
 
     def replace(self, **changes) -> "ExperimentConfig":

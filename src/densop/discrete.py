@@ -5,6 +5,15 @@ matrices: wave functions, density matrices, the diagonal ensemble
 correspondence with probability distributions, Born-rule readout, and
 unitary changes of basis. Complex amplitudes are allowed in this module
 only; the continuous-space modules work with real scalars throughout.
+
+Density matrices, distributions and unitaries also come as stacks: a
+leading axis holding `count` states of one dimension, shape (count, d, d)
+or (count, d). A stack is validated in one pass by the same rules as a
+single state, with one stacked LAPACK call for the PSD check, and a
+refusal names the index of the first member that breaks a rule. The basis
+change and both Born-rule readouts broadcast over a stack, and the random
+constructors draw a whole stack in one call when given a `count`; without
+one they draw a single state, from the same stream as always.
 """
 
 from __future__ import annotations
@@ -18,6 +27,31 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 _UNITARY_TOL = 1e-10
+
+
+def _as_stack(values, dtype, item: str, what: str):
+    """`values` as a contiguous array and as a view of it with one leading
+    member axis. `item` is "vector" or "square matrix"; anything but one
+    nonempty item or a nonempty stack of them is refused."""
+    a = np.ascontiguousarray(values, dtype=dtype)
+    item_ndim = 1 if item == "vector" else 2
+    square = item_ndim == 1 or (a.ndim >= 2 and a.shape[-1] == a.shape[-2])
+    if a.ndim not in (item_ndim, item_ndim + 1) or not square or a.size == 0:
+        raise ValueError(f"{what} must form a nonempty {item} or a stack "
+                         f"of them")
+    return a, a.reshape(-1, *a.shape[a.ndim - item_ndim:])
+
+
+def _refuse_first(bad: np.ndarray, stacked: bool, message) -> None:
+    """Raise message(i) for the first member i flagged in `bad`, naming
+    the member when the value is a stack."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError((f"member {i}: " if stacked else "") + message(i))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,91 +79,99 @@ class WaveFunction:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix.
+    """Hermitian, PSD, trace-one matrix, or a (count, d, d) stack of them.
 
     Eigenvalues in [-1e-10, 0) are treated as floating-point noise: the
     matrix is rebuilt with them clipped to 0 and the trace renormalized.
-    Anything more negative is rejected.
+    Anything more negative is rejected. In a stack only the members with
+    such an eigenvalue are rebuilt.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise ValueError("entries must form a nonempty square matrix")
-        if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > _TRACE_TOL:
-            raise ValueError(f"trace {trace:.15f} is not 1 within {_TRACE_TOL}")
-        eigvals = np.linalg.eigvalsh(m)
-        smallest = float(eigvals[0])
-        if smallest < -_PSD_TOL:
-            raise ValueError(
-                f"smallest eigenvalue {smallest:.3e} is below -{_PSD_TOL}"
-            )
-        if smallest < 0.0:
-            vals, vecs = np.linalg.eigh(m)
+        m, stack = _as_stack(self.entries, complex, "square matrix",
+                             "entries")
+        stacked = m.ndim == 3
+        skew = np.max(np.abs(stack - _dagger(stack)), axis=(1, 2))
+        _refuse_first(skew > _HERM_TOL, stacked,
+                      lambda i: "matrix is not Hermitian within 1e-12")
+        trace = np.trace(stack, axis1=1, axis2=2).real
+        _refuse_first(np.abs(trace - 1.0) > _TRACE_TOL, stacked, lambda i: (
+            f"trace {trace[i]:.15f} is not 1 within {_TRACE_TOL}"))
+        smallest = np.linalg.eigvalsh(stack)[:, 0]
+        _refuse_first(smallest < -_PSD_TOL, stacked, lambda i: (
+            f"smallest eigenvalue {smallest[i]:.3e} is below -{_PSD_TOL}"))
+        clip = np.flatnonzero(smallest < 0.0)
+        if clip.size:
+            # a copy, so the caller's array is never written
+            m = m.copy()
+            stack = m.reshape(stack.shape)
+        for i in clip:
+            vals, vecs = np.linalg.eigh(stack[i])
             vals = np.maximum(vals, 0.0)
             vals /= vals.sum()
-            m = (vecs * vals) @ vecs.conj().T
-            m = 0.5 * (m + m.conj().T)
+            rebuilt = (vecs * vals) @ vecs.conj().T
+            stack[i] = 0.5 * (rebuilt + rebuilt.conj().T)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
     @property
     def d(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Probability vector over the discrete sample space."""
+    """Probability vector over the discrete sample space, or a (count, d)
+    stack of them."""
 
     probabilities: np.ndarray
 
     def __post_init__(self):
-        p = np.ascontiguousarray(self.probabilities, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probabilities must form a nonempty vector")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > _TRACE_TOL:
-            raise ValueError(f"sum {total:.15f} is not 1 within {_TRACE_TOL}")
+        p, stack = _as_stack(self.probabilities, float, "vector",
+                             "probabilities")
+        stacked = p.ndim == 2
+        _refuse_first(np.any(stack < 0, axis=1), stacked,
+                      lambda i: "probabilities must be nonnegative")
+        total = stack.sum(axis=1)
+        _refuse_first(np.abs(total - 1.0) > _TRACE_TOL, stacked, lambda i: (
+            f"sum {total[i]:.15f} is not 1 within {_TRACE_TOL}"))
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
 
     @property
     def d(self) -> int:
-        return self.probabilities.size
+        return self.probabilities.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
 class UnitaryBasis:
-    """Matrix whose column j holds basis function psi_j in position coordinates."""
+    """Matrix whose column j holds basis function psi_j in position
+    coordinates, or a (count, d, d) stack of them."""
 
     columns: np.ndarray
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.columns, dtype=complex)
-        if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] == 0:
-            raise ValueError("columns must form a nonempty square matrix")
-        gram = u.conj().T @ u
-        if np.max(np.abs(gram - np.eye(u.shape[0]))) > _UNITARY_TOL:
-            raise ValueError("columns are not orthonormal within 1e-10")
+        u, stack = _as_stack(self.columns, complex, "square matrix",
+                             "columns")
+        gram = _dagger(stack) @ stack
+        off = np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(1, 2))
+        _refuse_first(off > _UNITARY_TOL, u.ndim == 3,
+                      lambda i: "columns are not orthonormal within 1e-10")
         u.flags.writeable = False
         object.__setattr__(self, "columns", u)
 
     @property
     def d(self) -> int:
-        return self.columns.shape[0]
+        return self.columns.shape[-1]
 
 
 def ensemble_from_distribution(z: DiscreteDistribution) -> DensityMatrix:
-    """Diagonal density matrix with the distribution on the diagonal."""
-    return DensityMatrix(np.diag(z.probabilities.astype(complex)))
+    """Diagonal density matrix with the distribution on the diagonal;
+    a stack of distributions gives a stack of matrices."""
+    p = z.probabilities
+    return DensityMatrix(p[..., None] * np.eye(p.shape[-1]))
 
 
 def wavefunction_from_distribution(z: DiscreteDistribution) -> WaveFunction:
@@ -141,34 +183,44 @@ def wavefunction_from_distribution(z: DiscreteDistribution) -> WaveFunction:
     return WaveFunction(np.sqrt(z.probabilities).astype(complex))
 
 
-def born_probability(rho: DensityMatrix, j: int) -> float:
-    """P(s_j | rho): the real part of the j-th diagonal entry."""
+def _float_or_stack(value: np.ndarray):
+    return float(value) if value.ndim == 0 else value
+
+
+def born_probability(rho: DensityMatrix, j: int):
+    """P(s_j | rho): the real part of the j-th diagonal entry.
+
+    A float for one state, one value per member for a stack.
+    """
     if not 0 <= j < rho.d:
         raise IndexError(f"index {j} out of range for dimension {rho.d}")
-    return float(rho.entries[j, j].real)
+    return _float_or_stack(rho.entries[..., j, j].real)
 
 
 def change_basis(rho: DensityMatrix, unitary: UnitaryBasis) -> DensityMatrix:
     """Coefficient matrix of rho in the basis given by the unitary's columns.
 
     Returns U* rho U, which is again Hermitian, PSD, and trace-one, so the
-    result is a DensityMatrix in its own right.
+    result is a DensityMatrix in its own right. Either argument may be a
+    stack; a stack meets a single matrix member by member, and two stacks
+    of the same count pair up.
     """
     if unitary.d != rho.d:
         raise ValueError(
             f"dimension mismatch: rho is {rho.d}, unitary is {unitary.d}"
         )
     u = unitary.columns
-    return DensityMatrix(u.conj().T @ rho.entries @ u)
+    return DensityMatrix(_dagger(u) @ rho.entries @ u)
 
 
 def probability_from_coefficients(w: DensityMatrix, unitary: UnitaryBasis,
-                                  j: int) -> float:
+                                  j: int):
     """P(s_j) from the coefficient matrix in a non-position basis.
 
     Contracts w against the j-th row of the unitary,
     sum_kl w[k, l] U[j, k] conj(U[j, l]), without rebuilding the
-    position-basis matrix.
+    position-basis matrix. Broadcasts over stacks like `change_basis`: a
+    float for one state, one value per member for a stack.
     """
     if unitary.d != w.d:
         raise ValueError(
@@ -176,35 +228,57 @@ def probability_from_coefficients(w: DensityMatrix, unitary: UnitaryBasis,
         )
     if not 0 <= j < w.d:
         raise IndexError(f"index {j} out of range for dimension {w.d}")
-    row = unitary.columns[j, :]
-    return float((row @ w.entries @ row.conj()).real)
+    row = unitary.columns[..., j, None, :]
+    return _float_or_stack((row @ w.entries @ _dagger(row))[..., 0, 0].real)
 
 
-def random_distribution(d: int, rng: np.random.Generator) -> DiscreteDistribution:
-    """Uniformly scaled positive vector; a generic test distribution."""
-    p = rng.random(d) + 1e-12
-    return DiscreteDistribution(p / p.sum())
+def _shape(count: int | None, *item: int) -> tuple:
+    return item if count is None else (count, *item)
 
 
-def random_density_matrix(d: int, rng: np.random.Generator) -> DensityMatrix:
-    """G G* / tr(G G*) for a complex Gaussian G; full-rank PSD trace-one."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = g @ g.conj().T
-    m /= np.trace(m).real
-    m = 0.5 * (m + m.conj().T)
+def random_distribution(d: int, rng: np.random.Generator,
+                        count: int | None = None) -> DiscreteDistribution:
+    """Uniformly scaled positive vector; a generic test distribution.
+
+    With `count`, a stack of that many, drawn in one call.
+    """
+    p = rng.random(_shape(count, d)) + 1e-12
+    return DiscreteDistribution(p / p.sum(axis=-1, keepdims=True))
+
+
+def random_density_matrix(d: int, rng: np.random.Generator,
+                          count: int | None = None) -> DensityMatrix:
+    """G G* / tr(G G*) for a complex Gaussian G; full-rank PSD trace-one.
+
+    With `count`, a stack of that many, drawn in one call.
+    """
+    shape = _shape(count, d, d)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m = g @ _dagger(g)
+    m /= np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+    m = 0.5 * (m + _dagger(m))
     return DensityMatrix(m)
 
 
-def random_ensemble(d: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random diagonal density matrix (a member of the ensemble set)."""
-    return ensemble_from_distribution(random_distribution(d, rng))
+def random_ensemble(d: int, rng: np.random.Generator,
+                    count: int | None = None) -> DensityMatrix:
+    """Random diagonal density matrix (a member of the ensemble set).
+
+    With `count`, a stack of that many, drawn in one call.
+    """
+    return ensemble_from_distribution(random_distribution(d, rng, count))
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> UnitaryBasis:
-    """QR orthonormalization of a complex Gaussian matrix."""
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def random_unitary(d: int, rng: np.random.Generator,
+                   count: int | None = None) -> UnitaryBasis:
+    """QR orthonormalization of a complex Gaussian matrix.
+
+    With `count`, a stack of that many, drawn and factored in one call.
+    """
+    shape = _shape(count, d, d)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     q, r = np.linalg.qr(g)
     # Fix the column phases so the factorization is unique.
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[..., None, :]
     return UnitaryBasis(q)

@@ -13,6 +13,7 @@ stable under numpy's random-stream compatibility policy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,12 +111,25 @@ def regularized_incomplete_beta(x, a: float, b: float):
     return float(out[0]) if scalar else out
 
 
-def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    """x in [0, 1] with I_x(a, b) = u, lane by lane; see BetaTarget.quantile."""
+@functools.lru_cache(maxsize=16)
+def _bracket_table(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The dyadic nodes of [0, 1] and I_x(a, b) on them, read-only.
+
+    Cached per shape, since every sampler of one target brackets with the
+    same table; the arrays are frozen because every caller shares them.
+    """
     nodes = np.linspace(0.0, 1.0, 2 ** _TABLE_LEVEL + 1)
     # searchsorted needs a sorted table, which rounding alone does not
     # promise across the continued fraction's two branches
     table = np.maximum.accumulate(regularized_incomplete_beta(nodes, a, b))
+    nodes.flags.writeable = False
+    table.flags.writeable = False
+    return nodes, table
+
+
+def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    """x in [0, 1] with I_x(a, b) = u, lane by lane; see BetaTarget.quantile."""
+    nodes, table = _bracket_table(a, b)
     cells = nodes.size - 1
     k = np.clip(np.searchsorted(table, u, side="left"), 1, cells)
     lo, hi = nodes[k - 1], nodes[k]

@@ -79,9 +79,12 @@ def test_footprint_arithmetic_at_scale_20_and_30():
     assert footprint(spec, 4096) == 8 * (d + 3 * g)
     assert footprint(spec, 4096) < MEMORY_LIMIT
     assert footprint(spec, 4096, "fig2a") == 8 * (d + 3 * g + d * g)
+    # the MAP scatter of N points holds N x w x w indices and terms
     assert footprint(spec, 4096, "fig3a", 300) == 8 * (
-        d + 3 * g + 2 * d * d + 300 * 9)
+        d + 3 * g + 2 * d * d + 2 * 300 * 9)
     assert footprint(spec, 4096, "estimate") == 8 * (d + 3 * g + d * d)
+    assert footprint(spec, 4096, "estimate", 300) == 8 * (
+        d + 3 * g + d * d + 2 * 300 * 9)
     assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096)
     for command in ("fig2a", "fig3a", "fig3b", "estimate"):
         assert footprint(spec, 4096, command, 300) > MEMORY_LIMIT
@@ -108,6 +111,25 @@ def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
                  "--config", str(cfgpath), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: fig2a at scale_n=10")
+    assert "GiB limit" in err
+    assert not out.exists()
+
+
+def test_estimate_counts_its_sample_file_in_the_memory_bound(
+        tmp_path, capsys, monkeypatch):
+    # the default estimate holds 394 920 bytes before its samples; 100
+    # samples add a 2 x 100 x 3 x 3 scatter, 14 400 bytes more
+    samples = tmp_path / "s.txt"
+    samples.write_text("1.5\n" * 100)
+    out = tmp_path / "est.csv"
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 409_320)
+    assert main(["estimate", str(samples), "--out", str(out)]) == 0
+    capsys.readouterr()
+    out.unlink()
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 409_319)
+    assert main(["estimate", str(samples), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimate at scale_n=2, N=100 samples")
     assert "GiB limit" in err
     assert not out.exists()
 
@@ -635,6 +657,22 @@ def test_grids_too_coarse_for_the_translates_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "grid_cells >= 65536" in err
     assert not out.exists()
+
+
+def test_fig3_quadrature_refusal_names_grid_cells(tmp_path, capsys):
+    # 512 cells per unit resolve the scale-2 translates, but the trapezoid
+    # mass of Beta(2, 5) there is off by 1.1e-6; 768 is fine
+    for figure in ("fig3a", "fig3b"):
+        cfgpath = write_small_config(tmp_path, grid_cells=512)
+        out = tmp_path / f"{figure}.csv"
+        assert main(["reproduce", "--figure", figure, "--config",
+                     str(cfgpath), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "grid_cells=512" in err and "finer grid" in err
+        assert not out.exists()
+    cfgpath = write_small_config(tmp_path, grid_cells=768)
+    assert main(["reproduce", "--figure", "fig3a", "--config", str(cfgpath),
+                 "--out", str(tmp_path / "fig3a.csv")]) == 0
 
 
 # ------------------------------------------------------------- exit codes

@@ -4,6 +4,8 @@ The hand oracle is the 2x2 Hadamard-type rotation, worked out by hand;
 everything else is checked by round trips and seeded random instances.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from densop import (
     probability_from_coefficients,
     wavefunction_from_distribution,
 )
+from densop import oracles
 from densop.discrete import (
     random_density_matrix,
     random_distribution,
@@ -219,3 +222,146 @@ def test_random_ensembles_are_valid_and_exact(seed):
     assert abs(np.trace(rho.entries).real - 1.0) <= 1e-12
     assert np.all(np.diagonal(ensemble_from_distribution(z).entries).real
                   == z.probabilities)
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def _valid_stack(count=4, d=3):
+    return random_density_matrix(d, rng_for(17), count).entries.copy()
+
+
+def _non_hermitian(m):
+    m[0, 1] += 1e-6
+
+
+def _trace_off(m):
+    m[0, 0] += 1e-6
+
+
+def _negative_eigenvalue(m):
+    m[...] = np.diag([1.0 + 1e-6, -1e-6, 0.0])
+
+
+@pytest.mark.parametrize("member", [0, 2, 3])
+@pytest.mark.parametrize("spoil, message", [
+    (_non_hermitian, "matrix is not Hermitian"),
+    (_trace_off, "trace"),
+    (_negative_eigenvalue, "smallest eigenvalue"),
+])
+def test_density_stack_refuses_one_bad_member_by_index(spoil, message,
+                                                      member):
+    entries = _valid_stack()
+    DensityMatrix(entries.copy())
+    spoil(entries[member])
+    with pytest.raises(ValueError, match=f"^member {member}: {message}"):
+        DensityMatrix(entries)
+
+
+def test_distribution_and_unitary_stacks_name_the_bad_member():
+    p = random_distribution(4, rng_for(3), 5).probabilities.copy()
+    p[3, 0] += 1e-6
+    with pytest.raises(ValueError, match="^member 3: sum"):
+        DiscreteDistribution(p)
+    p[3] = [1.2, -0.2, 0.0, 0.0]
+    with pytest.raises(ValueError, match="^member 3: .*nonnegative"):
+        DiscreteDistribution(p)
+    u = random_unitary(4, rng_for(3), 5).columns.copy()
+    u[1, :, 0] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="^member 1: .*orthonormal"):
+        UnitaryBasis(u)
+    with pytest.raises(ValueError, match="stack"):
+        DensityMatrix(np.zeros((0, 2, 2)))
+
+
+def test_density_stack_rebuilds_only_members_in_the_clip_range():
+    entries = _valid_stack()
+    eps = 5e-11
+    entries[1] = np.diag([1.0 + eps, 0.0, -eps])
+    given_entries = entries.copy()
+    rho = DensityMatrix(entries)
+    assert np.linalg.eigvalsh(rho.entries[1])[0] >= 0.0
+    assert_allclose(np.trace(rho.entries[1]).real, 1.0, rtol=0, atol=1e-14)
+    for k in (0, 2, 3):
+        assert rho.entries[k].tobytes() == given_entries[k].tobytes()
+    # the caller's array is copied, never written
+    assert entries.tobytes() == given_entries.tobytes()
+
+
+def _reference_draws(d, rng):
+    """The single-state draws of every random constructor, as loops of
+    plain numpy with no stack axis."""
+    p = rng.random(d) + 1e-12
+    distribution = p / p.sum()
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    density = 0.5 * (m + m.conj().T)
+    p = rng.random(d) + 1e-12
+    ensemble = np.diag((p / p.sum()).astype(complex))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r)
+    return distribution, density, ensemble, q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_random_draws_without_count_keep_their_bits(d):
+    rng = rng_for(1000 + d)
+    drawn = (random_distribution(d, rng).probabilities,
+             random_density_matrix(d, rng).entries,
+             random_ensemble(d, rng).entries,
+             random_unitary(d, rng).columns)
+    for got, expect in zip(drawn, _reference_draws(d, rng_for(1000 + d))):
+        assert got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
+def test_stacked_routes_match_member_by_member():
+    rng = rng_for(23)
+    rho = random_density_matrix(5, rng, 6)
+    u = random_unitary(5, rng, 6)
+    w = change_basis(rho, u)
+    for k in range(6):
+        rho_k = DensityMatrix(rho.entries[k])
+        u_k = UnitaryBasis(u.columns[k])
+        w_k = change_basis(rho_k, u_k)
+        assert w_k.entries.tobytes() == w.entries[k].tobytes()
+        for j in range(5):
+            assert isinstance(born_probability(rho_k, j), float)
+            assert born_probability(rho, j)[k] == born_probability(rho_k, j)
+            assert (probability_from_coefficients(w, u, j)[k]
+                    == probability_from_coefficients(w_k, u_k, j))
+
+
+def _shifted(route):
+    """`route` with 1e-6 added to what it returns."""
+    def shifted(*args):
+        out = route(*args)
+        if isinstance(out, DensityMatrix):
+            return SimpleNamespace(entries=out.entries + 1e-6, d=out.d)
+        return out + 1e-6
+    return shifted
+
+
+@pytest.mark.parametrize("route, check", [
+    ("probability_from_coefficients", oracles.born_rule_invariance),
+    ("change_basis", oracles.born_rule_invariance),
+    ("change_basis", oracles.spectrum_under_basis_change),
+    ("log_posterior_coefficients", oracles.posterior_coordinate_invariance),
+])
+def test_checks_fail_when_a_compared_route_is_shifted(monkeypatch, route,
+                                                      check):
+    # each check compares two routes, not one route with itself: shifting
+    # one route by 1e-6 puts its residual over the tolerance
+    suite, tolerance, args = next(
+        (entry[0], entry[2], entry[4]) for entry in oracles.REGISTRY
+        if entry[3] is check)
+
+    def run():
+        rng = np.random.default_rng(oracles.SEEDS[suite])
+        return check(*(rng if a is oracles.STREAM else a for a in args))
+
+    assert run() <= tolerance
+    monkeypatch.setattr(oracles, route, _shifted(getattr(oracles, route)))
+    assert run() > tolerance
