@@ -14,9 +14,10 @@ from .basis import (
     DAUB4_TAPS,
     Grid,
     Interval,
+    band_to_dense,
     basis_band,
     basis_matrix,
-    coefficient_matrix,
+    coefficient_band,
     eval_father,
     gram_check,
     quadratic_form,
@@ -83,11 +84,12 @@ __all__ = [
     "SampleSet",
     "UnitaryBasis",
     "WaveFunction",
+    "band_to_dense",
     "basis_band",
     "basis_matrix",
     "born_probability",
     "change_basis",
-    "coefficient_matrix",
+    "coefficient_band",
     "embedded_density_exact",
     "embedded_density_map",
     "ensemble_from_distribution",

@@ -233,6 +233,14 @@ def _mother_daub4(x: np.ndarray, table_level: int) -> np.ndarray:
     return out
 
 
+def _father(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
+    """2**(n/2) phi(x): the Haar box on [0, 1) or the tap-4 table lookup."""
+    amp = 2.0 ** (spec.scale_n / 2.0)
+    if spec.family == "haar":
+        return np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
+    return amp * _mother_daub4(x, spec.table_level)
+
+
 def eval_father(spec: BasisSpec, k: int, s) -> np.ndarray:
     """Evaluate phi_nk(s) = 2**(n/2) phi(2**n s - k).
 
@@ -242,14 +250,8 @@ def eval_father(spec: BasisSpec, k: int, s) -> np.ndarray:
     past the interval to cover boundary translates.
     """
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    x = np.atleast_1d(s) * 2 ** spec.scale_n - k
-    amp = 2.0 ** (spec.scale_n / 2.0)
-    if spec.family == "haar":
-        out = np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
-    else:
-        out = amp * _mother_daub4(x, spec.table_level)
-    return float(out[0]) if scalar else out
+    out = _father(spec, np.atleast_1d(s) * 2 ** spec.scale_n - k)
+    return float(out[0]) if s.ndim == 0 else out
 
 
 def basis_band(spec: BasisSpec, s_values):
@@ -265,12 +267,7 @@ def basis_band(spec: BasisSpec, s_values):
     x0 = s * 2 ** spec.scale_n
     ks = np.floor(x0).astype(np.int64)[:, None] + np.arange(
         1 - spec.support_width, 1)
-    x = x0[:, None] - ks
-    amp = 2.0 ** (spec.scale_n / 2.0)
-    if spec.family == "haar":
-        values = np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
-    else:
-        values = amp * _mother_daub4(x, spec.table_level)
+    values = _father(spec, x0[:, None] - ks)
     k_min, k_max = spec.translate_range
     values[(ks < k_min) | (ks > k_max)] = 0.0
     return np.clip(ks - k_min, 0, spec.size - 1), values
@@ -286,11 +283,11 @@ def basis_matrix(spec: BasisSpec, s_values) -> np.ndarray:
     return out
 
 
-def coefficient_matrix(spec: BasisSpec, s_values, weights) -> np.ndarray:
-    """sum_p weights_p b(s_p) b(s_p)^T over the translates, d x d.
+def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
+    """sum_p weights_p b(s_p) b(s_p)^T over the translates, as d x w diagonals.
 
-    Each point adds its w x w band block by one bincount scatter, in point
-    order, so the result is exactly symmetric and bit-reproducible.
+    Entry [j, o] is M[j, j + o]. Each point adds the upper triangle of its
+    w x w block by one bincount scatter, in point order: bit-reproducible.
     """
     rows, values = basis_band(spec, s_values)
     weights = np.asarray(weights, dtype=float).ravel()
@@ -299,26 +296,37 @@ def coefficient_matrix(spec: BasisSpec, s_values, weights) -> np.ndarray:
             f"need one weight per point, got {weights.size} weights for "
             f"{rows.shape[0]} points"
         )
-    d = spec.size
-    flat = rows[:, :, None] * d + rows[:, None, :]
-    terms = weights[:, None, None] * (values[:, :, None] * values[:, None, :])
-    out = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=d * d)
-    return out.reshape(d, d)
+    d, w = spec.size, spec.support_width
+    a, b = np.triu_indices(w)
+    terms = values[:, a] * values[:, b] * weights[:, None]
+    flat = rows[:, a] * w + (b - a)
+    out = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=d * w)
+    return out.reshape(d, w)
 
 
-def quadratic_form(spec: BasisSpec, matrix, s_values, scale) -> np.ndarray:
+def band_to_dense(band) -> np.ndarray:
+    """The d x d symmetric matrix M whose w diagonals `band` holds."""
+    d, w = band.shape
+    out = np.zeros((d, d))
+    for o in range(w):
+        j = np.arange(d - o)
+        out[j, j + o] = out[j + o, j] = band[:d - o, o]
+    return out
+
+
+def quadratic_form(spec: BasisSpec, band, s_values, scale) -> np.ndarray:
     """b(s)^T diag(scale) M diag(scale) b(s) at each point, in O(P w^2).
 
-    `scale` holds one factor per translate; only the w x w block of M that
-    the point's live translates select is ever read.
+    `band` holds M's w diagonals and `scale` one factor per translate; only
+    the w x w block of M that the point's live translates select is read.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    band = np.asarray(band, dtype=float)
     rows, values = basis_band(spec, s_values)
     u = values * np.asarray(scale, dtype=float)[rows]
     out = np.zeros(rows.shape[0])
     for a in range(rows.shape[1]):
         for b in range(rows.shape[1]):
-            out += u[:, a] * matrix[rows[:, a], rows[:, b]] * u[:, b]
+            out += u[:, a] * band[rows[:, min(a, b)], abs(a - b)] * u[:, b]
     return out
 
 
@@ -343,7 +351,7 @@ def gram_check(spec: BasisSpec, grid: Grid) -> np.ndarray:
     the dyadic table.
     """
     _require_resolution(spec, grid)
-    return coefficient_matrix(spec, grid.points, grid.weights())
+    return band_to_dense(coefficient_band(spec, grid.points, grid.weights()))
 
 
 def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:

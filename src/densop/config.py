@@ -30,21 +30,24 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
 
     Every command holds the d operator weights and the G x w basis band of
     its curve grid of G points. fig2a adds the d x G basis rows. fig3a and
-    fig3b add two d x d coefficient matrices, estimate adds one, and all
-    three add the MAP scatter of N = n_samples points: its N x w x w
-    index and term arrays. None counts only the part every command
+    fig3b add two d x w coefficient bands, estimate adds one. A band is
+    scattered from points: the P x w rows and values of their basis band,
+    then the index, the products and the weighted terms of the w(w + 1)/2
+    upper-triangle entries of each point's w x w block. fig3a and fig3b
+    scatter the G grid points, then N = n_samples samples; estimate
+    scatters the N samples. None counts only the part every command
     shares. Nothing is allocated.
     """
     d, w = spec.size, spec.support_width
     g = round(spec.span().width * grid_cells) + 1
     count = d + g * w
-    scatter = 2 * n_samples * w * w
+    per_point = 2 * w + 3 * w * (w + 1) // 2
     if command == "fig2a":
         count += d * g
     elif command in ("fig3a", "fig3b"):
-        count += 2 * d * d + scatter
+        count += 2 * d * w + max(g, n_samples) * per_point
     elif command == "estimate":
-        count += d * d + scatter
+        count += d * w + n_samples * per_point
     return 8 * count
 
 

@@ -12,8 +12,9 @@ The projection case (all weights 1) is the one used by the experiment
 commands.
 
 The embedded curves in `densop.learn` use the same band: each is the
-quadratic form b(s)^T W M W b(s) / tr of a coefficient matrix M, with W
-the squared weights and tr = sum_j W_jj M_jj, and costs O(G w^2).
+quadratic form b(s)^T W M W b(s) / tr of a coefficient matrix M, held as
+the d x w band of its w diagonals, with W the squared weights and
+tr = sum_j W_jj M_jj, and costs O(G w^2).
 `kernel_eval`, `kernel_matrix`, `trace_k_rho` and `trace_k_map` build the
 same numbers another way (dense basis rows, quadrature of the kernel
 diagonal). The curves never call them; they remain as an independent

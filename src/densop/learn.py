@@ -17,11 +17,11 @@ Both curves take that trace from their own M, by one rule; the kernel
 routes `trace_k_rho` and `trace_k_map` reach the same value independently
 and serve as oracles only.
 Every translate is compactly supported, so each point meets at most w
-translates (w = 1 for Haar, 3 for Daubechies 4): M is assembled by one
-scatter over the w x w blocks of the points, and a curve on G grid points
-reads w^2 entries of M per point, O(G w^2) in all, with no dense basis or
-kernel matrix. The reductions are fixed-order numpy sums with no BLAS
-call, so curves are bit-identical across reruns and BLAS thread counts.
+translates (w = 1 for Haar, 3 for Daubechies 4): M has bandwidth w - 1 and
+is held as the d x w band of its diagonals, band[j, o] = M[j, j + o]. One
+scatter of the points' upper w x w triangles builds it; a curve on G points
+reads w^2 entries per point, O(G w^2), with no d x d matrix. The sums are
+fixed-order with no BLAS call: bit-identical at any BLAS thread count.
 
 Noisy embedded learning has no closed form; for that case only the
 posterior evaluator `log_posterior_position` is provided (it accepts any
@@ -40,7 +40,8 @@ from .basis import (
     BasisSpec,
     Grid,
     Interval,
-    coefficient_matrix,
+    band_to_dense,
+    coefficient_band,
     quadratic_form,
 )
 from .embedding import (
@@ -136,29 +137,32 @@ class DensityCurve:
 
 @dataclass(frozen=True, eq=False)
 class MapCoefficients:
-    """Empirical coefficient matrix w(j, l) = mean of psi_j(S_i) psi_l(S_i)."""
+    """Empirical coefficient matrix w(j, l) = mean of psi_j(S_i) psi_l(S_i),
+    held as its diagonals: band[j, o] = w(j, j + o), o < support width."""
 
     basis: BasisSpec
-    matrix: np.ndarray
+    band: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("coefficient matrix must be square")
-        if m.shape[0] != self.basis.size:
+        band = np.ascontiguousarray(self.band, dtype=float)
+        shape = (self.basis.size, self.basis.support_width)
+        if band.shape != shape:
             raise ValueError(
-                f"matrix size {m.shape[0]} does not match the "
-                f"{self.basis.size} basis translates"
+                f"coefficient band shape {band.shape} does not match the "
+                f"(translates, support width) {shape} of the basis"
             )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("coefficient matrix must be finite")
-        if np.max(np.abs(m - m.T)) > 1e-12:
-            raise ValueError("coefficient matrix must be symmetric")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        if not np.all(np.isfinite(band)):
+            raise ValueError("coefficient band must be finite")
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense symmetric d x d matrix, built on each access."""
+        return band_to_dense(self.band)
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix))
+        return float(np.sum(self.band[:, 0]))
 
 
 def homogeneous_log_prior(_state) -> float:
@@ -293,20 +297,20 @@ def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:
     if samples.n == 0:
         raise ValueError("empty sample set")
     ones = np.ones(samples.n)
-    m = coefficient_matrix(basis, samples.points, ones) / samples.n
-    return MapCoefficients(basis=basis, matrix=m)
+    band = coefficient_band(basis, samples.points, ones) / samples.n
+    return MapCoefficients(basis=basis, band=band)
 
 
-def _embedded_curve(A: EmbeddingOperator, matrix, grid: Grid,
+def _embedded_curve(A: EmbeddingOperator, band, grid: Grid,
                     vanishing: str) -> DensityCurve:
     """b(s)^T W M W b(s) / tr on the grid, with tr = sum_j W_jj M_jj.
 
     Raises with `vanishing` when tr <= 1e-14, where no curve exists.
     """
-    trace = float(np.sum(A.squared_weights * np.diagonal(matrix)))
+    trace = float(np.sum(A.squared_weights * band[:, 0]))
     if trace <= 1e-14:
         raise ValueError(vanishing)
-    values = quadratic_form(A.basis, matrix, grid.points, A.squared_weights)
+    values = quadratic_form(A.basis, band, grid.points, A.squared_weights)
     return DensityCurve(grid=grid, values=values / trace)
 
 
@@ -327,8 +331,8 @@ def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
             f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6"
         )
     weighted = zeta.grid.weights() * zeta.values
-    matrix = coefficient_matrix(A.basis, zeta.grid.points, weighted)
-    return _embedded_curve(A, matrix, grid, VANISHING_DENSITY_TRACE)
+    band = coefficient_band(A.basis, zeta.grid.points, weighted)
+    return _embedded_curve(A, band, grid, VANISHING_DENSITY_TRACE)
 
 
 def embedded_density_map(A: EmbeddingOperator, samples: SampleSet,
@@ -339,8 +343,8 @@ def embedded_density_map(A: EmbeddingOperator, samples: SampleSet,
     tr = sum_j alpha_j^2 M_jj, the mean kernel diagonal over the samples.
     Requires a nonempty, non-noisy sample set with a nonzero trace.
     """
-    matrix = map_coefficients(samples, A.basis).matrix
-    return _embedded_curve(A, matrix, grid, VANISHING_SAMPLE_TRACE)
+    band = map_coefficients(samples, A.basis).band
+    return _embedded_curve(A, band, grid, VANISHING_SAMPLE_TRACE)
 
 
 def normalized_ratio(curve: DensityCurve, A: EmbeddingOperator) -> DensityCurve:

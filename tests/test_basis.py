@@ -19,8 +19,9 @@ from densop import (
     Grid,
     Interval,
     basis_band,
+    band_to_dense,
     basis_matrix,
-    coefficient_matrix,
+    coefficient_band,
     eval_father,
     gram_check,
     quadratic_form,
@@ -279,31 +280,53 @@ def test_band_is_zero_outside_the_span():
     assert np.all(values == 0.0)
 
 
+def dense_scatter(spec, s, weights):
+    # reference: the d x d scatter of every point's full w x w block
+    rows, values = basis_band(spec, s)
+    d = spec.size
+    flat = rows[:, :, None] * d + rows[:, None, :]
+    terms = weights[:, None, None] * (values[:, :, None] * values[:, None, :])
+    out = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=d * d)
+    return out.reshape(d, d)
+
+
+def dense_quadratic_form(spec, matrix, s, scale):
+    # reference: the w x w block read from a dense d x d matrix
+    rows, values = basis_band(spec, s)
+    u = values * scale[rows]
+    out = np.zeros(rows.shape[0])
+    for a in range(rows.shape[1]):
+        for b in range(rows.shape[1]):
+            out += u[:, a] * matrix[rows[:, a], rows[:, b]] * u[:, b]
+    return out
+
+
 @pytest.mark.parametrize("family, scale_n", [("haar", 2), ("daubechies4", 2),
                                              ("daubechies4", 5)])
 def test_coefficient_matrix_and_quadratic_form_match_dense(family, scale_n):
+    # the band holds exactly the dense scatter's diagonals, and the banded
+    # read gives exactly the dense read, also at points past both ends of
+    # the span, where basis_band clips rows
     spec = BasisSpec(family, scale_n, UNIT)
     rng = np.random.Generator(np.random.PCG64(11))
     span = spec.span()
-    pts = rng.uniform(span.lo, span.hi, size=300)
+    pts = np.concatenate([rng.uniform(span.lo, span.hi, size=300),
+                          band_probe_points(spec)])
     weights = rng.uniform(0.0, 2.0, size=pts.size)
-    b = basis_matrix(spec, pts)
-    m = coefficient_matrix(spec, pts, weights)
-    dense = (b * weights) @ b.T
-    assert np.array_equal(m, m.T)
-    assert_allclose(m, dense, rtol=0, atol=1e-13 * np.max(np.abs(dense)))
+    band = coefficient_band(spec, pts, weights)
+    assert band.shape == (spec.size, spec.support_width)
+    dense = dense_scatter(spec, pts, weights)
+    assert np.array_equal(band_to_dense(band), dense)
     scale = rng.uniform(0.5, 1.5, size=spec.size)
-    probe = rng.uniform(span.lo - 0.2, span.hi + 0.2, size=97)
-    bp = basis_matrix(spec, probe) * scale[:, None]
-    expect = np.einsum("jp,jk,kp->p", bp, m, bp)
-    got = quadratic_form(spec, m, probe, scale)
-    assert_allclose(got, expect, rtol=0, atol=1e-13 * np.max(np.abs(expect)))
+    probe = band_probe_points(spec)
+    assert np.array_equal(quadratic_form(spec, band, probe, scale),
+                          dense_quadratic_form(spec, dense, probe, scale))
 
 
 def test_coefficient_matrix_checks_weights():
     spec = BasisSpec("haar", 1, UNIT)
     with pytest.raises(ValueError, match="one weight per point"):
-        coefficient_matrix(spec, np.array([0.5, 1.5]), np.ones(3))
+        coefficient_band(spec, np.array([0.5, 1.5]), np.ones(3))
 
 
 # ---------------------------------------------------------------- gram

@@ -69,8 +69,9 @@ def test_curve_grid_needs_resolution_cells_per_translate_shift():
 
 
 def test_footprint_arithmetic_at_scale_20_and_30():
-    # d weights and the G x w band for every command, plus d x d matrices
-    # or the d x G basis rows; computed from the config, never allocated
+    # d weights and the G x w band for every command, plus d x w bands and
+    # their scatters or the d x G basis rows; computed from the config,
+    # never allocated
     spec = BasisSpec("daubechies4", 20, Interval(0.0, 3.0))
     d = 3 * 2 ** 20 + 2
     # the span [-2, 3 * 2**20 + 2] / 2**20 rounds to 3 * 4096 cells
@@ -79,18 +80,35 @@ def test_footprint_arithmetic_at_scale_20_and_30():
     assert footprint(spec, 4096) == 8 * (d + 3 * g)
     assert footprint(spec, 4096) < MEMORY_LIMIT
     assert footprint(spec, 4096, "fig2a") == 8 * (d + 3 * g + d * g)
-    # the MAP scatter of N points holds N x w x w indices and terms
+    # a scatter of P points holds P x w basis rows and values, then the
+    # index, products and weighted terms of w(w + 1)/2 = 6 entries each;
+    # fig3a scatters the G grid points, then the N samples
+    per_point = 2 * 3 + 3 * 6
     assert footprint(spec, 4096, "fig3a", 300) == 8 * (
-        d + 3 * g + 2 * d * d + 2 * 300 * 9)
-    assert footprint(spec, 4096, "estimate") == 8 * (d + 3 * g + d * d)
+        d + 3 * g + 2 * d * 3 + g * per_point)
+    assert footprint(spec, 4096, "fig3b", 10 ** 6) == 8 * (
+        d + 3 * g + 2 * d * 3 + 10 ** 6 * per_point)
+    assert footprint(spec, 4096, "estimate") == 8 * (d + 3 * g + d * 3)
     assert footprint(spec, 4096, "estimate", 300) == 8 * (
-        d + 3 * g + d * d + 2 * 300 * 9)
+        d + 3 * g + d * 3 + 300 * per_point)
     assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096)
-    for command in ("fig2a", "fig3a", "fig3b", "estimate"):
-        assert footprint(spec, 4096, command, 300) > MEMORY_LIMIT
+    assert footprint(spec, 4096, "fig2a", 300) > MEMORY_LIMIT
+    # the bands are linear in d, so only the basis rows pass the limit
+    for command in ("fig3a", "fig3b", "estimate"):
+        assert footprint(spec, 4096, command, 300) < MEMORY_LIMIT
     # at scale 30 the d weights alone take about 26 GB
     spec = BasisSpec("daubechies4", 30, Interval(0.0, 3.0))
     assert footprint(spec, 4096) > 8 * 3 * 2 ** 30 > 25e9 > MEMORY_LIMIT
+
+
+def test_fig3_fits_the_memory_bound_at_scale_12():
+    # d = 12 290 and G = 786 689: two d x d matrices would take 2.25 GiB,
+    # the two d x w bands and the grid scatter take 0.16 GiB
+    cfg = ExperimentConfig(scale_n=12, grid_cells=262144)
+    for figure in ("fig3a", "fig3b"):
+        cfg.require_memory(figure)
+    with pytest.raises(ValueError, match="fig2a at scale_n=12"):
+        cfg.require_memory("fig2a")
 
 
 def test_config_checks_memory_before_building_the_operator(monkeypatch):
@@ -117,16 +135,16 @@ def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
 
 def test_estimate_counts_its_sample_file_in_the_memory_bound(
         tmp_path, capsys, monkeypatch):
-    # the default estimate holds 394 920 bytes before its samples; 100
-    # samples add a 2 x 100 x 3 x 3 scatter, 14 400 bytes more
+    # the default estimate holds 393 688 bytes before its samples; 100
+    # samples add a scatter of 100 x (2 x 3 + 3 x 6) values, 19 200 bytes
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n" * 100)
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 409_320)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 412_888)
     assert main(["estimate", str(samples), "--out", str(out)]) == 0
     capsys.readouterr()
     out.unlink()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 409_319)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 412_887)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")

@@ -66,7 +66,7 @@ def single_translate(spec, k, weight=1.0):
     lambda: UnitaryBasis(np.eye(2)),
     lambda: SampleSet(np.array([0.5, 1.5])),
     lambda: DensityCurve(Grid(UNIT, 3), np.full(4, 1.0 / 3.0)),
-    lambda: MapCoefficients(BasisSpec("haar", 0, UNIT), np.eye(3) / 3.0),
+    lambda: MapCoefficients(BasisSpec("haar", 0, UNIT), np.ones((3, 1)) / 3),
     lambda: EmbeddingOperator.projection(BasisSpec("haar", 0, UNIT)),
 ], ids=["WaveFunction", "DensityMatrix", "DiscreteDistribution",
         "UnitaryBasis", "SampleSet", "DensityCurve", "MapCoefficients",
@@ -109,17 +109,26 @@ def test_density_curve_validation():
 
 
 def test_map_coefficients_validation():
-    spec = BasisSpec("haar", 0, UNIT)  # 3 translates
-    good = MapCoefficients(spec, np.eye(3) / 3.0)
+    # a coefficient band is d x w: one row per translate, one column per
+    # diagonal of the symmetric matrix it holds
+    spec = BasisSpec("haar", 0, UNIT)  # 3 translates, w = 1
+    good = MapCoefficients(spec, np.full((3, 1), 1.0 / 3.0))
     assert_allclose(good.trace(), 1.0)
-    with pytest.raises(ValueError):
-        MapCoefficients(spec, np.eye(4))
-    with pytest.raises(ValueError):
-        MapCoefficients(spec, np.zeros((3, 2)))
-    bad = np.eye(3)
-    bad[0, 1] = 1e-6
-    with pytest.raises(ValueError):
-        MapCoefficients(spec, bad)
+    assert np.array_equal(good.matrix, np.eye(3) / 3.0)
+    for shape in ((4, 1), (3, 2), (3,), (3, 3)):
+        with pytest.raises(ValueError, match="band shape"):
+            MapCoefficients(spec, np.zeros(shape))
+    spec = BasisSpec("daubechies4", 0, UNIT)  # 5 translates, w = 3
+    band = np.arange(15.0).reshape(5, 3)
+    coeffs = MapCoefficients(spec, band)
+    assert not coeffs.band.flags.writeable
+    assert coeffs.trace() == 0.0 + 3.0 + 6.0 + 9.0 + 12.0
+    m = coeffs.matrix
+    assert np.array_equal(m, m.T)
+    assert m[1, 3] == band[1, 2] and m[4, 3] == band[3, 1]
+    assert m[0, 3] == 0.0
+    with pytest.raises(ValueError, match="band shape"):
+        MapCoefficients(spec, np.eye(5))
 
 
 def test_gaussian_noise_validation_and_support():
@@ -510,7 +519,7 @@ def test_curves_and_matrices_reject_non_finite_values():
             DensityCurve(grid, np.array([0.1, bad, 0.2, 0.3]))
         with pytest.raises(ValueError, match="finite"):
             MapCoefficients(BasisSpec("haar", 0, UNIT),
-                            np.diag([1.0, bad, 1.0]))
+                            np.array([[1.0], [bad], [1.0]]))
 
 
 # --------------------------------------- banded form against kernel trick
