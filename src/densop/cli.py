@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .basis import basis_matrix, wavelet_approximation
-from .config import ExperimentConfig, load_config
+from .config import TABLE_COLUMNS, ExperimentConfig, load_config
 from .embedding import kernel_diag
 from .learn import (
     DensityCurve,
@@ -31,7 +31,7 @@ from .learn import (
     normalized_ratio,
 )
 from .oracles import SUITES, run_suite
-from .target import load_samples
+from .target import count_samples, load_samples
 from .textio import write_rows
 
 FIGURES = ("fig2a", "fig2b", "fig3a", "fig3b")
@@ -107,14 +107,13 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
     grid = cfg.curve_grid()
     target = cfg.target()
     s = grid.points
+    names = list(TABLE_COLUMNS[figure])
     if figure == "fig2a":
         rows = basis_matrix(spec, s)
-        names = ["s"] + [f"phi_{int(k)}" for k in spec.translates]
-        names.append("kernel_diag")
+        names[1:1] = [f"phi_{int(k)}" for k in spec.translates]
         cols = [s, *rows, kernel_diag(operator, s)]
     elif figure == "fig2b":
         zeta = target.density(s)
-        names = ["s", "zeta", "wavelet_approximation"]
         cols = [s, zeta, wavelet_approximation(zeta, spec, grid)]
     else:
         zeta_curve = DensityCurve(grid, target.density(s))
@@ -131,10 +130,8 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
         exact = embedded_density_exact(operator, zeta_curve, grid)
         mapped = embedded_density_map(operator, samples, grid)
         if figure == "fig3a":
-            names = ["s", "zeta", "embedded_exact", "embedded_map"]
             cols = [s, zeta_curve.values, exact.values, mapped.values]
         else:
-            names = ["s", "zeta", "ratio_exact", "ratio_map"]
             cols = [s, zeta_curve.values,
                     normalized_ratio(exact, operator).values,
                     normalized_ratio(mapped, operator).values]
@@ -142,6 +139,9 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
 
 
 def _estimate_table(samples_path: str, cfg: ExperimentConfig):
+    # the bound is checked from the line count before any value is parsed,
+    # and again with the N that was read
+    cfg.require_memory("estimate", count_samples(samples_path))
     samples = load_samples(samples_path, cfg.interval())
     if samples.n == 0:
         raise ValueError(f"{samples_path}: sample file is empty")
@@ -150,7 +150,7 @@ def _estimate_table(samples_path: str, cfg: ExperimentConfig):
     grid = cfg.curve_grid()
     mapped = embedded_density_map(operator, samples, grid)
     ratio = normalized_ratio(mapped, operator)
-    return (["s", "embedded_map", "ratio_map"],
+    return (TABLE_COLUMNS["estimate"],
             [grid.points, mapped.values, ratio.values])
 
 
@@ -188,7 +188,7 @@ def main(argv=None) -> int:
         if reproduce:
             cfg.require_memory(args.figure)
         else:
-            # the samples count once `_estimate_table` has read them
+            # the samples count once `_estimate_table` has counted them
             cfg.require_memory("estimate", 0)
         out_path = cfg.out or (
             f"{args.figure}.csv" if reproduce else "estimate.csv")

@@ -23,31 +23,49 @@ from .target import BetaTarget
 #: Bytes that the main arrays of one command may take; see `footprint`.
 MEMORY_LIMIT = 2 ** 30
 
+#: The header of each command's table, one name per column. fig2a also
+#: has one column phi_k per basis translate k, right after "s".
+TABLE_COLUMNS = {
+    "fig2a": ("s", "kernel_diag"),
+    "fig2b": ("s", "zeta", "wavelet_approximation"),
+    "fig3a": ("s", "zeta", "embedded_exact", "embedded_map"),
+    "fig3b": ("s", "zeta", "ratio_exact", "ratio_map"),
+    "estimate": ("s", "embedded_map", "ratio_map"),
+}
+
 
 def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
               n_samples: int = 0) -> int:
     """Bytes of the main arrays `command` allocates, from d, G, w and N.
 
-    Every command holds the d operator weights and the G x w basis band of
-    its curve grid of G points. fig2a adds the d x G basis rows. fig3a and
-    fig3b add two d x w coefficient bands, estimate adds one. A band is
-    scattered from points: the P x w rows and values of their basis band,
-    then the index, the products and the weighted terms of the w(w + 1)/2
-    upper-triangle entries of each point's w x w block. fig3a and fig3b
-    scatter the G grid points, then N = n_samples samples; estimate
-    scatters the N samples. None counts only the part every command
-    shares. Nothing is allocated.
+    Every command holds the d operator weights and, for its curve grid of
+    G points, the G x w rows, values and scaled values of the basis band.
+    It also holds its output columns and the G x ncols table they are
+    stacked into, with ncols from TABLE_COLUMNS; fig2a's columns include
+    the d basis rows. fig3a and fig3b add two d x w coefficient bands
+    and, in the exact curve, zeta's quadrature weights and weighted
+    values; fig3b also holds the two curves its ratios divide. estimate
+    adds one band. A band is scattered from points: the P x w rows and
+    values of their basis band, then the index, the products and the
+    weighted terms of the w(w + 1)/2 upper-triangle entries of each
+    point's w x w block. fig3a and fig3b scatter the G grid points, then
+    their N = n_samples sampled points; estimate scatters the N points it
+    read. None counts only the part every command shares, without a
+    table. Nothing is allocated.
     """
     d, w = spec.size, spec.support_width
     g = round(spec.span().width * grid_cells) + 1
-    count = d + g * w
+    count = d + 3 * g * w
+    if command is not None:
+        ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
+        count += 2 * ncols * g
     per_point = 2 * w + 3 * w * (w + 1) // 2
-    if command == "fig2a":
-        count += d * g
-    elif command in ("fig3a", "fig3b"):
-        count += 2 * d * w + max(g, n_samples) * per_point
+    if command in ("fig3a", "fig3b"):
+        extra = 2 if command == "fig3a" else 4
+        count += (extra * g + 2 * d * w + max(g, n_samples) * per_point
+                  + n_samples)
     elif command == "estimate":
-        count += d * w + n_samples * per_point
+        count += d * w + n_samples * (per_point + 1)
     return 8 * count
 
 

@@ -278,30 +278,40 @@ def save_samples(path, samples) -> None:
         write_rows(fh, points.reshape(-1, 1))
 
 
+def count_samples(path) -> int:
+    """Number of non-blank lines in a sample file: the N of load_samples."""
+    with open(path) as fh:
+        return sum(not line.isspace() for line in fh)
+
+
 def load_samples(path, interval: Interval | None = None) -> SampleSet:
     """Read a one-column sample file written by save_samples.
 
     Blank lines are ignored. A malformed line, or with `interval` a value
     outside it, raises ValueError naming the line number in the file. The
-    returned set carries no seed provenance.
+    values go straight into one float64 array, with no list of Python
+    floats. The returned set carries no seed provenance.
     """
-    points = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                value = float(text)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: could not parse {text!r}"
-                ) from None
-            if interval is not None and (value < interval.lo
-                                         or value > interval.hi):
-                raise ValueError(
-                    f"{path}: sample {value:g} on line {lineno} lies "
-                    f"outside [{interval.lo:g}, {interval.hi:g}]"
-                )
-            points.append(value)
-    return SampleSet(points=np.asarray(points, dtype=float), seed=None)
+        points = np.fromiter(_parse_samples(path, fh, interval), dtype=float)
+    return SampleSet(points=points, seed=None)
+
+
+def _parse_samples(path, fh, interval: Interval | None):
+    for lineno, line in enumerate(fh, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: could not parse {text!r}"
+            ) from None
+        if interval is not None and (value < interval.lo
+                                     or value > interval.hi):
+            raise ValueError(
+                f"{path}: sample {value:g} on line {lineno} lies "
+                f"outside [{interval.lo:g}, {interval.hi:g}]"
+            )
+        yield value

@@ -1,29 +1,195 @@
 """Text format of the tables and sample files densop writes.
 
-Every value is printed with ``%.17g``, enough significant digits that
-parsing the text recovers the exact double. Values in a row are separated
-by ``,`` and each row ends in ``\\n``.
+Every value is printed as ``'%.17g' % x`` prints it: enough significant
+digits that parsing the text recovers the exact double. Values in a row
+are separated by ``,`` and each row ends in ``\\n``.
 
-Rows are formatted in blocks: one ``%`` operation and one write per block
-of about ``_BLOCK_VALUES`` values. Per-row formatting and writing cost more
-in interpreter overhead than the formatting itself, and the cap keeps the
-temporary tuple and string of a block well under 1 MB at any width.
+Rows are formatted in blocks of about ``_BLOCK_VALUES`` values, and each
+block is written with one call. Within a block, numpy computes the text
+of most values exactly:
+
+- Domain: finite x with 1e-6 < |x| < 1e15. The double 1e-6 lies below
+  10**-6, so the strict bound keeps the decimal exponent e of the rounded
+  value in [-6, 15] and k = 16 - e in [1, 22], where 10**k is an exact
+  double.
+- Digits: the 17 significant digits are the integer
+  N = round-half-even(|x| * 10**k). Dekker's two-product gives the exact
+  product as p + err. Every double p >= 2**53 is an even integer, so
+  ``int64(p) + rint(err)`` rounds the exact product half to even, which
+  is the rounding of CPython's correctly rounded dtoa. e starts as
+  floor(log10|x|). If N falls outside [10**16, 10**17), e moves by one
+  and N is computed again; a value still outside goes to ``%``.
+- Text: fixed notation for e >= -4 and ``d.ddde-0X`` below, with trailing
+  zeros and a bare point stripped. Each value owns a slot of ``_SLOT``
+  bytes holding every character it could print. A keep-mask looked up
+  from (e, digit count) zeroes the others, and ``bytes.translate``
+  deletes the zero bytes of the whole block. A zero keeps the slot's
+  template, printed as for e = 0 and N = 0: ``0`` or ``-0``. Digits are
+  computed only for the other values in the domain, so tables made mostly
+  of zeros, such as fig2a's basis rows, cost little beyond their slots.
+
+Every other value (subnormals, |x| <= 1e-6 or >= 1e15, nan and inf) is
+formatted by ``'%-24.17g'`` in one bulk ``%`` per block, so ``%`` stays
+the only definition of the format.
 """
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
+
 _BLOCK_VALUES = 4096
+
+# Slot of one value: sign, "0.000" for fixed notation below 1, the digits
+# d0..d16 each followed by a point, "e-0X", the separator and 3 bytes of
+# padding. d1..d16 and their points fill four 8-byte words, one per group
+# of four digits.
+_SIGN, _LEAD, _DIGITS, _EXP, _SEP, _SLOT = 0, 1, 6, 40, 44, 48
+_WIDE = 24  # the longest %.17g text, as in -2.2250738585072014e-308
+# The keep-mask table has one row per decimal exponent in [-6, 15], and
+# each row one mask per digit count 0..17 (0 unused).
+_E_MIN, _E_MAX = -6, 15
+# 10**k for 0 <= k <= 22, all exact doubles, and their Veltkamp halves.
+_POW10 = np.array([10.0 ** k for k in range(23)])
+_SPLIT = 134217729.0  # 2**27 + 1
+
+
+def _veltkamp(a):
+    t = _SPLIT * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# Digits before group j of d1..d16: the digit count of group j adds to it.
+_GROUP_SHIFT = np.arange(0, 16, 4, dtype=np.int8)
 
 
 def _block_rows(ncols: int) -> int:
     return max(1, _BLOCK_VALUES // ncols)
 
 
+@functools.cache
+def _tables():
+    """Slot template, keep-masks and the tables of 4-digit groups.
+
+    Built on first use rather than on import, since they take about 2 ms.
+    """
+    template = np.zeros(_SLOT, dtype=np.uint8)
+    template[_SIGN] = ord("-")
+    template[_LEAD:_DIGITS] = np.frombuffer(b"0.000", dtype=np.uint8)
+    template[_DIGITS] = ord("0")
+    template[_DIGITS + 1:_EXP:2] = ord(".")
+    template[_EXP:_SEP] = np.frombuffer(b"e-00", dtype=np.uint8)
+
+    keep = np.zeros((_E_MAX - _E_MIN + 1, 18, _SLOT), dtype=np.uint8)
+    keep[..., _SEP] = 1
+    digit = np.arange(17)
+    ndig = np.arange(18)[:, None]
+    for row, e in enumerate(range(_E_MIN, _E_MAX + 1)):
+        digits = keep[row, :, _DIGITS:_EXP:2]
+        points = keep[row, :, _DIGITS + 1:_EXP:2]
+        if e >= 0:
+            # d0..de, then the point and the digits up to the last nonzero
+            digits[:] = (digit <= e) | (digit < ndig)
+            points[:, e] = ndig[:, 0] > e + 1
+        elif e >= -4:
+            # "0.", -e - 1 zeros and the digits up to the last nonzero
+            keep[row, :, _LEAD:_LEAD + 1 - e] = 1
+            digits[:] = digit < ndig
+        else:
+            digits[:] = digit < ndig
+            points[:, 0] = ndig[:, 0] > 1
+            keep[row, :, _EXP:_SEP] = 1
+
+    # For each 4-digit group v: its digits, each followed by a point, as
+    # one 8-byte word, and its digit count through the last nonzero one,
+    # or -16 for v = 0 so that no group position can make it count.
+    digits = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    text = np.full((10000, 8), ord("."), dtype=np.uint8)
+    text[:, ::2] = digits + ord("0")
+    through = np.where(digits.any(axis=1),
+                       4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
+    tables = (template, keep.reshape(-1, _SLOT),
+              text.view(np.uint64).ravel(), through.astype(np.int8))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _digits(ax, e):
+    """N = round-half-even(ax * 10**(16 - e)) as int64, exactly."""
+    k = 16 - e
+    p = ax * _POW10.take(k)
+    a_hi, a_lo = _veltkamp(ax)
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _slots(x, seps, tables):
+    """One slot per value of x, ending in its separator from seps, with
+    every byte the value does not print set to 0."""
+    template, keep, group_text, group_through = tables
+    m = len(x)
+    slots = np.empty((m, _SLOT), dtype=np.uint8)
+    slots[:] = template
+    slots[:, _SEP] = seps
+    # A zero prints from e = 0 and N = 0: the template's "0", or "-0".
+    # Digits are computed only for the other values in the domain.
+    ax = np.abs(x)
+    live = np.flatnonzero((ax > 1e-6) & (ax < 1e15))
+    ax = ax[live]
+    e = np.clip(np.floor(np.log10(ax)), _E_MIN, _E_MAX).astype(np.int64)
+    n = _digits(ax, e)
+    off = (n < 10 ** 16).astype(np.int64) - (n >= 10 ** 17)
+    moved = np.flatnonzero(off)
+    if len(moved):
+        e[moved] = np.clip(e[moved] - off[moved], _E_MIN, _E_MAX)
+        n[moved] = _digits(ax[moved], e[moved])
+        exact = (n >= 10 ** 16) & (n < 10 ** 17)
+        live, e, n = live[exact], e[exact], n[exact]
+
+    # N = d0 * 10**16 + four groups of four digits
+    groups = np.empty((len(n), 4), dtype=np.int64)
+    np.divmod(n, 10 ** 8, out=(groups[:, 0], groups[:, 2]))
+    lead = np.divmod(groups[:, 0], 10 ** 8, out=(n, groups[:, 0]))[0]
+    np.divmod(groups[:, ::2], 10 ** 4, out=(groups[:, ::2], groups[:, 1::2]))
+    slots[live, _DIGITS] = lead + ord("0")
+    slots.view(np.uint64)[live, 1:5] = group_text.take(groups)
+    slots[live, _SEP - 1] = ord("0") - e
+    through = group_through.take(groups)
+    through += _GROUP_SHIFT
+    ndig = 1 + np.maximum(np.maximum(through[:, 0], through[:, 1]),
+                          np.maximum(through[:, 2], through[:, 3])).clip(0)
+
+    row = np.full(m, -_E_MIN * 18 + 1)
+    row[live] = (e - _E_MIN) * 18 + ndig
+    text = keep.take(row, axis=0)
+    text[:, _SIGN] = np.signbit(x)
+    slow = x != 0
+    slow[live] = False
+    slow = np.flatnonzero(slow)
+    if len(slow):
+        wide = ("%-24.17g" * len(slow)) % tuple(x[slow].tolist())
+        wide = np.frombuffer(wide.encode("ascii"), dtype=np.uint8)
+        slots[slow, :_WIDE] = wide.reshape(-1, _WIDE)
+        text[slow, :_SEP] = 0
+        text[slow, :_WIDE] = slots[slow, :_WIDE] != ord(" ")
+    return np.multiply(slots, text, out=text)
+
+
 def write_rows(fh, rows) -> None:
     """Write a 2-D float array to a text file, one ``%.17g`` row per line."""
     nrows, ncols = rows.shape
     step = _block_rows(ncols)
-    line = ",".join(["%.17g"] * ncols) + "\n"
+    tables = _tables()
+    seps = np.full((min(nrows, step), ncols), ord(","), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    seps = seps.ravel()
     for start in range(0, nrows, step):
-        block = rows[start:start + step]
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+        block = np.ascontiguousarray(rows[start:start + step],
+                                     dtype=np.float64).ravel()
+        text = _slots(block, seps[:len(block)], tables)
+        fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))

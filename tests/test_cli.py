@@ -69,29 +69,36 @@ def test_curve_grid_needs_resolution_cells_per_translate_shift():
 
 
 def test_footprint_arithmetic_at_scale_20_and_30():
-    # d weights and the G x w band for every command, plus d x w bands and
-    # their scatters or the d x G basis rows; computed from the config,
-    # never allocated
+    # d weights and the G x w band's rows, values and scaled values for
+    # every command, plus its output columns with their stacked table, d x w
+    # bands and their scatters; computed from the config, never allocated
     spec = BasisSpec("daubechies4", 20, Interval(0.0, 3.0))
     d = 3 * 2 ** 20 + 2
     # the span [-2, 3 * 2**20 + 2] / 2**20 rounds to 3 * 4096 cells
     g = 3 * 4096 + 1
     assert spec.size == d
-    assert footprint(spec, 4096) == 8 * (d + 3 * g)
+    assert footprint(spec, 4096) == 8 * (d + 3 * 3 * g)
     assert footprint(spec, 4096) < MEMORY_LIMIT
-    assert footprint(spec, 4096, "fig2a") == 8 * (d + 3 * g + d * g)
+    # fig2a's columns are s, the d basis rows and the kernel diagonal
+    assert footprint(spec, 4096, "fig2a") == 8 * (
+        d + 3 * 3 * g + 2 * (d + 2) * g)
     # a scatter of P points holds P x w basis rows and values, then the
     # index, products and weighted terms of w(w + 1)/2 = 6 entries each;
-    # fig3a scatters the G grid points, then the N samples
+    # fig3a scatters the G grid points, then the N samples. Its exact curve
+    # holds zeta's quadrature weights and weighted values, and fig3b also
+    # holds the two curves it divides by the kernel diagonal.
     per_point = 2 * 3 + 3 * 6
     assert footprint(spec, 4096, "fig3a", 300) == 8 * (
-        d + 3 * g + 2 * d * 3 + g * per_point)
+        d + 3 * 3 * g + 8 * g + 2 * g + 2 * d * 3 + g * per_point + 300)
     assert footprint(spec, 4096, "fig3b", 10 ** 6) == 8 * (
-        d + 3 * g + 2 * d * 3 + 10 ** 6 * per_point)
-    assert footprint(spec, 4096, "estimate") == 8 * (d + 3 * g + d * 3)
+        d + 3 * 3 * g + 8 * g + 4 * g + 2 * d * 3 + 10 ** 6 * per_point
+        + 10 ** 6)
+    assert footprint(spec, 4096, "estimate") == 8 * (
+        d + 3 * 3 * g + 6 * g + d * 3)
     assert footprint(spec, 4096, "estimate", 300) == 8 * (
-        d + 3 * g + d * 3 + 300 * per_point)
-    assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096)
+        d + 3 * 3 * g + 6 * g + d * 3 + 300 * (per_point + 1))
+    # fig2b's 3 columns and their table: 6 G-length arrays
+    assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096) + 8 * 6 * g
     assert footprint(spec, 4096, "fig2a", 300) > MEMORY_LIMIT
     # the bands are linear in d, so only the basis rows pass the limit
     for command in ("fig3a", "fig3b", "estimate"):
@@ -103,7 +110,7 @@ def test_footprint_arithmetic_at_scale_20_and_30():
 
 def test_fig3_fits_the_memory_bound_at_scale_12():
     # d = 12 290 and G = 786 689: two d x d matrices would take 2.25 GiB,
-    # the two d x w bands and the grid scatter take 0.16 GiB
+    # fig3b's bands, grid scatter, curve columns and table take 0.26 GiB
     cfg = ExperimentConfig(scale_n=12, grid_cells=262144)
     for figure in ("fig3a", "fig3b"):
         cfg.require_memory(figure)
@@ -112,12 +119,12 @@ def test_fig3_fits_the_memory_bound_at_scale_12():
 
 
 def test_config_checks_memory_before_building_the_operator(monkeypatch):
-    # the default config's shared arrays are d = 14 weights and a
-    # 16385 x 3 band, 393 352 bytes
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 393_351)
+    # the default config's shared arrays are d = 14 weights and the rows,
+    # values and scaled values of a 16385 x 3 band: 1 179 832 bytes
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_179_831)
     with pytest.raises(ValueError, match="every command .* over the"):
         ExperimentConfig()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 393_352)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_179_832)
     assert ExperimentConfig().scale_n == 2
 
 
@@ -135,20 +142,38 @@ def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
 
 def test_estimate_counts_its_sample_file_in_the_memory_bound(
         tmp_path, capsys, monkeypatch):
-    # the default estimate holds 393 688 bytes before its samples; 100
-    # samples add a scatter of 100 x (2 x 3 + 3 x 6) values, 19 200 bytes
+    # the default estimate holds 1 966 648 bytes before its samples; 100
+    # samples add their points and a scatter of 100 x (2 x 3 + 3 x 6)
+    # values, 20 000 bytes
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n" * 100)
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 412_888)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_648)
     assert main(["estimate", str(samples), "--out", str(out)]) == 0
     capsys.readouterr()
     out.unlink()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 412_887)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_647)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
     assert "GiB limit" in err
+    assert not out.exists()
+
+
+def test_estimate_refuses_before_parsing_its_samples(
+        tmp_path, capsys, monkeypatch):
+    # the bound counts the file's 100 non-blank lines; no value is parsed
+    # until it passes, so the malformed last line is never reached
+    samples = tmp_path / "s.txt"
+    samples.write_text("1.5\n\n" * 99 + "oops\n")
+    out = tmp_path / "est.csv"
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_647)
+    assert main(["estimate", str(samples), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimate at scale_n=2, N=100 samples")
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_648)
+    assert main(["estimate", str(samples), "--out", str(out)]) == 1
+    assert "line 199: could not parse 'oops'" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,6 +19,7 @@ from densop import (
     regularized_incomplete_beta,
     save_samples,
 )
+from densop.target import count_samples
 
 UNIT = Interval(0.0, 3.0)
 
@@ -258,3 +259,10 @@ def test_load_samples_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
     assert load_samples(path).n == 0
+
+
+def test_count_samples_counts_the_lines_load_samples_reads(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text("1.5\n\n  \n2.0\n0.25")
+    assert count_samples(path) == 3
+    assert load_samples(path).points.tolist() == [1.5, 2.0, 0.25]

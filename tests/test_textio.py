@@ -1,0 +1,150 @@
+"""The table writer against CPython's own ``'%.17g' %``, byte for byte.
+
+`write_rows` computes most digits with numpy; these cases sit on the
+edges of that computation: exact ties, the bounds of its domain, rounding
+across a power of ten, and the values it hands to ``%``.
+"""
+
+from __future__ import annotations
+
+import io
+from decimal import Decimal
+
+import numpy as np
+import pytest
+
+from densop.cli import _estimate_table, _figure_table, _write_table
+from densop.config import ExperimentConfig
+from densop.target import save_samples
+from densop.textio import write_rows
+
+
+def _reference(rows) -> str:
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in rows.tolist())
+
+
+def _written(rows) -> str:
+    fh = io.StringIO()
+    write_rows(fh, rows)
+    return fh.getvalue()
+
+
+def _assert_matches(values, ncols=1):
+    values = np.asarray(values, dtype=float)
+    values = np.resize(values, -(-values.size // ncols) * ncols)
+    rows = values.reshape(-1, ncols)
+    written, expected = _written(rows), _reference(rows)
+    if written != expected:
+        pairs = zip(written.splitlines(), expected.splitlines())
+        bad = [(w, e) for w, e in pairs if w != e][:5]
+        pytest.fail(f"write_rows differs from %.17g: {bad}")
+
+
+def _is_tie(x: float) -> bool:
+    # exactly half way between two 17-digit decimals
+    digits = Decimal(x).as_tuple().digits
+    return len(digits) == 18 and digits[17] == 5
+
+
+def test_exact_ties_round_half_to_even():
+    # (2j + 1) * 2**-m has m fractional decimal digits, the last a 5; with
+    # 18 significant digits it is a tie at 17. Every one is a multiple of
+    # 2**-20 in [1e-3, 1e3].
+    rng = np.random.default_rng(20)
+    ties = []
+    for m, lo, hi in [(15, 100, 1000), (16, 10, 100), (17, 1, 10),
+                      (18, 0.1, 1), (19, 0.01, 0.1), (20, 0.001, 0.01)]:
+        odd = 2 * rng.integers(int(lo * 2 ** (m - 1)),
+                               int(hi * 2 ** (m - 1)), 2000) + 1
+        ties.append(np.ldexp(odd.astype(float), -m))
+    ties = np.concatenate(ties)
+    assert all(_is_tie(x) for x in ties)
+    # the digit before the 5 is even for some and odd for others
+    kept = {Decimal(x).as_tuple().digits[16] % 2 for x in ties}
+    assert kept == {0, 1}
+    _assert_matches(ties)
+    _assert_matches(-ties, ncols=3)
+    # and random multiples of 2**-20 over the whole of [1e-4, 1e3]
+    k = np.exp(rng.uniform(np.log(1e-4 * 2 ** 20), np.log(1e3 * 2 ** 20),
+                           200_000)).round()
+    _assert_matches(np.ldexp(k, -20), ncols=3)
+
+
+def test_neighbours_of_the_domain_bounds_and_powers_of_ten():
+    values = []
+    for v in (1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e14, 1e15, 1e16, 1e17):
+        below = above = v
+        for _ in range(8):
+            below = np.nextafter(below, 0.0)
+            above = np.nextafter(above, np.inf)
+            values += [below, above]
+        values.append(v)
+    values = np.array(values)
+    _assert_matches(np.concatenate([values, -values]))
+
+
+def test_rounding_up_across_a_power_of_ten():
+    # each rounds to 1 followed by 16 zeros, one decade up
+    values = np.array([9.9999999999999999e-5, 0.99999999999999999,
+                       9.99999999999999999e-7, 9.99999999999999999e14,
+                       99.999999999999999, 9.9999999999999999e-4])
+    _assert_matches(np.concatenate([values, -values]), ncols=4)
+
+
+def test_zeros_subnormals_and_non_finite_values():
+    tiny = np.finfo(float).tiny
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
+                       np.nextafter(tiny, 0.0), 1e-310, np.nan, -np.nan,
+                       np.inf, -np.inf, np.finfo(float).max])
+    assert _written(np.array([[0.0, -0.0]])) == "0,-0\n"
+    _assert_matches(values)
+    _assert_matches(values, ncols=3)
+
+
+def test_zeros_among_other_values():
+    # most of fig2a's values are zeros; the others still get their digits
+    rng = np.random.default_rng(5)
+    values = 10.0 ** rng.uniform(-8, 17, 20_000) * rng.choice([-1, 1], 20_000)
+    values[rng.random(20_000) < 0.9] = 0.0
+    values[rng.random(20_000) < 0.05] *= -0.0
+    _assert_matches(values, ncols=388)
+    _assert_matches(values, ncols=3)
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    _assert_matches(values)
+    _assert_matches(values, ncols=3)
+
+
+def _savetxt(names, cols) -> bytes:
+    fh = io.BytesIO()
+    np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
+               header=",".join(names), comments="")
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("figure", ["fig2a", "fig2b", "fig3a", "fig3b"])
+def test_figure_tables_match_savetxt(tmp_path, figure):
+    names, cols = _figure_table(figure, ExperimentConfig())
+    path = tmp_path / f"{figure}.csv"
+    _write_table(str(path), names, cols)
+    assert path.read_bytes() == _savetxt(names, cols)
+
+
+def test_estimate_table_and_sample_file_match_savetxt(tmp_path):
+    cfg = ExperimentConfig()
+    samples = tmp_path / "samples.txt"
+    points = cfg.target().sample(300, seed=3).points
+    save_samples(samples, points)
+    expected = io.BytesIO()
+    np.savetxt(expected, points, fmt="%.17g")
+    assert samples.read_bytes() == expected.getvalue()
+
+    names, cols = _estimate_table(str(samples), cfg)
+    path = tmp_path / "estimate.csv"
+    _write_table(str(path), names, cols)
+    assert path.read_bytes() == _savetxt(names, cols)
