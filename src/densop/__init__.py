@@ -46,18 +46,14 @@ from .embedding import (
 )
 from .learn import (
     DensityCurve,
-    GaussianNoise,
     MapCoefficients,
     SampleSet,
     embedded_density_exact,
     embedded_density_map,
-    homogeneous_log_prior,
     log_posterior_coefficients,
     log_posterior_discrete,
-    log_posterior_position,
     map_coefficients,
     normalized_ratio,
-    quadratic_penalty_log_prior,
 )
 from .target import (
     BetaTarget,
@@ -77,7 +73,6 @@ __all__ = [
     "DiscreteDistribution",
     "EmbeddingOperator",
     "ExperimentConfig",
-    "GaussianNoise",
     "Grid",
     "Interval",
     "MapCoefficients",
@@ -95,7 +90,6 @@ __all__ = [
     "ensemble_from_distribution",
     "eval_father",
     "gram_check",
-    "homogeneous_log_prior",
     "kernel_diag",
     "kernel_eval",
     "kernel_matrix",
@@ -103,13 +97,11 @@ __all__ = [
     "load_samples",
     "log_posterior_coefficients",
     "log_posterior_discrete",
-    "log_posterior_position",
     "map_coefficients",
     "normalized_ratio",
     "parse_config",
     "probability_from_coefficients",
     "quadratic_form",
-    "quadratic_penalty_log_prior",
     "regularized_incomplete_beta",
     "save_samples",
     "scaling_values_daub4",

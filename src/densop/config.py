@@ -7,8 +7,8 @@ one nonnegative value per basis translate.
 
 Two limits hold for every command. Its curve grid must resolve the
 translates: grid_cells >= RESOLUTION * 2**scale_n, checked when the grid
-is built. Its main arrays must fit in MEMORY_LIMIT bytes, checked from the
-config alone before anything is allocated.
+is built. What it holds at its peak must fit in MEMORY_LIMIT bytes,
+checked from the config alone before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,9 +19,15 @@ from dataclasses import dataclass
 from .basis import BasisSpec, Grid, Interval, _require_resolution
 from .embedding import EmbeddingOperator
 from .target import BetaTarget
+from .textio import _block_rows
 
-#: Bytes that the main arrays of one command may take; see `footprint`.
+#: Bytes that one command may hold at its peak; see `footprint`.
 MEMORY_LIMIT = 2 ** 30
+#: Values that the beta sampler holds per sample at its peak (24 to 35
+#: measured for shapes (0.05, 200) to (200, 0.05)), and that the table
+#: writer holds per value of its block (at most 30 measured).
+SAMPLER_VALUES = 36
+WRITER_VALUES = 32
 
 #: The header of each command's table, one name per column. fig2a also
 #: has one column phi_k per basis translate k, right after "s".
@@ -36,37 +42,44 @@ TABLE_COLUMNS = {
 
 def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
               n_samples: int = 0) -> int:
-    """Bytes of the main arrays `command` allocates, from d, G, w and N.
+    """Bytes of the arrays `command` holds at its peak, from d, G, w and N.
 
-    Every command holds the d operator weights and, for its curve grid of
-    G points, the G x w rows, values and scaled values of the basis band.
-    It also holds its output columns and the G x ncols table they are
-    stacked into, with ncols from TABLE_COLUMNS; fig2a's columns include
-    the d basis rows. fig3a and fig3b add two d x w coefficient bands
-    and, in the exact curve, zeta's quadrature weights and weighted
-    values; fig3b also holds the two curves its ratios divide. estimate
-    adds one band. A band is scattered from points: the P x w rows and
-    values of their basis band, then the index, the products and the
-    weighted terms of the w(w + 1)/2 upper-triangle entries of each
-    point's w x w block. fig3a and fig3b scatter the G grid points, then
-    their N = n_samples sampled points; estimate scatters the N points it
-    read. None counts only the part every command shares, without a
-    table. Nothing is allocated.
+    A command holds its d operator weights and its table's columns of G
+    values, ncols from TABLE_COLUMNS (fig2a's include the d basis rows).
+    fig3a and fig3b also hold two d x w coefficient bands and N = n_samples
+    sampled points, fig3b the two curves its ratios divide, and estimate
+    one band and the N points it read. On top of that it holds the largest
+    of its passing temporaries, counted per point:
+    - basis_band, for a curve on the grid: the scaled point, then the
+      index, argument and value of each of the w live translates and two
+      clip temporaries, 1 + 4w values; Daubechies 4's table lookup holds
+      about six more per translate, so 1 + 10w;
+    - coefficient_band, scattering the grid or the samples: one weight and
+      the larger of the basis band and the rows, values and four arrays
+      for each of the w(w + 1)/2 entries of the band it adds to;
+    - the beta sampler of fig3a and fig3b: SAMPLER_VALUES per sample;
+    - the write: the stacked table and WRITER_VALUES per block value.
+    None counts what every command shares: the weights, the grid points
+    and one curve. Nothing is allocated; the tests check each command's
+    tracemalloc peak against this count.
     """
     d, w = spec.size, spec.support_width
     g = round(spec.span().width * grid_cells) + 1
-    count = d + 3 * g * w
-    if command is not None:
-        ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
-        count += 2 * ncols * g
-    per_point = 2 * w + 3 * w * (w + 1) // 2
+    band = 1 + w * (4 if spec.family == "haar" else 10)
+    if command is None:
+        return 8 * (d + g + g * band)
+    ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
+    scatter = 1 + max(band, 2 * w + 2 * w * (w + 1))
+    held = table = ncols * g
+    passing = max(g * band, table + WRITER_VALUES * _block_rows(ncols) * ncols)
     if command in ("fig3a", "fig3b"):
-        extra = 2 if command == "fig3a" else 4
-        count += (extra * g + 2 * d * w + max(g, n_samples) * per_point
-                  + n_samples)
+        held += 2 * d * w + n_samples + (2 * g if command == "fig3b" else 0)
+        passing = max(passing, g * scatter,
+                      n_samples * max(scatter, SAMPLER_VALUES))
     elif command == "estimate":
-        count += d * w + n_samples * (per_point + 1)
-    return 8 * count
+        held += d * w + n_samples
+        passing = max(passing, n_samples * scatter)
+    return 8 * (d + held + passing)
 
 
 @dataclass(frozen=True)

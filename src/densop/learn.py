@@ -1,12 +1,13 @@
 """Bayesian learning of densities in coefficient form.
 
-The learning equations come in two coordinate systems that must agree: the
-position-basis posterior over a density curve, and the coefficient-basis
-posterior over a symmetric matrix in some orthonormal basis. Their
-agreement on discrete spaces is the package's central invariance check.
-Under a homogeneous prior and noiseless samples the posterior mode has a
-closed form, the empirical coefficient matrix M = (1/N) sum_i b(S_i)
-b(S_i)^T over the basis vector b(s).
+The prior is homogeneous (flat), so the log posterior of a state is its
+log likelihood, with the evidence constant dropped. On a discrete space it
+comes in two coordinate systems that must agree, with an optional noise
+matrix on the observations: over the position probabilities, and over a
+coefficient matrix in some orthonormal basis; their agreement is the
+package's central invariance check. On the interval, from noiseless
+samples, the posterior mode has a closed form, the empirical coefficient
+matrix M = (1/N) sum_i b(S_i) b(S_i)^T over the basis vector b(s).
 
 Both embedded curves are one quadratic form. The kernel-trick sums
 sum_i K(S_i, s)^2 / N and integral zeta(s') K(s, s')^2 ds' expand to
@@ -22,11 +23,6 @@ is held as the d x w band of its diagonals, band[j, o] = M[j, j + o]. One
 scatter of the points' upper w x w triangles builds it; a curve on G points
 reads w^2 entries per point, O(G w^2), with no d x d matrix. The sums are
 fixed-order with no BLAS call: bit-identical at any BLAS thread count.
-
-Noisy embedded learning has no closed form; for that case only the
-posterior evaluator `log_posterior_position` is provided (it accepts any
-density curve, embedded or not) and `map_coefficients` refuses noisy
-input rather than silently returning the wrong estimator.
 """
 
 from __future__ import annotations
@@ -39,7 +35,6 @@ import numpy as np
 from .basis import (
     BasisSpec,
     Grid,
-    Interval,
     band_to_dense,
     coefficient_band,
     quadratic_form,
@@ -52,48 +47,11 @@ from .embedding import (
 )
 
 
-@dataclass(frozen=True)
-class GaussianNoise:
-    """Gaussian measurement kernel truncated and renormalized on an interval.
-
-    density(center, s) integrates to 1 over s in the interval for every
-    fixed center, which is what makes the posterior a proper likelihood on
-    a bounded domain.
-    """
-
-    sigma: float
-    interval: Interval
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-
-    def density(self, center: float, s):
-        s = np.asarray(s, dtype=float)
-        z = (s - center) / self.sigma
-        root2 = math.sqrt(2.0)
-        norm = 0.5 * (
-            math.erf((self.interval.hi - center) / (self.sigma * root2))
-            - math.erf((self.interval.lo - center) / (self.sigma * root2))
-        )
-        if norm <= 0:
-            raise ValueError(
-                f"noise kernel mass vanishes for center {center}"
-            )
-        raw = np.exp(-0.5 * z * z) / (self.sigma * math.sqrt(2.0 * math.pi))
-        out = np.where(
-            (s >= self.interval.lo) & (s <= self.interval.hi), raw / norm, 0.0
-        )
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Ordered sample points with seed provenance and an optional noise kernel."""
+    """Noiseless sample points, in order, as one read-only vector."""
 
     points: np.ndarray
-    seed: int | None = None
-    noise: GaussianNoise | None = None
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=float)
@@ -165,51 +123,6 @@ class MapCoefficients:
         return float(np.sum(self.band[:, 0]))
 
 
-def homogeneous_log_prior(_state) -> float:
-    """The flat prior: every state is equally likely a priori."""
-    return 0.0
-
-
-def quadratic_penalty_log_prior(strength: float = 1.0):
-    """Log prior -strength * sum of squared entries of a coefficient matrix."""
-    if strength < 0:
-        raise ValueError(f"strength must be >= 0, got {strength}")
-
-    def prior(state) -> float:
-        arr = np.asarray(getattr(state, "matrix", state), dtype=float)
-        return -strength * float(np.sum(arr * arr))
-
-    return prior
-
-
-def log_posterior_position(prior_log, zeta: DensityCurve, samples: SampleSet) -> float:
-    """Unnormalized log posterior of a density curve given samples.
-
-    With no noise kernel the likelihood of a sample is the curve value at
-    the sample point, linearly interpolated on the grid; with Gaussian
-    noise it is the quadrature of noise.density(S_i, .) against the curve.
-    A sample with zero likelihood returns -inf (the evidence constant is
-    dropped throughout, so only differences of return values mean anything).
-    """
-    if samples.n == 0:
-        raise ValueError("empty sample set")
-    total = 0.0
-    if samples.noise is None:
-        vals = np.interp(samples.points, zeta.grid.points, zeta.values)
-        if np.any(vals <= 0.0):
-            return -math.inf
-        total = float(np.sum(np.log(vals)))
-    else:
-        for s_i in samples.points:
-            like = zeta.grid.integrate(
-                samples.noise.density(float(s_i), zeta.grid.points) * zeta.values
-            )
-            if like <= 0.0:
-                return -math.inf
-            total += math.log(like)
-    return float(prior_log(zeta)) + total
-
-
 def _check_noise_matrix(noise_matrix, d: int) -> np.ndarray:
     noise = np.asarray(noise_matrix, dtype=float)
     if noise.shape != (d, d):
@@ -236,13 +149,15 @@ def _log_likelihood(observed, sample_indices) -> float:
     return total
 
 
-def log_posterior_discrete(prior_log, probabilities, sample_indices,
+def log_posterior_discrete(probabilities, sample_indices,
                            noise_matrix=None) -> float:
     """Position-basis log posterior on a discrete sample space.
 
     `probabilities` is the distribution Z over states (a DiscreteDistribution
     or bare vector); `noise_matrix[true, observed]` is row-stochastic. The
-    likelihood of observing index b is then (Z @ noise)[b].
+    likelihood of observing index b is then (Z @ noise)[b]. Under the flat
+    prior the log posterior is the log likelihood, with the evidence
+    constant dropped.
     """
     z = np.asarray(getattr(probabilities, "probabilities", probabilities),
                    dtype=float)
@@ -250,10 +165,10 @@ def log_posterior_discrete(prior_log, probabilities, sample_indices,
         raise ValueError("probabilities must form a vector")
     observed = z if noise_matrix is None else z @ _check_noise_matrix(
         noise_matrix, z.size)
-    return float(prior_log(z)) + _log_likelihood(observed, sample_indices)
+    return _log_likelihood(observed, sample_indices)
 
 
-def log_posterior_coefficients(prior_log, w, unitary, sample_indices,
+def log_posterior_coefficients(w, unitary, sample_indices,
                                noise_matrix=None) -> float:
     """Log posterior computed entirely in an arbitrary orthonormal basis.
 
@@ -262,8 +177,8 @@ def log_posterior_coefficients(prior_log, w, unitary, sample_indices,
     probabilities are recovered through the double contraction
     p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]) rather than by transforming
     w back, so agreement with `log_posterior_discrete` exercises a
-    genuinely different computation route. For priors that do not depend on
-    the coordinate system (the homogeneous default), the two are equal.
+    genuinely different computation route. Under the flat prior both are
+    the log likelihood, so the two are equal.
     """
     w = np.asarray(getattr(w, "entries", w))
     u = np.asarray(getattr(unitary, "columns", unitary))
@@ -279,21 +194,14 @@ def log_posterior_coefficients(prior_log, w, unitary, sample_indices,
     p = np.einsum("jk,kl,jl->j", u, w, np.conj(u)).real
     observed = p if noise_matrix is None else p @ _check_noise_matrix(
         noise_matrix, d)
-    return float(prior_log(w)) + _log_likelihood(observed, sample_indices)
+    return _log_likelihood(observed, sample_indices)
 
 
 def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:
     """Closed-form posterior mode under the flat prior and noiseless samples.
 
-    w(j, l) = (1/N) sum_i psi_j(S_i) psi_l(S_i). Refuses noisy sample sets,
-    for which the closed form is invalid; evaluate the posterior through
-    log_posterior_position instead.
+    w(j, l) = (1/N) sum_i psi_j(S_i) psi_l(S_i).
     """
-    if samples.noise is not None:
-        raise ValueError(
-            "closed-form MAP requires non-noisy samples; use "
-            "log_posterior_position for noisy data"
-        )
     if samples.n == 0:
         raise ValueError("empty sample set")
     ones = np.ones(samples.n)
@@ -341,7 +249,7 @@ def embedded_density_map(A: EmbeddingOperator, samples: SampleSet,
 
     Evaluated as the quadratic form of the closed-form MAP matrix M, with
     tr = sum_j alpha_j^2 M_jj, the mean kernel diagonal over the samples.
-    Requires a nonempty, non-noisy sample set with a nonzero trace.
+    Requires a nonempty sample set with a nonzero trace.
     """
     band = map_coefficients(samples, A.basis).band
     return _embedded_curve(A, band, grid, VANISHING_SAMPLE_TRACE)

@@ -44,7 +44,6 @@ from .learn import (
     DensityCurve,
     embedded_density_exact,
     embedded_density_map,
-    homogeneous_log_prior,
     log_posterior_coefficients,
     log_posterior_discrete,
     map_coefficients,
@@ -294,11 +293,9 @@ def posterior_coordinate_invariance(rng, trials: int) -> float:
             if i % 2:
                 noise = rng.random((d, d)) + 0.05
                 noise /= noise.sum(axis=1, keepdims=True)
-            by_position = log_posterior_discrete(
-                homogeneous_log_prior, z[k], draws, noise)
+            by_position = log_posterior_discrete(z[k], draws, noise)
             by_coefficients = log_posterior_coefficients(
-                homogeneous_log_prior, w.entries[k], u.columns[k], draws,
-                noise)
+                w.entries[k], u.columns[k], draws, noise)
             worst = max(worst, abs(by_position - by_coefficients))
     return worst
 

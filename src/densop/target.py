@@ -268,7 +268,7 @@ class BetaTarget:
             np.nextafter(self.interval.lo, self.interval.hi),
             np.nextafter(self.interval.hi, self.interval.lo),
         )
-        return SampleSet(points=s, seed=seed, noise=None)
+        return SampleSet(points=s)
 
 
 def save_samples(path, samples) -> None:
@@ -289,12 +289,11 @@ def load_samples(path, interval: Interval | None = None) -> SampleSet:
 
     Blank lines are ignored. A malformed line, or with `interval` a value
     outside it, raises ValueError naming the line number in the file. The
-    values go straight into one float64 array, with no list of Python
-    floats. The returned set carries no seed provenance.
+    values go straight into one float64 array, with no list of Python floats.
     """
     with open(path) as fh:
         points = np.fromiter(_parse_samples(path, fh, interval), dtype=float)
-    return SampleSet(points=points, seed=None)
+    return SampleSet(points=points)
 
 
 def _parse_samples(path, fh, interval: Interval | None):

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,10 +27,17 @@ from densop import (
     load_config,
     map_coefficients,
     parse_config,
+    save_samples,
 )
 from densop import config as config_module
 from densop.basis import RESOLUTION
-from densop.cli import FIGURES, _write_table, main
+from densop.cli import (
+    FIGURES,
+    _estimate_table,
+    _figure_table,
+    _write_table,
+    main,
+)
 from densop.config import MEMORY_LIMIT, footprint
 from densop.oracles import run_suite
 from densop.textio import _block_rows
@@ -69,40 +77,54 @@ def test_curve_grid_needs_resolution_cells_per_translate_shift():
 
 
 def test_footprint_arithmetic_at_scale_20_and_30():
-    # d weights and the G x w band's rows, values and scaled values for
-    # every command, plus its output columns with their stacked table, d x w
-    # bands and their scatters; computed from the config, never allocated
+    # d weights and the table's G-value columns, plus the largest passing
+    # temporary: a curve's basis band of 1 + 10w = 31 values per point, a
+    # scatter of 1 + max(31, 2w + 2w(w + 1)) = 32, the sampler's 36 or the
+    # stacked table with the writer's block; computed, never allocated
     spec = BasisSpec("daubechies4", 20, Interval(0.0, 3.0))
     d = 3 * 2 ** 20 + 2
     # the span [-2, 3 * 2**20 + 2] / 2**20 rounds to 3 * 4096 cells
     g = 3 * 4096 + 1
     assert spec.size == d
-    assert footprint(spec, 4096) == 8 * (d + 3 * 3 * g)
+    # every command holds the weights, the grid points and one curve
+    assert footprint(spec, 4096) == 8 * (d + g + 31 * g)
     assert footprint(spec, 4096) < MEMORY_LIMIT
-    # fig2a's columns are s, the d basis rows and the kernel diagonal
+    # fig2a's d + 2 columns are s, the d basis rows and the kernel
+    # diagonal; its row is wider than a 4096-value block, so the writer's
+    # block is one row
+    assert _block_rows(d + 2) == 1
     assert footprint(spec, 4096, "fig2a") == 8 * (
-        d + 3 * 3 * g + 2 * (d + 2) * g)
-    # a scatter of P points holds P x w basis rows and values, then the
-    # index, products and weighted terms of w(w + 1)/2 = 6 entries each;
-    # fig3a scatters the G grid points, then the N samples. Its exact curve
-    # holds zeta's quadrature weights and weighted values, and fig3b also
-    # holds the two curves it divides by the kernel diagonal.
-    per_point = 2 * 3 + 3 * 6
+        d + 2 * (d + 2) * g + 32 * (d + 2))
+    # fig3a holds 4 columns, two d x w bands and its N samples; at N = 300
+    # the scatter of the G grid points is its largest temporary
     assert footprint(spec, 4096, "fig3a", 300) == 8 * (
-        d + 3 * 3 * g + 8 * g + 2 * g + 2 * d * 3 + g * per_point + 300)
+        d + 4 * g + 2 * d * 3 + 300 + 32 * g)
+    # fig3b also holds the two curves it divides; at N = 10**6 the
+    # sampler's 36 values per sample are the largest temporary
     assert footprint(spec, 4096, "fig3b", 10 ** 6) == 8 * (
-        d + 3 * 3 * g + 8 * g + 4 * g + 2 * d * 3 + 10 ** 6 * per_point
-        + 10 ** 6)
+        d + 6 * g + 2 * d * 3 + 10 ** 6 + 36 * 10 ** 6)
+    # estimate holds 3 columns, one band and its N points; 300 points
+    # scatter less than one curve holds
     assert footprint(spec, 4096, "estimate") == 8 * (
-        d + 3 * 3 * g + 6 * g + d * 3)
+        d + 3 * g + d * 3 + 31 * g)
     assert footprint(spec, 4096, "estimate", 300) == 8 * (
-        d + 3 * 3 * g + 6 * g + d * 3 + 300 * (per_point + 1))
-    # fig2b's 3 columns and their table: 6 G-length arrays
-    assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096) + 8 * 6 * g
+        d + 3 * g + d * 3 + 300 + 31 * g)
+    assert footprint(spec, 4096, "estimate", 10 ** 6) == 8 * (
+        d + 3 * g + d * 3 + 10 ** 6 + 32 * 10 ** 6)
+    # fig2b's 3 columns beside one curve
+    assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096) + 8 * 2 * g
     assert footprint(spec, 4096, "fig2a", 300) > MEMORY_LIMIT
     # the bands are linear in d, so only the basis rows pass the limit
     for command in ("fig3a", "fig3b", "estimate"):
         assert footprint(spec, 4096, command, 300) < MEMORY_LIMIT
+    # Haar's basis band holds 1 + 4w = 5 values per point and its scatter
+    # 1 + max(5, 2w + 2w(w + 1)) = 7; at 65536 cells per unit the grid
+    # scatter outweighs fig3a's table and writer block
+    haar = BasisSpec("haar", 20, Interval(0.0, 3.0))
+    d, g = 3 * 2 ** 20, 3 * 65536 + 1
+    assert footprint(haar, 65536) == 8 * (d + g + 5 * g)
+    assert footprint(haar, 65536, "fig3a", 300) == 8 * (
+        d + 4 * g + 2 * d + 300 + 7 * g)
     # at scale 30 the d weights alone take about 26 GB
     spec = BasisSpec("daubechies4", 30, Interval(0.0, 3.0))
     assert footprint(spec, 4096) > 8 * 3 * 2 ** 30 > 25e9 > MEMORY_LIMIT
@@ -110,7 +132,7 @@ def test_footprint_arithmetic_at_scale_20_and_30():
 
 def test_fig3_fits_the_memory_bound_at_scale_12():
     # d = 12 290 and G = 786 689: two d x d matrices would take 2.25 GiB,
-    # fig3b's bands, grid scatter, curve columns and table take 0.26 GiB
+    # fig3b's bands, columns, curves and grid scatter take 0.22 GiB
     cfg = ExperimentConfig(scale_n=12, grid_cells=262144)
     for figure in ("fig3a", "fig3b"):
         cfg.require_memory(figure)
@@ -118,13 +140,45 @@ def test_fig3_fits_the_memory_bound_at_scale_12():
         cfg.require_memory("fig2a")
 
 
+@pytest.mark.parametrize("command", [*FIGURES, "estimate"])
+@pytest.mark.parametrize("changes", [
+    {}, {"family": "haar"}, {"n_samples": 20000},
+    {"family": "haar", "n_samples": 20000},
+], ids=["defaults", "haar", "n20000", "haar-n20000"])
+def test_command_peak_is_within_its_footprint(tmp_path, command, changes):
+    # tracemalloc sees numpy's allocations. The first run fills the
+    # per-process caches (the cascade table, the sampler's bracket table
+    # and the writer's digit tables); the second is measured.
+    cfg = ExperimentConfig(**changes)
+    samples = str(tmp_path / "samples.txt")
+    save_samples(samples, cfg.target().sample(cfg.n_samples, 5))
+
+    def run():
+        if command == "estimate":
+            names, cols = _estimate_table(samples, cfg)
+        else:
+            names, cols = _figure_table(command, cfg)
+        _write_table(str(tmp_path / "out.csv"), names, cols)
+
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    need = footprint(cfg.basis(), cfg.grid_cells, command, cfg.n_samples)
+    assert peak <= need
+
+
 def test_config_checks_memory_before_building_the_operator(monkeypatch):
-    # the default config's shared arrays are d = 14 weights and the rows,
-    # values and scaled values of a 16385 x 3 band: 1 179 832 bytes
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_179_831)
+    # the default config's shared arrays are d = 14 weights, the 16385 grid
+    # points and a curve's basis band of 31 values per point: 4 194 672
+    # bytes
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 4_194_671)
     with pytest.raises(ValueError, match="every command .* over the"):
         ExperimentConfig()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_179_832)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 4_194_672)
     assert ExperimentConfig().scale_n == 2
 
 
@@ -142,17 +196,17 @@ def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
 
 def test_estimate_counts_its_sample_file_in_the_memory_bound(
         tmp_path, capsys, monkeypatch):
-    # the default estimate holds 1 966 648 bytes before its samples; 100
-    # samples add their points and a scatter of 100 x (2 x 3 + 3 x 6)
-    # values, 20 000 bytes
+    # the default estimate holds 4 457 168 bytes before its samples; 100
+    # samples add their 800 bytes of points, and their scatter of 100 x 32
+    # values is smaller than the curve's basis band
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n" * 100)
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_648)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 4_457_968)
     assert main(["estimate", str(samples), "--out", str(out)]) == 0
     capsys.readouterr()
     out.unlink()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_647)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 4_457_967)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
@@ -167,11 +221,11 @@ def test_estimate_refuses_before_parsing_its_samples(
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n\n" * 99 + "oops\n")
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_647)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 4_457_967)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 1_986_648)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 4_457_968)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     assert "line 199: could not parse 'oops'" in capsys.readouterr().err
     assert not out.exists()
@@ -796,6 +850,11 @@ def test_run_suite_all_green():
         assert len(match[2].replace(".", "").lstrip("0")) <= 3, r.line()
         assert abs(float(match[1]) - r.tolerance) <= 5e-3 * r.tolerance, \
             r.line()
+
+
+def test_every_exported_name_resolves():
+    assert densop.__all__
+    assert [name for name in densop.__all__ if not hasattr(densop, name)] == []
 
 
 def test_run_suite_rejects_unknown_names():
