@@ -220,16 +220,31 @@ class BasisSpec:
 
 
 def _mother_daub4(x: np.ndarray, table_level: int) -> np.ndarray:
-    """Mother tap-4 scaling function, linear interpolation on the table."""
+    """Mother tap-4 scaling function, linear interpolation on the table.
+
+    One full-width lookup, with no gather of the lanes inside (0, 3): a
+    lane outside, NaN and inf included, reads the table at t = 0 and is
+    zeroed at the end, so no lane ever casts a non-finite t. Inside, t =
+    x * 2**table_level is positive, so the int cast truncates it to its
+    floor, and the clamp keeps i + 1 in the table. Each lane then
+    computes table[i] * (1 - f) + table[i + 1] * f, the same operations
+    in the same order as a per-lane loop would.
+    """
     table = scaling_values_daub4(table_level)
-    out = np.zeros_like(x)
     inside = (x > 0.0) & (x < 3.0)
-    if np.any(inside):
-        t = x[inside] * 2 ** table_level
-        i = np.floor(t).astype(np.int64)
-        np.clip(i, 0, table.size - 2, out=i)
-        frac = t - i
-        out[inside] = table[i] * (1.0 - frac) + table[i + 1] * frac
+    t = np.where(inside, x, 0.0)
+    t *= 2 ** table_level
+    i = t.astype(np.int64)
+    np.minimum(i, table.size - 2, out=i)
+    t -= i
+    out = table.take(i)
+    after = table[1:].take(i)
+    del i
+    after *= t
+    np.subtract(1.0, t, out=t)
+    out *= t
+    out += after
+    np.copyto(out, 0.0, where=~inside)
     return out
 
 
@@ -238,7 +253,9 @@ def _father(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     amp = 2.0 ** (spec.scale_n / 2.0)
     if spec.family == "haar":
         return np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
-    return amp * _mother_daub4(x, spec.table_level)
+    out = _mother_daub4(x, spec.table_level)
+    out *= amp
+    return out
 
 
 def eval_father(spec: BasisSpec, k: int, s) -> np.ndarray:
@@ -261,16 +278,19 @@ def basis_band(spec: BasisSpec, s_values):
     Daubechies 4: those with k in {floor(2**n s) - w + 1, ..., floor(2**n s)}.
     Row indices count from the first translate of the family; a translate
     outside translate_range gets value 0 and a clipped index. Values are
-    bit-identical to eval_father, which computes the same x = 2**n s - k.
+    bit-identical to eval_father, which computes the same x = 2**n s - k
+    and reads the table through the same lookup: every lane goes through
+    it, since a lane outside the support comes out 0 whatever it reads.
     """
     s = np.asarray(s_values, dtype=float).ravel()
     x0 = s * 2 ** spec.scale_n
-    ks = np.floor(x0).astype(np.int64)[:, None] + np.arange(
+    rows = np.floor(x0).astype(np.int64)[:, None] + np.arange(
         1 - spec.support_width, 1)
-    values = _father(spec, x0[:, None] - ks)
-    k_min, k_max = spec.translate_range
-    values[(ks < k_min) | (ks > k_max)] = 0.0
-    return np.clip(ks - k_min, 0, spec.size - 1), values
+    values = _father(spec, x0[:, None] - rows)
+    rows -= spec.translate_range[0]
+    np.copyto(values, 0.0, where=(rows < 0) | (rows >= spec.size))
+    np.clip(rows, 0, spec.size - 1, out=rows)
+    return rows, values
 
 
 def basis_matrix(spec: BasisSpec, s_values) -> np.ndarray:
@@ -288,6 +308,9 @@ def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
 
     Entry [j, o] is M[j, j + o]. Each point adds the upper triangle of its
     w x w block by one bincount scatter, in point order: bit-reproducible.
+    The products (v_a * v_b) * weight and their flat indices are written
+    column by column into point-major arrays, so bincount adds the same
+    terms in the same order as from a per-point loop.
     """
     rows, values = basis_band(spec, s_values)
     weights = np.asarray(weights, dtype=float).ravel()
@@ -297,9 +320,14 @@ def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
             f"{rows.shape[0]} points"
         )
     d, w = spec.size, spec.support_width
-    a, b = np.triu_indices(w)
-    terms = values[:, a] * values[:, b] * weights[:, None]
-    flat = rows[:, a] * w + (b - a)
+    pairs = list(zip(*np.triu_indices(w)))
+    terms = np.empty((rows.shape[0], len(pairs)))
+    flat = np.empty(terms.shape, dtype=np.int64)
+    for c, (a, b) in enumerate(pairs):
+        np.multiply(values[:, a], values[:, b], out=terms[:, c])
+        terms[:, c] *= weights
+        np.multiply(rows[:, a], w, out=flat[:, c])
+        flat[:, c] += b - a
     out = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=d * w)
     return out.reshape(d, w)
 
@@ -318,15 +346,22 @@ def quadratic_form(spec: BasisSpec, band, s_values, scale) -> np.ndarray:
     """b(s)^T diag(scale) M diag(scale) b(s) at each point, in O(P w^2).
 
     `band` holds M's w diagonals and `scale` one factor per translate; only
-    the w x w block of M that the point's live translates select is read.
+    the w x w block of M that the point's live translates select is read,
+    each of its w(w + 1)/2 distinct entries once. The w^2 terms
+    (u_a * M_ab) * u_b are summed in row-major order.
     """
     band = np.asarray(band, dtype=float)
-    rows, values = basis_band(spec, s_values)
-    u = values * np.asarray(scale, dtype=float)[rows]
+    rows, u = basis_band(spec, s_values)
+    u *= np.asarray(scale, dtype=float)[rows]
+    w = rows.shape[1]
+    entry = {(a, b): band[rows[:, a], b - a]
+             for a, b in zip(*np.triu_indices(w))}
     out = np.zeros(rows.shape[0])
-    for a in range(rows.shape[1]):
-        for b in range(rows.shape[1]):
-            out += u[:, a] * band[rows[:, min(a, b)], abs(a - b)] * u[:, b]
+    for a in range(w):
+        for b in range(w):
+            term = u[:, a] * entry[min(a, b), max(a, b)]
+            term *= u[:, b]
+            out += term
     return out
 
 

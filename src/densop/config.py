@@ -18,14 +18,15 @@ from dataclasses import dataclass
 
 from .basis import BasisSpec, Grid, Interval, _require_resolution
 from .embedding import EmbeddingOperator
-from .target import BetaTarget
+from .target import SAMPLE_CHUNK, BetaTarget
 from .textio import _block_rows
 
 #: Bytes that one command may hold at its peak; see `footprint`.
 MEMORY_LIMIT = 2 ** 30
-#: Values that the beta sampler holds per sample at its peak (24 to 35
-#: measured for shapes (0.05, 200) to (200, 0.05)), and that the table
-#: writer holds per value of its block (at most 30 measured).
+#: Values that the beta sampler holds per lane of its quantile chunk at
+#: its peak (23 to 34 measured for shapes (1, 1) to (0.05, 200)),
+#: and that the table writer holds per value of its block (at most 30
+#: measured).
 SAMPLER_VALUES = 36
 WRITER_VALUES = 32
 
@@ -51,13 +52,15 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
     one band and the N points it read. On top of that it holds the largest
     of its passing temporaries, counted per point:
     - basis_band, for a curve on the grid: the scaled point, then the
-      index, argument and value of each of the w live translates and two
-      clip temporaries, 1 + 4w values; Daubechies 4's table lookup holds
-      about six more per translate, so 1 + 10w;
+      index, argument and value of each of the w live translates, 1 + 3w
+      values; Daubechies 4's table lookup also holds the scaled argument,
+      the table index and the second table read of each, 1 + 6w; their
+      one-byte masks add under one more, so 2 + 3w and 2 + 6w;
     - coefficient_band, scattering the grid or the samples: one weight and
-      the larger of the basis band and the rows, values and four arrays
-      for each of the w(w + 1)/2 entries of the band it adds to;
-    - the beta sampler of fig3a and fig3b: SAMPLER_VALUES per sample;
+      the larger of the basis band and the rows, values, products and
+      flat indices of the w(w + 1)/2 entries of the band it adds to;
+    - the beta sampler of fig3a and fig3b: its N uniforms and
+      SAMPLER_VALUES per lane of one SAMPLE_CHUNK;
     - the write: the stacked table and WRITER_VALUES per block value.
     None counts what every command shares: the weights, the grid points
     and one curve. Nothing is allocated; the tests check each command's
@@ -65,17 +68,17 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
     """
     d, w = spec.size, spec.support_width
     g = round(spec.span().width * grid_cells) + 1
-    band = 1 + w * (4 if spec.family == "haar" else 10)
+    band = 2 + w * (3 if spec.family == "haar" else 6)
     if command is None:
         return 8 * (d + g + g * band)
     ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
-    scatter = 1 + max(band, 2 * w + 2 * w * (w + 1))
+    scatter = 1 + max(band, 2 * w + w * (w + 1))
     held = table = ncols * g
     passing = max(g * band, table + WRITER_VALUES * _block_rows(ncols) * ncols)
     if command in ("fig3a", "fig3b"):
         held += 2 * d * w + n_samples + (2 * g if command == "fig3b" else 0)
-        passing = max(passing, g * scatter,
-                      n_samples * max(scatter, SAMPLER_VALUES))
+        sampler = min(n_samples, SAMPLE_CHUNK) * SAMPLER_VALUES + n_samples
+        passing = max(passing, g * scatter, n_samples * scatter, sampler)
     elif command == "estimate":
         held += d * w + n_samples
         passing = max(passing, n_samples * scatter)

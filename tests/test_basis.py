@@ -272,6 +272,50 @@ def test_band_matrix_equals_eval_father_bitwise(family, scale_n):
     assert rows.min() >= 0 and rows.max() < spec.size
 
 
+def scalar_father(spec, k, s):
+    # reference: phi_nk(s) in scalar Python arithmetic straight from the
+    # cascade table, the linear interpolation of its two neighbours
+    table = scaling_values_daub4(spec.table_level)
+    x = s * 2 ** spec.scale_n - k
+    if not 0.0 < x < 3.0:
+        return 0.0
+    t = x * 2 ** spec.table_level
+    i = min(math.floor(t), table.size - 2)
+    f = t - i
+    phi = float(table[i]) * (1.0 - f) + float(table[i + 1]) * f
+    return 2.0 ** (spec.scale_n / 2.0) * phi
+
+
+@pytest.mark.parametrize("scale_n, table_level", [(0, 12), (2, 12), (2, 3),
+                                                  (5, 12)])
+def test_daub4_lookup_equals_scalar_reference_bitwise(scale_n, table_level):
+    spec = BasisSpec("daubechies4", scale_n, UNIT, table_level=table_level)
+    step = 2.0 ** -scale_n
+    # points in (-2**-n, 0) whose 2**n s - k rounds to an integer
+    near_zero = [-1e-300, -2.0 ** -60, -1e-17, -step * 2.0 ** -53]
+    finite = np.concatenate([
+        [0.0, -0.0, 3.0, np.nextafter(3.0, 0.0), 5e-324, -5e-324],
+        near_zero, band_probe_points(spec)])
+    s = np.concatenate([finite, [np.nan, np.inf, -np.inf]])
+
+    def bits(values):
+        return np.asarray(values, dtype=float).view(np.int64)
+
+    for k in [*spec.translates, spec.translate_range[1] + 3]:
+        expect = [scalar_father(spec, int(k), float(v)) for v in s]
+        assert np.array_equal(bits(eval_father(spec, int(k), s)), bits(expect))
+    # a non-finite point has no translate index, so the band is probed at
+    # the finite points only
+    rows, values = basis_band(spec, finite)
+    first = np.floor(finite * 2 ** scale_n).astype(np.int64) - 2
+    k_min, k_max = spec.translate_range
+    for col in range(3):
+        ks = first + col
+        expect = [scalar_father(spec, int(k), float(v))
+                  if k_min <= k <= k_max else 0.0 for k, v in zip(ks, finite)]
+        assert np.array_equal(bits(values[:, col]), bits(expect))
+
+
 def test_band_is_zero_outside_the_span():
     spec = BasisSpec("daubechies4", 2, UNIT)
     span = spec.span()

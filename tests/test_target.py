@@ -19,7 +19,7 @@ from densop import (
     regularized_incomplete_beta,
     save_samples,
 )
-from densop.target import count_samples
+from densop.target import SAMPLE_CHUNK, count_samples
 
 UNIT = Interval(0.0, 3.0)
 
@@ -186,6 +186,23 @@ def test_sampler_prefix_does_not_depend_on_n(a, b):
     full = target.sample(4000, seed=17).points
     for m in (1, 2, 7, 100, 3999):
         assert target.sample(m, seed=17).points.tobytes() == full[:m].tobytes()
+
+
+def test_sampler_chunks_concatenate_to_the_whole_stream():
+    # the quantile solves SAMPLE_CHUNK lanes at a time; lanes depend on
+    # their own u alone, so the chunks join into the unchunked stream
+    target = BetaTarget(2.0, 5.0, UNIT)
+    n = 2 * SAMPLE_CHUNK + 5
+    points = target.sample(n, seed=11).points
+    u = np.random.Generator(np.random.PCG64(11)).random(n)
+    inside = (np.nextafter(UNIT.lo, UNIT.hi), np.nextafter(UNIT.hi, UNIT.lo))
+    chunks = [np.clip(target.quantile(u[i:i + SAMPLE_CHUNK]), *inside)
+              for i in range(0, n, SAMPLE_CHUNK)]
+    assert len(chunks) == 3
+    assert points.tobytes() == np.concatenate(chunks).tobytes()
+    assert points.tobytes() == np.clip(target.quantile(u), *inside).tobytes()
+    for m in (SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 3):
+        assert target.sample(m, seed=11).points.tobytes() == points[:m].tobytes()
 
 
 def test_sampler_support_strictly_inside():
