@@ -40,6 +40,10 @@ MAX_TABLE_LEVEL = 22
 #: Cells a grid needs per translate shift 2**-n: RESOLUTION * 2**n per unit.
 RESOLUTION = 64
 
+#: Points that the banded primitives evaluate at a time: their per-point
+#: temporaries are this many points' worth, small enough to stay in cache.
+BAND_BLOCK = 2 ** 13
+
 FAMILIES = ("haar", "daubechies4")
 
 _SUPPORT_WIDTH = {"haar": 1, "daubechies4": 3}
@@ -281,9 +285,18 @@ def basis_band(spec: BasisSpec, s_values):
     bit-identical to eval_father, which computes the same x = 2**n s - k
     and reads the table through the same lookup: every lane goes through
     it, since a lane outside the support comes out 0 whatever it reads.
+    A point that is not finite, or so large that floor(2**n s) leaves the
+    int64 range, has no translate index and is refused.
     """
     s = np.asarray(s_values, dtype=float).ravel()
     x0 = s * 2 ** spec.scale_n
+    indexable = np.abs(x0) < 2.0 ** 62
+    if not indexable.all():
+        bad = s[~indexable]
+        shown = ", ".join(repr(v) for v in bad[:5].tolist())
+        raise ValueError(
+            f"cannot evaluate the basis at {bad.size} point(s) that are not "
+            f"finite or beyond 2**62 translate shifts: {shown}")
     rows = np.floor(x0).astype(np.int64)[:, None] + np.arange(
         1 - spec.support_width, 1)
     values = _father(spec, x0[:, None] - rows)
@@ -293,13 +306,28 @@ def basis_band(spec: BasisSpec, s_values):
     return rows, values
 
 
+def _band_blocks(spec: BasisSpec, s: np.ndarray):
+    """(slice, rows, values): basis_band of s, BAND_BLOCK points at a time.
+
+    Every consumer of the band walks its points this way, so the lookup's
+    per-point temporaries are one block's worth, reused warm from block
+    to block, while each point's own operations stay the same.
+    """
+    for start in range(0, s.size, BAND_BLOCK):
+        block = slice(start, start + BAND_BLOCK)
+        yield (block, *basis_band(spec, s[block]))
+
+
 def basis_matrix(spec: BasisSpec, s_values) -> np.ndarray:
     """Matrix of phi_nk(s) values, one row per translate k: basis_band, dense."""
-    rows, values = basis_band(spec, s_values)
-    cols = np.broadcast_to(np.arange(rows.shape[0])[:, None], rows.shape)
-    live = values != 0.0
-    out = np.zeros((spec.size, rows.shape[0]))
-    out[rows[live], cols[live]] = values[live]
+    s = np.asarray(s_values, dtype=float).ravel()
+    out = np.zeros((spec.size, s.size))
+    for block, rows, values in _band_blocks(spec, s):
+        cols = np.broadcast_to(
+            np.arange(block.start, block.start + rows.shape[0])[:, None],
+            rows.shape)
+        live = values != 0.0
+        out[rows[live], cols[live]] = values[live]
     return out
 
 
@@ -307,28 +335,32 @@ def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
     """sum_p weights_p b(s_p) b(s_p)^T over the translates, as d x w diagonals.
 
     Entry [j, o] is M[j, j + o]. Each point adds the upper triangle of its
-    w x w block by one bincount scatter, in point order: bit-reproducible.
-    The products (v_a * v_b) * weight and their flat indices are written
-    column by column into point-major arrays, so bincount adds the same
-    terms in the same order as from a per-point loop.
+    w x w block into one d x w accumulator, in point order, block by
+    block: bit-reproducible. Within a block the products
+    (v_a * v_b) * weight and their flat indices are written column by
+    column into point-major arrays, and np.add.at adds them in that order,
+    continuing the same sequential sum across blocks that one bincount
+    over all points would make.
     """
-    rows, values = basis_band(spec, s_values)
+    s = np.asarray(s_values, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
-    if weights.shape != rows.shape[:1]:
+    if weights.shape != s.shape:
         raise ValueError(
             f"need one weight per point, got {weights.size} weights for "
-            f"{rows.shape[0]} points"
+            f"{s.size} points"
         )
     d, w = spec.size, spec.support_width
     pairs = list(zip(*np.triu_indices(w)))
-    terms = np.empty((rows.shape[0], len(pairs)))
-    flat = np.empty(terms.shape, dtype=np.int64)
-    for c, (a, b) in enumerate(pairs):
-        np.multiply(values[:, a], values[:, b], out=terms[:, c])
-        terms[:, c] *= weights
-        np.multiply(rows[:, a], w, out=flat[:, c])
-        flat[:, c] += b - a
-    out = np.bincount(flat.ravel(), weights=terms.ravel(), minlength=d * w)
+    out = np.zeros(d * w)
+    for block, rows, values in _band_blocks(spec, s):
+        terms = np.empty((rows.shape[0], len(pairs)))
+        flat = np.empty(terms.shape, dtype=np.int64)
+        for c, (a, b) in enumerate(pairs):
+            np.multiply(values[:, a], values[:, b], out=terms[:, c])
+            terms[:, c] *= weights[block]
+            np.multiply(rows[:, a], w, out=flat[:, c])
+            flat[:, c] += b - a
+        np.add.at(out, flat.ravel(), terms.ravel())
     return out.reshape(d, w)
 
 
@@ -348,20 +380,23 @@ def quadratic_form(spec: BasisSpec, band, s_values, scale) -> np.ndarray:
     `band` holds M's w diagonals and `scale` one factor per translate; only
     the w x w block of M that the point's live translates select is read,
     each of its w(w + 1)/2 distinct entries once. The w^2 terms
-    (u_a * M_ab) * u_b are summed in row-major order.
+    (u_a * M_ab) * u_b are summed in row-major order, block by block.
     """
     band = np.asarray(band, dtype=float)
-    rows, u = basis_band(spec, s_values)
-    u *= np.asarray(scale, dtype=float)[rows]
-    w = rows.shape[1]
-    entry = {(a, b): band[rows[:, a], b - a]
-             for a, b in zip(*np.triu_indices(w))}
-    out = np.zeros(rows.shape[0])
-    for a in range(w):
-        for b in range(w):
-            term = u[:, a] * entry[min(a, b), max(a, b)]
-            term *= u[:, b]
-            out += term
+    scale = np.asarray(scale, dtype=float)
+    s = np.asarray(s_values, dtype=float).ravel()
+    w = spec.support_width
+    out = np.zeros(s.size)
+    for block, rows, u in _band_blocks(spec, s):
+        u *= scale[rows]
+        entry = {(a, b): band[rows[:, a], b - a]
+                 for a, b in zip(*np.triu_indices(w))}
+        acc = out[block]
+        for a in range(w):
+            for b in range(w):
+                term = u[:, a] * entry[min(a, b), max(a, b)]
+                term *= u[:, b]
+                acc += term
     return out
 
 
@@ -404,8 +439,14 @@ def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
             f"function values shape {f_values.shape} does not match grid "
             f"({grid.points.shape})"
         )
-    rows, values = basis_band(spec, grid.points)
-    terms = values * grid.weights()[:, None] * f_values[:, None]
-    coeffs = np.bincount(rows.ravel(), weights=terms.ravel(),
-                         minlength=spec.size)
-    return np.sum(coeffs[rows] * values, axis=1)
+    weights = grid.weights()
+    coeffs = np.zeros(spec.size)
+    for block, rows, values in _band_blocks(spec, grid.points):
+        terms = values * weights[block, None] * f_values[block, None]
+        np.add.at(coeffs, rows.ravel(), terms.ravel())
+    # the reconstruction evaluates the band again rather than hold it for
+    # every point
+    out = np.empty(grid.points.size)
+    for block, rows, values in _band_blocks(spec, grid.points):
+        out[block] = np.sum(coeffs[rows] * values, axis=1)
+    return out

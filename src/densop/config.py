@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .basis import BasisSpec, Grid, Interval, _require_resolution
+from .basis import BAND_BLOCK, BasisSpec, Grid, Interval, _require_resolution
 from .embedding import EmbeddingOperator
 from .target import SAMPLE_CHUNK, BetaTarget
 from .textio import _block_rows
@@ -25,10 +25,12 @@ from .textio import _block_rows
 MEMORY_LIMIT = 2 ** 30
 #: Values that the beta sampler holds per lane of its quantile chunk at
 #: its peak (23 to 34 measured for shapes (1, 1) to (0.05, 200)),
-#: and that the table writer holds per value of its block (at most 30
-#: measured).
+#: that the table writer holds per value of its block (at most 30
+#: measured), and that the target density holds per grid point besides
+#: its output (six and a mask, measured).
 SAMPLER_VALUES = 36
 WRITER_VALUES = 32
+DENSITY_VALUES = 7
 
 #: The header of each command's table, one name per column. fig2a also
 #: has one column phi_k per basis translate k, right after "s".
@@ -50,15 +52,21 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
     fig3a and fig3b also hold two d x w coefficient bands and N = n_samples
     sampled points, fig3b the two curves its ratios divide, and estimate
     one band and the N points it read. On top of that it holds the largest
-    of its passing temporaries, counted per point:
-    - basis_band, for a curve on the grid: the scaled point, then the
-      index, argument and value of each of the w live translates, 1 + 3w
-      values; Daubechies 4's table lookup also holds the scaled argument,
-      the table index and the second table read of each, 1 + 6w; their
-      one-byte masks add under one more, so 2 + 3w and 2 + 6w;
-    - coefficient_band, scattering the grid or the samples: one weight and
-      the larger of the basis band and the rows, values, products and
-      flat indices of the w(w + 1)/2 entries of the band it adds to;
+    of its passing temporaries:
+    - a pass over P points (the grid, or the samples of a scatter) holds
+      one BAND_BLOCK of basis_band's per-point temporaries: the scaled
+      point, then the index, argument and value of each of the w live
+      translates, 1 + 3w values; Daubechies 4's table lookup also holds
+      the scaled argument, the table index and the second table read of
+      each, 1 + 6w; their one-byte masks add under one more, so 2 + 3w
+      and 2 + 6w; while the previous block's rows, values, products and
+      flat indices, 2w + w(w + 1), are still held. Beside the block, a
+      pass over the grid holds at most 2 values per point (its weights or
+      its output, and the exact curve's scatter weights), and a scatter
+      of the samples their N weights; after its last block, a curve or a
+      ratio holds at most 3 values and a mask per grid point, 4 counted;
+    - the target density of fig2b, fig3a and fig3b: DENSITY_VALUES per
+      grid point besides the density itself;
     - the beta sampler of fig3a and fig3b: its N uniforms and
       SAMPLER_VALUES per lane of one SAMPLE_CHUNK;
     - the write: the stacked table and WRITER_VALUES per block value.
@@ -69,19 +77,23 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
     d, w = spec.size, spec.support_width
     g = round(spec.span().width * grid_cells) + 1
     band = 2 + w * (3 if spec.family == "haar" else 6)
+    block = band + 2 * w + w * (w + 1)
+    curve = max(4 * g, 2 * g + min(g, BAND_BLOCK) * block)
     if command is None:
-        return 8 * (d + g + g * band)
+        return 8 * (d + g + curve)
     ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
-    scatter = 1 + max(band, 2 * w + w * (w + 1))
     held = table = ncols * g
-    passing = max(g * band, table + WRITER_VALUES * _block_rows(ncols) * ncols)
+    passing = max(curve, table + WRITER_VALUES * _block_rows(ncols) * ncols)
+    if command in ("fig2b", "fig3a", "fig3b"):
+        passing = max(passing, DENSITY_VALUES * g)
+    scatter = n_samples + min(n_samples, BAND_BLOCK) * block
     if command in ("fig3a", "fig3b"):
         held += 2 * d * w + n_samples + (2 * g if command == "fig3b" else 0)
         sampler = min(n_samples, SAMPLE_CHUNK) * SAMPLER_VALUES + n_samples
-        passing = max(passing, g * scatter, n_samples * scatter, sampler)
+        passing = max(passing, scatter, sampler)
     elif command == "estimate":
         held += d * w + n_samples
-        passing = max(passing, n_samples * scatter)
+        passing = max(passing, scatter)
     return 8 * (d + held + passing)
 
 

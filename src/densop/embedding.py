@@ -6,15 +6,17 @@ translate; a zero weight leaves its translate out. Everything downstream
 only ever needs the kernel K(s, t) = sum_j alpha_j^2 psi_j(s) psi_j(t) and
 its diagonal, so the embedded states themselves are never materialized. A
 point meets at most w translates (w = 1 for Haar, 3 for Daubechies 4), so
-the kernel diagonal on G points is a banded sum of G x w terms, added in
-translate order with no BLAS call: the same bits at any BLAS thread count.
+the kernel diagonal on G points is a banded sum of G x w terms, evaluated
+block by block of points and added in translate order; nothing calls
+BLAS, so it has the same bits at any BLAS thread count.
 The projection case (all weights 1) is the one used by the experiment
 commands.
 
 The embedded curves in `densop.learn` use the same band: each is the
 quadratic form b(s)^T W M W b(s) / tr of a coefficient matrix M, held as
 the d x w band of its w diagonals, with W the squared weights and
-tr = sum_j W_jj M_jj, and costs O(G w^2).
+tr = sum_j W_jj M_jj, and costs O(G w^2). M is scattered block by block
+into one accumulator, still in point order.
 `kernel_eval`, `kernel_matrix`, `trace_k_rho` and `trace_k_map` build the
 same numbers another way (dense basis rows, quadrature of the kernel
 diagonal). The curves never call them; they remain as an independent
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, Grid, basis_band, basis_matrix
+from .basis import BasisSpec, Grid, _band_blocks, basis_matrix
 
 VANISHING_SAMPLE_TRACE = (
     "every sample lies outside the support of the embedding operator's "
@@ -87,8 +89,9 @@ def kernel_diag(A: EmbeddingOperator, s):
     """K(s, s) = sum_j alpha_j^2 psi_j(s)^2, always >= 0."""
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
-    rows, values = basis_band(A.basis, s)
-    out = np.sum(A.squared_weights[rows] * values * values, axis=1)
+    out = np.empty(s.size)
+    for block, rows, values in _band_blocks(A.basis, s.ravel()):
+        out[block] = np.sum(A.squared_weights[rows] * values * values, axis=1)
     out = out.reshape(np.atleast_1d(s).shape)
     return float(out.ravel()[0]) if scalar else out
 

@@ -19,10 +19,11 @@ routes `trace_k_rho` and `trace_k_map` reach the same value independently
 and serve as oracles only.
 Every translate is compactly supported, so each point meets at most w
 translates (w = 1 for Haar, 3 for Daubechies 4): M has bandwidth w - 1 and
-is held as the d x w band of its diagonals, band[j, o] = M[j, j + o]. One
-scatter of the points' upper w x w triangles builds it; a curve on G points
-reads w^2 entries per point, O(G w^2), with no d x d matrix. The sums are
-fixed-order with no BLAS call: bit-identical at any BLAS thread count.
+is held as the d x w band of its diagonals, band[j, o] = M[j, j + o]. The
+points' upper w x w triangles are scattered into one accumulator block by
+block, still in point order; a curve on G points reads w^2 entries per
+point, O(G w^2), with no d x d matrix. The sums are fixed-order and
+nothing calls BLAS: bit-identical at any BLAS thread count.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from densop import (
     BasisSpec,
     BetaTarget,
     DAUB4_TAPS,
+    EmbeddingOperator,
     Grid,
     Interval,
     basis_band,
@@ -24,10 +25,12 @@ from densop import (
     coefficient_band,
     eval_father,
     gram_check,
+    kernel_diag,
     quadratic_form,
     scaling_values_daub4,
     wavelet_approximation,
 )
+from densop.basis import BAND_BLOCK
 from densop.oracles import (
     daub4_interior_gram,
     partition_of_unity,
@@ -371,6 +374,81 @@ def test_coefficient_matrix_checks_weights():
     spec = BasisSpec("haar", 1, UNIT)
     with pytest.raises(ValueError, match="one weight per point"):
         coefficient_band(spec, np.array([0.5, 1.5]), np.ones(3))
+
+
+def unblocked_kernel_diag(op, s):
+    # reference: one band over every point, summed as a whole
+    rows, values = basis_band(op.basis, s)
+    return np.sum(op.squared_weights[rows] * values * values, axis=1)
+
+
+def unblocked_wavelet_approximation(spec, grid, f):
+    # reference: one bincount over every point, then one reconstruction
+    rows, values = basis_band(spec, grid.points)
+    terms = values * grid.weights()[:, None] * f[:, None]
+    coeffs = np.bincount(rows.ravel(), weights=terms.ravel(),
+                         minlength=spec.size)
+    return np.sum(coeffs[rows] * values, axis=1)
+
+
+def unblocked_basis_matrix(spec, s):
+    # reference: each band column written into the dense matrix at once
+    rows, values = basis_band(spec, s)
+    out = np.zeros((spec.size, s.size))
+    for c in range(rows.shape[1]):
+        live = np.flatnonzero(values[:, c])
+        out[rows[live, c], live] = values[live, c]
+    return out
+
+
+@pytest.mark.parametrize("family", ["haar", "daubechies4"])
+def test_blocked_primitives_equal_one_pass_references_bitwise(family):
+    # two full blocks and a short third one; the consumers of the band walk
+    # the points block by block and must give exactly the bits of one pass
+    spec = BasisSpec(family, 2, UNIT)
+    span = spec.span()
+    n = 2 * BAND_BLOCK + 5
+    rng = np.random.Generator(np.random.PCG64(13))
+    probe = band_probe_points(spec)
+    pts = np.concatenate([rng.uniform(span.lo - 0.1, span.hi + 0.1,
+                                      size=n - probe.size), probe])
+    weights = rng.uniform(0.0, 2.0, size=n)
+    band = coefficient_band(spec, pts, weights)
+    dense = dense_scatter(spec, pts, weights)
+    assert np.array_equal(band_to_dense(band), dense)
+    scale = rng.uniform(0.5, 1.5, size=spec.size)
+    assert np.array_equal(quadratic_form(spec, band, pts, scale),
+                          dense_quadratic_form(spec, dense, pts, scale))
+    op = EmbeddingOperator(spec, rng.uniform(0.0, 2.0, size=spec.size))
+    assert np.array_equal(kernel_diag(op, pts), unblocked_kernel_diag(op, pts))
+    assert np.array_equal(basis_matrix(spec, pts),
+                          unblocked_basis_matrix(spec, pts))
+    grid = Grid(span, n - 1)
+    f = rng.uniform(0.0, 2.0, size=n)
+    assert np.array_equal(wavelet_approximation(f, spec, grid),
+                          unblocked_wavelet_approximation(spec, grid, f))
+
+
+@pytest.mark.parametrize("family", ["haar", "daubechies4"])
+def test_band_refuses_points_without_a_translate_index(family):
+    spec = BasisSpec(family, 2, UNIT)
+    op = EmbeddingOperator.projection(spec)
+    band = coefficient_band(spec, np.array([0.5, 1.5]), np.ones(2))
+    calls = [lambda s: basis_band(spec, s), lambda s: kernel_diag(op, s),
+             lambda s: quadratic_form(spec, band, s, np.ones(spec.size))]
+    later = np.linspace(0.0, 3.0, BAND_BLOCK + 2)
+    later[-1] = np.nan
+    cases = [(np.array([np.nan, np.inf, 1.0]), "2 point.*: nan, inf"),
+             (np.array([1.0, -np.inf]), "1 point.*: -inf"),
+             (np.array([1e300]), "1 point.*: 1e\\+300"),
+             (later, "1 point.*: nan")]
+    for call in calls:
+        for s, message in cases:
+            with pytest.raises(ValueError, match=message):
+                call(s)
+    # the scalar evaluation reads 0 there: no translate contains the point
+    for v in (np.nan, np.inf, -np.inf):
+        assert eval_father(spec, 1, v) == 0.0
 
 
 # ---------------------------------------------------------------- gram

@@ -30,7 +30,7 @@ from densop import (
     save_samples,
 )
 from densop import config as config_module
-from densop.basis import RESOLUTION
+from densop.basis import BAND_BLOCK, RESOLUTION
 from densop.cli import (
     FIGURES,
     _estimate_table,
@@ -78,17 +78,22 @@ def test_curve_grid_needs_resolution_cells_per_translate_shift():
 
 def test_footprint_arithmetic_at_scale_20_and_30():
     # d weights and the table's G-value columns, plus the largest passing
-    # temporary: a curve's basis band of 2 + 6w = 20 values per point, a
-    # scatter of 1 + max(20, 2w + w(w + 1)) = 21, the sampler's N uniforms
-    # and 36 values per lane of its 2**14-lane chunk, or the stacked table
-    # with the writer's block; computed, never allocated
+    # temporary: a pass over the grid, one BAND_BLOCK of 2 + 6w = 20 band
+    # values and 2w + w(w + 1) = 18 of the previous block per point beside
+    # 2 values per grid point (or 4 after its last block); a scatter of the
+    # N samples, their weights beside one block; the target density's 7
+    # values per grid point; the sampler's N uniforms and 36 values per
+    # lane of its 2**14-lane chunk; or the stacked table with the writer's
+    # block; computed, never allocated
     spec = BasisSpec("daubechies4", 20, Interval(0.0, 3.0))
     d = 3 * 2 ** 20 + 2
     # the span [-2, 3 * 2**20 + 2] / 2**20 rounds to 3 * 4096 cells
     g = 3 * 4096 + 1
     assert spec.size == d
+    assert BAND_BLOCK == 8192 < g
+    block = 38 * BAND_BLOCK
     # every command holds the weights, the grid points and one curve
-    assert footprint(spec, 4096) == 8 * (d + g + 20 * g)
+    assert footprint(spec, 4096) == 8 * (d + g + 2 * g + block)
     assert footprint(spec, 4096) < MEMORY_LIMIT
     # fig2a's d + 2 columns are s, the d basis rows and the kernel
     # diagonal; its row is wider than a 4096-value block, so the writer's
@@ -97,40 +102,42 @@ def test_footprint_arithmetic_at_scale_20_and_30():
     assert footprint(spec, 4096, "fig2a") == 8 * (
         d + 2 * (d + 2) * g + 32 * (d + 2))
     # fig3a holds 4 columns, two d x w bands and its N samples; at N = 300
-    # the scatter of the G grid points is its largest temporary
+    # a pass over the grid is its largest temporary
     assert footprint(spec, 4096, "fig3a", 300) == 8 * (
-        d + 4 * g + 2 * d * 3 + 300 + 21 * g)
+        d + 4 * g + 2 * d * 3 + 300 + 2 * g + block)
     # at N = 10**4 the sampler's uniforms and its one chunk of 10**4 lanes
-    # outweigh the grid scatter
+    # outweigh the grid pass
     assert footprint(spec, 4096, "fig3a", 10 ** 4) == 8 * (
         d + 4 * g + 2 * d * 3 + 10 ** 4 + 37 * 10 ** 4)
     # fig3b also holds the two curves it divides; at N = 10**6 the
-    # sampler still holds one chunk, and the scatter of the samples is the
-    # largest temporary
+    # sampler's uniforms and one chunk outweigh the samples' weights and
+    # their one block
     assert footprint(spec, 4096, "fig3b", 10 ** 6) == 8 * (
-        d + 6 * g + 2 * d * 3 + 10 ** 6 + 21 * 10 ** 6)
+        d + 6 * g + 2 * d * 3 + 10 ** 6 + 10 ** 6 + 36 * 2 ** 14)
     # estimate holds 3 columns, one band and its N points; 300 points
-    # scatter less than one curve holds
+    # scatter less than the grid pass holds, 10**6 points more
     assert footprint(spec, 4096, "estimate") == 8 * (
-        d + 3 * g + d * 3 + 20 * g)
+        d + 3 * g + d * 3 + 2 * g + block)
     assert footprint(spec, 4096, "estimate", 300) == 8 * (
-        d + 3 * g + d * 3 + 300 + 20 * g)
+        d + 3 * g + d * 3 + 300 + 2 * g + block)
     assert footprint(spec, 4096, "estimate", 10 ** 6) == 8 * (
-        d + 3 * g + d * 3 + 10 ** 6 + 21 * 10 ** 6)
+        d + 3 * g + d * 3 + 10 ** 6 + 10 ** 6 + block)
     # fig2b's 3 columns beside one curve
     assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096) + 8 * 2 * g
     assert footprint(spec, 4096, "fig2a", 300) > MEMORY_LIMIT
     # the bands are linear in d, so only the basis rows pass the limit
     for command in ("fig3a", "fig3b", "estimate"):
         assert footprint(spec, 4096, command, 300) < MEMORY_LIMIT
-    # Haar's basis band holds 2 + 3w = 5 values per point and its scatter
-    # 1 + max(5, 2w + w(w + 1)) = 6; at 65536 cells per unit the grid
-    # scatter outweighs fig3a's table and writer block
+    # Haar's basis band holds 2 + 3w = 5 values per point and a block
+    # 5 + 2w + w(w + 1) = 9; at 65536 cells per unit the curve's 4 values
+    # per grid point outweigh one block beside 2, and the target
+    # density's 7 outweigh fig3a's table and writer block
     haar = BasisSpec("haar", 20, Interval(0.0, 3.0))
     d, g = 3 * 2 ** 20, 3 * 65536 + 1
-    assert footprint(haar, 65536) == 8 * (d + g + 5 * g)
+    assert 4 * g > 2 * g + 9 * BAND_BLOCK
+    assert footprint(haar, 65536) == 8 * (d + g + 4 * g)
     assert footprint(haar, 65536, "fig3a", 300) == 8 * (
-        d + 4 * g + 2 * d + 300 + 6 * g)
+        d + 4 * g + 2 * d + 300 + 7 * g)
     # at scale 30 the d weights alone take about 26 GB
     spec = BasisSpec("daubechies4", 30, Interval(0.0, 3.0))
     assert footprint(spec, 4096) > 8 * 3 * 2 ** 30 > 25e9 > MEMORY_LIMIT
@@ -138,7 +145,7 @@ def test_footprint_arithmetic_at_scale_20_and_30():
 
 def test_fig3_fits_the_memory_bound_at_scale_12():
     # d = 12 290 and G = 786 689: two d x d matrices would take 2.25 GiB,
-    # fig3b's bands, columns, curves and grid scatter take 0.16 GiB
+    # fig3b's bands, columns, curves and target density take 0.077 GiB
     cfg = ExperimentConfig(scale_n=12, grid_cells=262144)
     for figure in ("fig3a", "fig3b"):
         cfg.require_memory(figure)
@@ -179,12 +186,12 @@ def test_command_peak_is_within_its_footprint(tmp_path, command, changes):
 
 def test_config_checks_memory_before_building_the_operator(monkeypatch):
     # the default config's shared arrays are d = 14 weights, the 16385 grid
-    # points and a curve's basis band of 20 values per point: 2 752 792
-    # bytes
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 2_752_791)
+    # points and a curve: 2 values per grid point beside one 8192-point
+    # block of 38 values per point, 2 883 720 bytes
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 2_883_719)
     with pytest.raises(ValueError, match="every command .* over the"):
         ExperimentConfig()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 2_752_792)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 2_883_720)
     assert ExperimentConfig().scale_n == 2
 
 
@@ -202,17 +209,17 @@ def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
 
 def test_estimate_counts_its_sample_file_in_the_memory_bound(
         tmp_path, capsys, monkeypatch):
-    # the default estimate holds 3 015 288 bytes before its samples; 100
-    # samples add their 800 bytes of points, and their scatter of 100 x 21
-    # values is smaller than the curve's basis band
+    # the default estimate holds 3 146 216 bytes before its samples; 100
+    # samples add their 800 bytes of points, and their scatter of 100 x 39
+    # values is smaller than the curve's pass over the grid
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n" * 100)
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_016_088)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_016)
     assert main(["estimate", str(samples), "--out", str(out)]) == 0
     capsys.readouterr()
     out.unlink()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_016_087)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_015)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
@@ -227,11 +234,11 @@ def test_estimate_refuses_before_parsing_its_samples(
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n\n" * 99 + "oops\n")
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_016_087)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_015)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_016_088)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_016)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     assert "line 199: could not parse 'oops'" in capsys.readouterr().err
     assert not out.exists()
