@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .basis import basis_matrix, wavelet_approximation
+from .basis import Grid, basis_matrix, wavelet_approximation
 from .config import TABLE_COLUMNS, ExperimentConfig, load_config
 from .embedding import kernel_diag
 from .learn import (
@@ -31,7 +31,7 @@ from .learn import (
     normalized_ratio,
 )
 from .oracles import SUITES, run_suite
-from .target import count_samples, load_samples
+from .target import BetaTarget, count_samples, load_samples
 from .textio import write_rows
 
 FIGURES = ("fig2a", "fig2b", "fig3a", "fig3b")
@@ -101,6 +101,18 @@ def _write_table(path: str, names, columns) -> None:
         write_rows(fh, stacked)
 
 
+def _zeta_curve(target: BetaTarget, grid: Grid) -> DensityCurve:
+    """The target density on the grid, refused where it is infinite."""
+    values = target.density(grid.points)
+    if not np.all(np.isfinite(values)):
+        lo, hi = target.interval.lo, target.interval.hi
+        raise ValueError(
+            f"the Beta({target.a:g}, {target.b:g}) target density is "
+            f"infinite at an end of [{lo:g}, {hi:g}] that is a grid point: "
+            f"a shape below 1 has no finite table there")
+    return DensityCurve(grid, values)
+
+
 def _figure_table(figure: str, cfg: ExperimentConfig):
     spec = cfg.basis()
     operator = cfg.operator()
@@ -111,31 +123,28 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
     if figure == "fig2a":
         rows = basis_matrix(spec, s)
         names[1:1] = [f"phi_{int(k)}" for k in spec.translates]
-        cols = [s, *rows, kernel_diag(operator, s)]
-    elif figure == "fig2b":
-        zeta = target.density(s)
-        cols = [s, zeta, wavelet_approximation(zeta, spec, grid)]
-    else:
-        zeta_curve = DensityCurve(grid, target.density(s))
-        # embedded_density_exact refuses a zeta whose quadrature mass is
-        # off by over 1e-6. The target has unit mass, so here that is
-        # quadrature error, which only a finer grid reduces.
-        mass = zeta_curve.mass()
-        if abs(mass - 1.0) > 1e-6:
-            raise ValueError(
-                f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 at "
-                f"grid_cells={cfg.grid_cells}; the Beta({target.a:g}, "
-                f"{target.b:g}) target needs a finer grid")
-        samples = target.sample(cfg.n_samples, cfg.seed)
-        exact = embedded_density_exact(operator, zeta_curve, grid)
-        mapped = embedded_density_map(operator, samples, grid)
-        if figure == "fig3a":
-            cols = [s, zeta_curve.values, exact.values, mapped.values]
-        else:
-            cols = [s, zeta_curve.values,
-                    normalized_ratio(exact, operator).values,
-                    normalized_ratio(mapped, operator).values]
-    return names, cols
+        return names, [s, *rows, kernel_diag(operator, s)]
+    zeta = _zeta_curve(target, grid)
+    if figure == "fig2b":
+        return names, [s, zeta.values,
+                       wavelet_approximation(zeta.values, spec, grid)]
+    # embedded_density_exact refuses a zeta whose quadrature mass is off
+    # by over 1e-6. The target has unit mass, so here that is quadrature
+    # error, which only a finer grid reduces.
+    mass = zeta.mass()
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(
+            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 at "
+            f"grid_cells={cfg.grid_cells}; the Beta({target.a:g}, "
+            f"{target.b:g}) target needs a finer grid")
+    samples = target.sample(cfg.n_samples, cfg.seed)
+    exact = embedded_density_exact(operator, zeta, grid)
+    mapped = embedded_density_map(operator, samples, grid)
+    if figure == "fig3a":
+        return names, [s, zeta.values, exact.values, mapped.values]
+    return names, [s, zeta.values,
+                   normalized_ratio(exact, operator).values,
+                   normalized_ratio(mapped, operator).values]
 
 
 def _estimate_table(samples_path: str, cfg: ExperimentConfig):

@@ -16,21 +16,26 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .basis import BAND_BLOCK, BasisSpec, Grid, Interval, _require_resolution
+from .basis import BasisSpec, Grid, Interval, _require_resolution
 from .embedding import EmbeddingOperator
-from .target import SAMPLE_CHUNK, BetaTarget
-from .textio import _block_rows
+from .target import BetaTarget
 
 #: Bytes that one command may hold at its peak; see `footprint`.
 MEMORY_LIMIT = 2 ** 30
-#: Values that the beta sampler holds per lane of its quantile chunk at
-#: its peak (23 to 34 measured for shapes (1, 1) to (0.05, 200)),
-#: that the table writer holds per value of its block (at most 30
-#: measured), and that the target density holds per grid point besides
-#: its output (six and a mask, measured).
-SAMPLER_VALUES = 36
-WRITER_VALUES = 32
-DENSITY_VALUES = 7
+#: Temporaries per grid point that a command holds beside its arrays:
+#: a curve or a ratio after its last block, or the target density.
+GRID_VALUES = 4
+#: Bytes of the one block of work that is live at a time, whatever d, G
+#: and N are. Measured peaks: a block of basis.BAND_BLOCK points of the
+#: Daubechies-4 band with the previous block's products, about 2.4 MB;
+#: the beta quantile on a chunk of target.SAMPLE_CHUNK lanes, at most
+#: 4.5 MB (34 values per lane for shape (0.05, 200)); the table writer's
+#: block, at most 1 MB. fig2a's writer block is one row only when
+#: d + 2 > 4096, where the d x G table alone is over 8 GB, or the grid is
+#: too coarse for the resolution rule.
+PASS_BYTES = 5 * 2 ** 20
+#: The commands that hold and scatter N samples.
+SAMPLE_COMMANDS = ("fig3a", "fig3b", "estimate")
 
 #: The header of each command's table, one name per column. fig2a also
 #: has one column phi_k per basis translate k, right after "s".
@@ -51,50 +56,26 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
     values, ncols from TABLE_COLUMNS (fig2a's include the d basis rows).
     fig3a and fig3b also hold two d x w coefficient bands and N = n_samples
     sampled points, fig3b the two curves its ratios divide, and estimate
-    one band and the N points it read. On top of that it holds the largest
-    of its passing temporaries:
-    - a pass over P points (the grid, or the samples of a scatter) holds
-      one BAND_BLOCK of basis_band's per-point temporaries: the scaled
-      point, then the index, argument and value of each of the w live
-      translates, 1 + 3w values; Daubechies 4's table lookup also holds
-      the scaled argument, the table index and the second table read of
-      each, 1 + 6w; their one-byte masks add under one more, so 2 + 3w
-      and 2 + 6w; while the previous block's rows, values, products and
-      flat indices, 2w + w(w + 1), are still held. Beside the block, a
-      pass over the grid holds at most 2 values per point (its weights or
-      its output, and the exact curve's scatter weights), and a scatter
-      of the samples their N weights; after its last block, a curve or a
-      ratio holds at most 3 values and a mask per grid point, 4 counted;
-    - the target density of fig2b, fig3a and fig3b: DENSITY_VALUES per
-      grid point besides the density itself;
-    - the beta sampler of fig3a and fig3b: its N uniforms and
-      SAMPLER_VALUES per lane of one SAMPLE_CHUNK;
-    - the write: the stacked table and WRITER_VALUES per block value.
-    None counts what every command shares: the weights, the grid points
-    and one curve. Nothing is allocated; the tests check each command's
-    tracemalloc peak against this count.
+    one band and the N points it read. Beside them passes the largest of
+    the stacked table, GRID_VALUES per grid point and the N uniforms or
+    scatter weights of the samples, which never coexist, and one block of
+    work, PASS_BYTES. None counts what every command shares: the weights,
+    the grid points and the block. Nothing is allocated; the tests check
+    each command's tracemalloc peak against this count.
     """
     d, w = spec.size, spec.support_width
     g = round(spec.span().width * grid_cells) + 1
-    band = 2 + w * (3 if spec.family == "haar" else 6)
-    block = band + 2 * w + w * (w + 1)
-    curve = max(4 * g, 2 * g + min(g, BAND_BLOCK) * block)
     if command is None:
-        return 8 * (d + g + curve)
+        return 8 * (d + g) + PASS_BYTES
+    n = n_samples if command in SAMPLE_COMMANDS else 0
     ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
-    held = table = ncols * g
-    passing = max(curve, table + WRITER_VALUES * _block_rows(ncols) * ncols)
-    if command in ("fig2b", "fig3a", "fig3b"):
-        passing = max(passing, DENSITY_VALUES * g)
-    scatter = n_samples + min(n_samples, BAND_BLOCK) * block
+    held = ncols * g + n
     if command in ("fig3a", "fig3b"):
-        held += 2 * d * w + n_samples + (2 * g if command == "fig3b" else 0)
-        sampler = min(n_samples, SAMPLE_CHUNK) * SAMPLER_VALUES + n_samples
-        passing = max(passing, scatter, sampler)
+        held += 2 * d * w + (2 * g if command == "fig3b" else 0)
     elif command == "estimate":
-        held += d * w + n_samples
-        passing = max(passing, scatter)
-    return 8 * (d + held + passing)
+        held += d * w
+    passing = max(max(ncols, GRID_VALUES) * g, n)
+    return 8 * (d + held + passing) + PASS_BYTES
 
 
 @dataclass(frozen=True)
@@ -179,8 +160,7 @@ class ExperimentConfig:
         n = self.n_samples if n_samples is None else n_samples
         need = footprint(self.basis(), self.grid_cells, command, n)
         if need > MEMORY_LIMIT:
-            samples = (f", N={n} samples"
-                       if command in ("fig3a", "fig3b", "estimate") else "")
+            samples = f", N={n} samples" if command in SAMPLE_COMMANDS else ""
             raise ValueError(
                 f"{command or 'every command'} at scale_n={self.scale_n}"
                 f"{samples} and grid_cells={self.grid_cells} needs "

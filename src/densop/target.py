@@ -195,24 +195,28 @@ class BetaTarget:
 
         At an endpoint the one-sided limit is returned, which is infinite
         when the corresponding shape parameter is below 1.
+
+        Evaluated as exp((a - 1) log x + (b - 1) log1p(-x) - log_norm) in
+        that order, in place on the points inside, so that besides its
+        output it holds at most two values per point.
         """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
-        s = np.atleast_1d(s).astype(float)
-        lo, width = self.interval.lo, self.interval.width
-        x = (s - lo) / width
-        out = np.zeros_like(x)
-        log_norm = _log_beta(self.a, self.b) + math.log(width)
+        x = (np.atleast_1d(s) - self.interval.lo) / self.interval.width
+        at_lo, at_hi = x == 0.0, x == 1.0
         inside = (x > 0.0) & (x < 1.0)
-        if np.any(inside):
-            xi = x[inside]
-            out[inside] = np.exp(
-                (self.a - 1.0) * np.log(xi)
-                + (self.b - 1.0) * np.log1p(-xi)
-                - log_norm
-            )
-        out[x == 0.0] = self._edge_value(self.a, self.b)
-        out[x == 1.0] = self._edge_value(self.b, self.a)
+        x = x[inside]
+        log_x = np.log(x)
+        log_x *= self.a - 1.0
+        np.log1p(np.negative(x, out=x), out=x)
+        x *= self.b - 1.0
+        log_x += x
+        del x
+        log_x -= _log_beta(self.a, self.b) + math.log(self.interval.width)
+        out = np.zeros(inside.shape)
+        out[inside] = np.exp(log_x, out=log_x)
+        out[at_lo] = self._edge_value(self.a, self.b)
+        out[at_hi] = self._edge_value(self.b, self.a)
         return float(out[0]) if scalar else out
 
     def _edge_value(self, shape_here: float, shape_other: float) -> float:

@@ -30,7 +30,7 @@ from densop import (
     save_samples,
 )
 from densop import config as config_module
-from densop.basis import BAND_BLOCK, RESOLUTION
+from densop.basis import RESOLUTION
 from densop.cli import (
     FIGURES,
     _estimate_table,
@@ -38,7 +38,7 @@ from densop.cli import (
     _write_table,
     main,
 )
-from densop.config import MEMORY_LIMIT, footprint
+from densop.config import MEMORY_LIMIT, PASS_BYTES, TABLE_COLUMNS, footprint
 from densop.oracles import run_suite
 from densop.textio import _block_rows
 
@@ -77,75 +77,59 @@ def test_curve_grid_needs_resolution_cells_per_translate_shift():
 
 
 def test_footprint_arithmetic_at_scale_20_and_30():
-    # d weights and the table's G-value columns, plus the largest passing
-    # temporary: a pass over the grid, one BAND_BLOCK of 2 + 6w = 20 band
-    # values and 2w + w(w + 1) = 18 of the previous block per point beside
-    # 2 values per grid point (or 4 after its last block); a scatter of the
-    # N samples, their weights beside one block; the target density's 7
-    # values per grid point; the sampler's N uniforms and 36 values per
-    # lane of its 2**14-lane chunk; or the stacked table with the writer's
-    # block; computed, never allocated
+    # d weights and the held arrays, plus the largest of the stacked table,
+    # 4 values per grid point and the N samples' uniforms or weights, plus
+    # one block of work; computed, never allocated
     spec = BasisSpec("daubechies4", 20, Interval(0.0, 3.0))
     d = 3 * 2 ** 20 + 2
     # the span [-2, 3 * 2**20 + 2] / 2**20 rounds to 3 * 4096 cells
     g = 3 * 4096 + 1
     assert spec.size == d
-    assert BAND_BLOCK == 8192 < g
-    block = 38 * BAND_BLOCK
-    # every command holds the weights, the grid points and one curve
-    assert footprint(spec, 4096) == 8 * (d + g + 2 * g + block)
-    assert footprint(spec, 4096) < MEMORY_LIMIT
-    # fig2a's d + 2 columns are s, the d basis rows and the kernel
-    # diagonal; its row is wider than a 4096-value block, so the writer's
-    # block is one row
-    assert _block_rows(d + 2) == 1
+    assert PASS_BYTES == 5 * 2 ** 20
+    # every command holds the weights, the grid points and one block
+    assert footprint(spec, 4096) == 8 * (d + g) + PASS_BYTES < MEMORY_LIMIT
+    # fig2a holds s, the d basis rows and the kernel diagonal, and stacks
+    # them once more to write them
     assert footprint(spec, 4096, "fig2a") == 8 * (
-        d + 2 * (d + 2) * g + 32 * (d + 2))
+        d + 2 * (d + 2) * g) + PASS_BYTES > MEMORY_LIMIT
     # fig3a holds 4 columns, two d x w bands and its N samples; at N = 300
-    # a pass over the grid is its largest temporary
+    # the 4 values per grid point outweigh the samples
     assert footprint(spec, 4096, "fig3a", 300) == 8 * (
-        d + 4 * g + 2 * d * 3 + 300 + 2 * g + block)
-    # at N = 10**4 the sampler's uniforms and its one chunk of 10**4 lanes
-    # outweigh the grid pass
-    assert footprint(spec, 4096, "fig3a", 10 ** 4) == 8 * (
-        d + 4 * g + 2 * d * 3 + 10 ** 4 + 37 * 10 ** 4)
+        d + 4 * g + 2 * d * 3 + 300 + 4 * g) + PASS_BYTES
     # fig3b also holds the two curves it divides; at N = 10**6 the
-    # sampler's uniforms and one chunk outweigh the samples' weights and
-    # their one block
+    # samples' uniforms or scatter weights outweigh 4 values per grid point
     assert footprint(spec, 4096, "fig3b", 10 ** 6) == 8 * (
-        d + 6 * g + 2 * d * 3 + 10 ** 6 + 10 ** 6 + 36 * 2 ** 14)
-    # estimate holds 3 columns, one band and its N points; 300 points
-    # scatter less than the grid pass holds, 10**6 points more
-    assert footprint(spec, 4096, "estimate") == 8 * (
-        d + 3 * g + d * 3 + 2 * g + block)
+        d + 6 * g + 2 * d * 3 + 10 ** 6 + 10 ** 6) + PASS_BYTES
+    # estimate holds 3 columns, one band and its N points
     assert footprint(spec, 4096, "estimate", 300) == 8 * (
-        d + 3 * g + d * 3 + 300 + 2 * g + block)
-    assert footprint(spec, 4096, "estimate", 10 ** 6) == 8 * (
-        d + 3 * g + d * 3 + 10 ** 6 + 10 ** 6 + block)
-    # fig2b's 3 columns beside one curve
-    assert footprint(spec, 4096, "fig2b") == footprint(spec, 4096) + 8 * 2 * g
-    assert footprint(spec, 4096, "fig2a", 300) > MEMORY_LIMIT
+        d + 3 * g + d * 3 + 300 + 4 * g) + PASS_BYTES
+    # fig2b holds no samples
+    assert footprint(spec, 4096, "fig2b", 10 ** 6) == 8 * (
+        d + 3 * g + 4 * g) + PASS_BYTES
     # the bands are linear in d, so only the basis rows pass the limit
     for command in ("fig3a", "fig3b", "estimate"):
         assert footprint(spec, 4096, command, 300) < MEMORY_LIMIT
-    # Haar's basis band holds 2 + 3w = 5 values per point and a block
-    # 5 + 2w + w(w + 1) = 9; at 65536 cells per unit the curve's 4 values
-    # per grid point outweigh one block beside 2, and the target
-    # density's 7 outweigh fig3a's table and writer block
-    haar = BasisSpec("haar", 20, Interval(0.0, 3.0))
-    d, g = 3 * 2 ** 20, 3 * 65536 + 1
-    assert 4 * g > 2 * g + 9 * BAND_BLOCK
-    assert footprint(haar, 65536) == 8 * (d + g + 4 * g)
-    assert footprint(haar, 65536, "fig3a", 300) == 8 * (
-        d + 4 * g + 2 * d + 300 + 7 * g)
     # at scale 30 the d weights alone take about 26 GB
     spec = BasisSpec("daubechies4", 30, Interval(0.0, 3.0))
     assert footprint(spec, 4096) > 8 * 3 * 2 ** 30 > 25e9 > MEMORY_LIMIT
 
 
+@pytest.mark.parametrize("family", ["haar", "daubechies4"])
+def test_every_command_counts_at_least_the_shared_footprint(family):
+    # ExperimentConfig refuses a config from the shared count alone, which
+    # is only right if no command needs less
+    for scale_n in (0, 3, 12, 20):
+        spec = BasisSpec(family, scale_n, Interval(-1.0, 2.5))
+        for grid_cells in (1, 64 * 2 ** scale_n, 4096, 2 ** 22):
+            shared = footprint(spec, grid_cells)
+            for command in TABLE_COLUMNS:
+                for n in (0, 1, 300, 10 ** 8):
+                    assert shared <= footprint(spec, grid_cells, command, n)
+
+
 def test_fig3_fits_the_memory_bound_at_scale_12():
     # d = 12 290 and G = 786 689: two d x d matrices would take 2.25 GiB,
-    # fig3b's bands, columns, curves and target density take 0.077 GiB
+    # fig3b's bands, columns, curves and passing arrays take 0.064 GiB
     cfg = ExperimentConfig(scale_n=12, grid_cells=262144)
     for figure in ("fig3a", "fig3b"):
         cfg.require_memory(figure)
@@ -185,13 +169,12 @@ def test_command_peak_is_within_its_footprint(tmp_path, command, changes):
 
 
 def test_config_checks_memory_before_building_the_operator(monkeypatch):
-    # the default config's shared arrays are d = 14 weights, the 16385 grid
-    # points and a curve: 2 values per grid point beside one 8192-point
-    # block of 38 values per point, 2 883 720 bytes
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 2_883_719)
+    # the default config's shared arrays are d = 14 weights and the 16385
+    # grid points beside one block of work, 5 374 072 bytes
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 5_374_071)
     with pytest.raises(ValueError, match="every command .* over the"):
         ExperimentConfig()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 2_883_720)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 5_374_072)
     assert ExperimentConfig().scale_n == 2
 
 
@@ -209,17 +192,17 @@ def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
 
 def test_estimate_counts_its_sample_file_in_the_memory_bound(
         tmp_path, capsys, monkeypatch):
-    # the default estimate holds 3 146 216 bytes before its samples; 100
-    # samples add their 800 bytes of points, and their scatter of 100 x 39
-    # values is smaller than the curve's pass over the grid
+    # the default estimate holds 6 160 888 bytes before its samples; 100
+    # samples add their 800 bytes of points, and their 100 weights are
+    # fewer than the 4 values per grid point that pass beside them
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n" * 100)
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_016)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_688)
     assert main(["estimate", str(samples), "--out", str(out)]) == 0
     capsys.readouterr()
     out.unlink()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_015)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_687)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
@@ -234,11 +217,11 @@ def test_estimate_refuses_before_parsing_its_samples(
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n\n" * 99 + "oops\n")
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_015)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_687)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 3_147_016)
+    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_688)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     assert "line 199: could not parse 'oops'" in capsys.readouterr().err
     assert not out.exists()
@@ -702,10 +685,12 @@ def _is_density(name):
        scale_n=st.integers(min_value=0, max_value=3),
        grid_cells=st.integers(min_value=8, max_value=2048),
        projection=st.booleans(),
+       target_a=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+       target_b=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
        data=st.data())
 def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, family,
                                             scale_n, grid_cells, projection,
-                                            data):
+                                            target_a, target_b, data):
     # either exit 0 with a finite table whose density columns are
     # nonnegative and whose ratio columns have unit trapezoid mass, or exit
     # 1 with a message and no output file
@@ -715,7 +700,8 @@ def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, family,
         st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0, 17.5]),
                  min_size=size, max_size=size), label="weights")))
     cfgpath = write_small_config(tmp, family=family, scale_n=scale_n,
-                                 grid_cells=grid_cells, weights=weights)
+                                 grid_cells=grid_cells, weights=weights,
+                                 target_a=target_a, target_b=target_b)
     out = tmp / "table.csv"
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -745,6 +731,21 @@ def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, family,
         expect = np.sum(a2 * a2 * m) / np.sum(a2 * m)
         mass = np.trapezoid(table[:, names.index("embedded_map")], s)
         assert abs(mass / expect - 1.0) <= EMBEDDED_MASS_BOUND
+
+
+@pytest.mark.parametrize("shape", ["target_a", "target_b"])
+@pytest.mark.parametrize("figure", ["fig2b", "fig3a", "fig3b"])
+def test_target_infinite_at_an_end_exits_one(tmp_path, capsys, figure, shape):
+    # a shape below 1 makes zeta infinite at that end of [0, 3], which is
+    # a grid point; fig2b once wrote inf and nan rows there and exited 0
+    cfgpath = write_small_config(tmp_path, **{shape: 0.5})
+    out = tmp_path / "table.csv"
+    assert main(["reproduce", "--figure", figure, "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    beta = "Beta(0.5, 5)" if shape == "target_a" else "Beta(2, 0.5)"
+    assert capsys.readouterr().err.startswith(
+        f"error: the {beta} target density is infinite at an end of [0, 3]")
+    assert not out.exists()
 
 
 def test_grids_too_coarse_for_the_translates_exit_one(tmp_path, capsys):

@@ -5,6 +5,8 @@ for adaptive quadrature of endpoint-singular densities; the package itself
 never imports it.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -84,6 +86,45 @@ def test_density_matches_scipy_pdf():
     s = np.linspace(0.01, 2.99, 57)
     ref = scipy_beta.pdf(s / 3.0, 2.3, 4.1) / 3.0
     assert_allclose(target.density(s), ref, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a,b", [
+    (2.0, 5.0), (0.5, 1.0), (1.0, 1.0), (1.0, 3.0), (200.0, 0.05),
+])
+@pytest.mark.parametrize("lo,hi", [(0.0, 3.0), (-1.0, 2.5)])
+def test_density_equals_its_one_expression_form_bitwise(a, b, lo, hi):
+    # the density is evaluated in place on the points inside; it must give
+    # the bits of the whole formula applied to every point
+    target = BetaTarget(a, b, Interval(lo, hi))
+    width = hi - lo
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_norm = log_beta + math.log(width)
+
+    def edge(shape):
+        if shape == 1.0:
+            return math.exp(-log_beta) / width
+        return 0.0 if shape > 1.0 else math.inf
+
+    def reference(s):
+        x = (np.asarray(s, dtype=float) - lo) / width
+        with np.errstate(all="ignore"):
+            return np.where(x == 0.0, edge(a), np.where(x == 1.0, edge(b), (
+                np.where((x > 0.0) & (x < 1.0), np.exp(
+                    (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
+                    - log_norm), 0.0))))
+
+    special = [0.0, -0.0, lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+               np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), 5e-324,
+               -5e-324, lo - 1.0, hi + 1.0]
+    rng = np.random.Generator(np.random.PCG64(31))
+    s = np.concatenate([rng.uniform(lo - 0.5, hi + 0.5, 200_000), special])
+    assert np.array_equal(target.density(s).view(np.uint64),
+                          reference(s).view(np.uint64))
+    for point in special:
+        value = target.density(float(point))
+        assert isinstance(value, float)
+        assert np.array_equal(np.float64(value).view(np.uint64),
+                              reference(point).view(np.uint64))
 
 
 def test_unit_mass_for_random_shapes():
