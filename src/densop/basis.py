@@ -37,6 +37,10 @@ DAUB4_TAPS = np.array([
 #: at level m holds 3 * 2**m + 1 doubles, about 100 MB at the cap.
 MAX_TABLE_LEVEL = 22
 
+#: Cascade level of the table that every Daubechies-4 evaluation reads:
+#: 3 * 2**12 + 1 values, spaced 2**-12 on the mother support.
+TABLE_LEVEL = 12
+
 #: Cells a grid needs per translate shift 2**-n: RESOLUTION * 2**n per unit.
 RESOLUTION = 64
 
@@ -167,7 +171,6 @@ class BasisSpec:
     family: str
     scale_n: int
     interval: Interval
-    table_level: int = 12
     translate_range: tuple = field(init=False)
 
     def __post_init__(self):
@@ -177,16 +180,18 @@ class BasisSpec:
             )
         if self.scale_n < 0:
             raise ValueError(f"scale_n must be >= 0, got {self.scale_n}")
-        if not 0 <= self.table_level <= MAX_TABLE_LEVEL:
+        lo, hi = self.interval.lo, self.interval.hi
+        try:
+            lo_n, hi_n = (math.ldexp(end, self.scale_n) for end in (lo, hi))
+        except OverflowError:
             raise ValueError(
-                f"table_level must be in [0, {MAX_TABLE_LEVEL}], "
-                f"got {self.table_level}"
-            )
-        two_n = 2 ** self.scale_n
+                f"scale_n={self.scale_n} takes the interval [{lo:g}, {hi:g}] "
+                f"past the largest double: lo * 2**n and hi * 2**n must be "
+                f"finite") from None
         # k is kept iff k/2^n < hi and (k+w)/2^n > lo, i.e. the open
         # support interior meets the interval.
-        k_min = math.floor(self.interval.lo * two_n - self.support_width) + 1
-        k_max = math.ceil(self.interval.hi * two_n) - 1
+        k_min = math.floor(lo_n - self.support_width) + 1
+        k_max = math.ceil(hi_n) - 1
         object.__setattr__(self, "translate_range", (k_min, k_max))
 
     @property
@@ -223,21 +228,21 @@ class BasisSpec:
         return ks[keep]
 
 
-def _mother_daub4(x: np.ndarray, table_level: int) -> np.ndarray:
+def _mother_daub4(x: np.ndarray) -> np.ndarray:
     """Mother tap-4 scaling function, linear interpolation on the table.
 
     One full-width lookup, with no gather of the lanes inside (0, 3): a
     lane outside, NaN and inf included, reads the table at t = 0 and is
     zeroed at the end, so no lane ever casts a non-finite t. Inside, t =
-    x * 2**table_level is positive, so the int cast truncates it to its
+    x * 2**TABLE_LEVEL is positive, so the int cast truncates it to its
     floor, and the clamp keeps i + 1 in the table. Each lane then
     computes table[i] * (1 - f) + table[i + 1] * f, the same operations
     in the same order as a per-lane loop would.
     """
-    table = scaling_values_daub4(table_level)
+    table = scaling_values_daub4(TABLE_LEVEL)
     inside = (x > 0.0) & (x < 3.0)
     t = np.where(inside, x, 0.0)
-    t *= 2 ** table_level
+    t *= 2 ** TABLE_LEVEL
     i = t.astype(np.int64)
     np.minimum(i, table.size - 2, out=i)
     t -= i
@@ -257,7 +262,7 @@ def _father(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
     amp = 2.0 ** (spec.scale_n / 2.0)
     if spec.family == "haar":
         return np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
-    out = _mother_daub4(x, spec.table_level)
+    out = _mother_daub4(x)
     out *= amp
     return out
 
@@ -417,7 +422,7 @@ def gram_check(spec: BasisSpec, grid: Grid) -> np.ndarray:
     Diagnostic only: for interior translates G approaches the identity as
     the grid refines, while boundary-truncated translates deviate. For a
     clean 1e-6 identity check, evaluate on a grid whose spacing is a
-    multiple of 2**-(table_level + scale_n) so the sample points fall on
+    multiple of 2**-(TABLE_LEVEL + scale_n) so the sample points fall on
     the dyadic table.
     """
     _require_resolution(spec, grid)

@@ -95,7 +95,16 @@ def _require_writable(path: str) -> None:
 
 
 def _write_table(path: str, names, columns) -> None:
-    stacked = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    """Write the table, or refuse before opening `path` if a value is NaN
+    or infinite."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    for name, column in zip(names, columns):
+        bad = np.count_nonzero(~np.isfinite(column))
+        if bad:
+            raise ValueError(
+                f"cannot write {path}: column {name} holds {bad} NaN or "
+                f"infinite values")
+    stacked = np.column_stack(columns)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
         write_rows(fh, stacked)
@@ -114,6 +123,7 @@ def _zeta_curve(target: BetaTarget, grid: Grid) -> DensityCurve:
 
 
 def _figure_table(figure: str, cfg: ExperimentConfig):
+    cfg.require_memory(figure)
     spec = cfg.basis()
     operator = cfg.operator()
     grid = cfg.curve_grid()
@@ -128,17 +138,9 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
     if figure == "fig2b":
         return names, [s, zeta.values,
                        wavelet_approximation(zeta.values, spec, grid)]
-    # embedded_density_exact refuses a zeta whose quadrature mass is off
-    # by over 1e-6. The target has unit mass, so here that is quadrature
-    # error, which only a finer grid reduces.
-    mass = zeta.mass()
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(
-            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 at "
-            f"grid_cells={cfg.grid_cells}; the Beta({target.a:g}, "
-            f"{target.b:g}) target needs a finer grid")
-    samples = target.sample(cfg.n_samples, cfg.seed)
+    # refuses a zeta whose quadrature mass is off, before any sampling
     exact = embedded_density_exact(operator, zeta, grid)
+    samples = target.sample(cfg.n_samples, cfg.seed)
     mapped = embedded_density_map(operator, samples, grid)
     if figure == "fig3a":
         return names, [s, zeta.values, exact.values, mapped.values]
@@ -148,13 +150,13 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
 
 
 def _estimate_table(samples_path: str, cfg: ExperimentConfig):
-    # the bound is checked from the line count before any value is parsed,
-    # and again with the N that was read
-    cfg.require_memory("estimate", count_samples(samples_path))
-    samples = load_samples(samples_path, cfg.interval())
-    if samples.n == 0:
+    # the bound is checked from the line count, which is the N that
+    # load_samples reads, before any value is parsed
+    n_samples = count_samples(samples_path)
+    cfg.require_memory("estimate", n_samples)
+    if n_samples == 0:
         raise ValueError(f"{samples_path}: sample file is empty")
-    cfg.require_memory("estimate", samples.n)
+    samples = load_samples(samples_path, cfg.interval())
     operator = cfg.operator()
     grid = cfg.curve_grid()
     mapped = embedded_density_map(operator, samples, grid)
@@ -194,11 +196,6 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = cfg.replace(out=args.out)
         reproduce = args.command == "reproduce"
-        if reproduce:
-            cfg.require_memory(args.figure)
-        else:
-            # the samples count once `_estimate_table` has counted them
-            cfg.require_memory("estimate", 0)
         out_path = cfg.out or (
             f"{args.figure}.csv" if reproduce else "estimate.csv")
         _require_writable(out_path)

@@ -8,12 +8,14 @@ one nonnegative value per basis translate.
 Two limits hold for every command. Its curve grid must resolve the
 translates: grid_cells >= RESOLUTION * 2**scale_n, checked when the grid
 is built. What it holds at its peak must fit in MEMORY_LIMIT bytes,
-checked from the config alone before anything is allocated.
+checked by the command from the config alone before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .basis import BasisSpec, Grid, Interval, _require_resolution
@@ -48,8 +50,8 @@ TABLE_COLUMNS = {
 }
 
 
-def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
-              n_samples: int = 0) -> int:
+def footprint(spec: BasisSpec, grid_cells: int, command: str,
+              n_samples: int = 0) -> float:
     """Bytes of the arrays `command` holds at its peak, from d, G, w and N.
 
     A command holds its d operator weights and its table's columns of G
@@ -59,14 +61,15 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str | None = None,
     one band and the N points it read. Beside them passes the largest of
     the stacked table, GRID_VALUES per grid point and the N uniforms or
     scatter weights of the samples, which never coexist, and one block of
-    work, PASS_BYTES. None counts what every command shares: the weights,
-    the grid points and the block. Nothing is allocated; the tests check
-    each command's tracemalloc peak against this count.
+    work, PASS_BYTES. Nothing is allocated; the tests check each command's
+    tracemalloc peak against this count. A grid whose cell count is not a
+    finite double counts as infinite.
     """
     d, w = spec.size, spec.support_width
-    g = round(spec.span().width * grid_cells) + 1
-    if command is None:
-        return 8 * (d + g) + PASS_BYTES
+    cells = spec.span().width * grid_cells
+    if not math.isfinite(cells):
+        return math.inf
+    g = round(cells) + 1
     n = n_samples if command in SAMPLE_COMMANDS else 0
     ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
     held = ncols * g + n
@@ -114,11 +117,12 @@ class ExperimentConfig:
             object.__setattr__(self, "weights",
                                tuple(float(v) for v in self.weights))
         # Constructor validation of the derived objects; errors here carry
-        # the field-level messages. The memory bound comes before the
-        # operator allocates its d weights.
-        self.interval()
-        self.require_memory()
-        self.operator()
+        # the field-level messages. Nothing of size d or G is built: the
+        # projection's weights wait for a command, which checks its memory
+        # bound first.
+        self.basis()
+        if self.weights is not None:
+            self.operator()
         self.target()
 
     def interval(self) -> Interval:
@@ -150,9 +154,9 @@ class ExperimentConfig:
         _require_resolution(spec, grid)
         return grid
 
-    def require_memory(self, command: str | None = None,
+    def require_memory(self, command: str,
                        n_samples: int | None = None) -> None:
-        """Refuse a config whose `command` needs over MEMORY_LIMIT bytes.
+        """Refuse to run `command` if it needs over MEMORY_LIMIT bytes.
 
         `n_samples` is the number of points the command scatters, the
         config's own n_samples unless given; estimate passes its file's.
@@ -162,7 +166,7 @@ class ExperimentConfig:
         if need > MEMORY_LIMIT:
             samples = f", N={n} samples" if command in SAMPLE_COMMANDS else ""
             raise ValueError(
-                f"{command or 'every command'} at scale_n={self.scale_n}"
+                f"{command} at scale_n={self.scale_n}"
                 f"{samples} and grid_cells={self.grid_cells} needs "
                 f"{need / 2**30:.3g} GiB of arrays, over the "
                 f"{MEMORY_LIMIT / 2**30:g} GiB limit"

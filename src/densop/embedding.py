@@ -17,10 +17,11 @@ quadratic form b(s)^T W M W b(s) / tr of a coefficient matrix M, held as
 the d x w band of its w diagonals, with W the squared weights and
 tr = sum_j W_jj M_jj, and costs O(G w^2). M is scattered block by block
 into one accumulator, still in point order.
-`kernel_eval`, `kernel_matrix`, `trace_k_rho` and `trace_k_map` build the
-same numbers another way (dense basis rows, quadrature of the kernel
-diagonal). The curves never call them; they remain as an independent
-route for tests and the oracle suites.
+`kernel_eval`, `kernel_matrix`, `trace_k_rho(A, zeta)` and
+`trace_k_map(A, samples)` build the same numbers another way (dense basis
+rows, quadrature of the kernel diagonal against a `DensityCurve`). The
+curves never call them; they remain as an independent route for tests and
+the oracle suites. Only `learn.embedded_density_exact` checks zeta's mass.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, Grid, _band_blocks, basis_matrix
+from .basis import BasisSpec, _band_blocks, basis_matrix
 
 VANISHING_SAMPLE_TRACE = (
     "every sample lies outside the support of the embedding operator's "
@@ -61,7 +62,12 @@ class EmbeddingOperator:
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("weights must not all be zero")
-        squared = w ** 2
+        with np.errstate(over="ignore"):
+            squared = w ** 2
+        if not np.all(np.isfinite(squared)):
+            raise ValueError(
+                f"weights must have finite squares, got "
+                f"{np.max(w):g} whose square overflows")
         w.flags.writeable = False
         squared.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -103,27 +109,15 @@ def kernel_matrix(A: EmbeddingOperator, s_values, t_values) -> np.ndarray:
     return (bs * A.squared_weights[:, None]).T @ bt
 
 
-def trace_k_rho(A: EmbeddingOperator, zeta_values, grid: Grid) -> float:
+def trace_k_rho(A: EmbeddingOperator, zeta) -> float:
     """tr(A rho A*) for the density with position diagonal zeta.
 
-    Equals the quadrature of zeta(s) K(s, s) on the grid. Raises if zeta is
-    not a valid density on the grid or if the result vanishes, which means
+    Equals the quadrature of zeta(s) K(s, s) on the grid of zeta, a
+    DensityCurve. Raises if the result vanishes, which means
     the density lives in the kernel of A and no embedded density exists.
     """
-    zeta_values = np.asarray(zeta_values, dtype=float)
-    if zeta_values.shape != grid.points.shape:
-        raise ValueError(
-            f"zeta shape {zeta_values.shape} does not match grid "
-            f"({grid.points.shape})"
-        )
-    if np.any(zeta_values < 0):
-        raise ValueError("zeta must be nonnegative")
-    mass = grid.integrate(zeta_values)
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(
-            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6"
-        )
-    value = grid.integrate(zeta_values * kernel_diag(A, grid.points))
+    grid = zeta.grid
+    value = grid.integrate(zeta.values * kernel_diag(A, grid.points))
     if value <= 1e-14:
         raise ValueError(VANISHING_DENSITY_TRACE)
     return float(value)

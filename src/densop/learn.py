@@ -15,8 +15,9 @@ b(s)^T W M W b(s), with W the diagonal of squared operator weights and M
 either the empirical matrix or the quadrature matrix sum_p h_p zeta_p
 b(s_p) b(s_p)^T; dividing by the trace sum_j W_jj M_jj gives the curve.
 Both curves take that trace from their own M, by one rule; the kernel
-routes `trace_k_rho` and `trace_k_map` reach the same value independently
-and serve as oracles only.
+routes `trace_k_rho(A, zeta)` and `trace_k_map(A, samples)` reach the same
+value independently and serve as oracles only. Only the exact curve checks
+that zeta has unit quadrature mass.
 Every translate is compactly supported, so each point meets at most w
 translates (w = 1 for Haar, 3 for Daubechies 4): M has bandwidth w - 1 and
 is held as the d x w band of its diagonals, band[j, o] = M[j, j + o]. The
@@ -230,15 +231,18 @@ def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
     The integral is the quadratic form of the trapezoid matrix
     M = sum_p h_p zeta_p b(s_p) b(s_p)^T on zeta's own grid, and T is its
     trace tr(A rho A*) = sum_j alpha_j^2 M_jj. Refuses a zeta whose
-    quadrature mass is not 1 within 1e-6, and a zeta in the kernel of A.
-    For projection operators the output integrates to 1 up to quadrature
-    error, provided the grid covers the span of the translates.
+    quadrature mass is not 1 within 1e-6, naming the grid's cells per unit,
+    and a zeta in the kernel of A. For projection operators the output
+    integrates to 1 up to quadrature error, provided the grid covers the
+    span of the translates.
     """
     mass = zeta.mass()
     if abs(mass - 1.0) > 1e-6:
+        per_unit = zeta.grid.cells / zeta.grid.interval.width
         raise ValueError(
-            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6"
-        )
+            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 on a "
+            f"grid of {per_unit:.6g} cells per unit; a density of unit "
+            f"mass needs a finer grid")
     weighted = zeta.grid.weights() * zeta.values
     band = coefficient_band(A.basis, zeta.grid.points, weighted)
     return _embedded_curve(A, band, grid, VANISHING_DENSITY_TRACE)

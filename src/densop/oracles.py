@@ -19,6 +19,7 @@ from .basis import (
     BasisSpec,
     DAUB4_TAPS,
     Grid,
+    TABLE_LEVEL,
     basis_matrix,
     gram_check,
     scaling_values_daub4,
@@ -191,12 +192,12 @@ def riemann_integral(level: int) -> float:
     return abs(float(scaling_values_daub4(level).sum()) / 2 ** level - 1.0)
 
 
-@_check("basis", "interior gram identity (daubechies4 n=2)", 1e-6, 2, 12)
-def daub4_interior_gram(scale_n: int, level: int) -> float:
+@_check("basis", "interior gram identity (daubechies4 n=2)", 1e-6, 2)
+def daub4_interior_gram(scale_n: int) -> float:
     """Interior Daubechies-4 Gram matrix against the identity, on the
-    table-aligned grid of spacing 2**-(level + scale_n)."""
-    spec = BasisSpec("daubechies4", scale_n, _UNIT, table_level=level)
-    grid = Grid(_UNIT, 3 * 2 ** (level + scale_n))
+    table-aligned grid of spacing 2**-(TABLE_LEVEL + scale_n)."""
+    spec = BasisSpec("daubechies4", scale_n, _UNIT)
+    grid = Grid(_UNIT, 3 * 2 ** (TABLE_LEVEL + scale_n))
     rows = spec.interior_translates() - spec.translate_range[0]
     sub = gram_check(spec, grid)[np.ix_(rows, rows)]
     return float(np.max(np.abs(sub - np.eye(sub.shape[0]))))
@@ -243,13 +244,13 @@ def kernel_symmetry(n_points: int) -> float:
 
 
 @_check("embedding", "projection kernel idempotence (K o K = K)", 1e-5,
-        STREAM, 25, 12)
-def projection_idempotence(rng, n_probe: int, level: int) -> float:
+        STREAM, 25)
+def projection_idempotence(rng, n_probe: int) -> float:
     """K o K by quadrature on a table-aligned grid against K, at probes."""
-    spec = BasisSpec("daubechies4", 2, _UNIT, table_level=level)
+    spec = BasisSpec("daubechies4", 2, _UNIT)
     proj = EmbeddingOperator.projection(spec)
     span = spec.span()
-    grid = Grid(span, int(round(span.width * 2 ** (level + 2))))
+    grid = Grid(span, int(round(span.width * 2 ** (TABLE_LEVEL + 2))))
     gram = gram_check(spec, grid)
     probe = rng.uniform(span.lo, span.hi, size=n_probe)
     bp = basis_matrix(spec, probe)
@@ -262,8 +263,8 @@ def projection_idempotence(rng, n_probe: int, level: int) -> float:
 def haar_trace_against_density(scale_n: int, cells: int) -> float:
     """Trace of the Haar kernel against the beta density, minus 2**scale_n."""
     grid = Grid(_UNIT, cells)
-    zeta = ExperimentConfig().target().density(grid.points)
-    return abs(trace_k_rho(_projection("haar", scale_n), zeta, grid)
+    zeta = DensityCurve(grid, ExperimentConfig().target().density(grid.points))
+    return abs(trace_k_rho(_projection("haar", scale_n), zeta)
                - 2.0 ** scale_n)
 
 

@@ -189,6 +189,15 @@ class BetaTarget:
             raise ValueError(
                 f"beta parameters must be positive, got a={self.a}, b={self.b}"
             )
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError(
+                f"beta parameters must be finite, got a={self.a}, b={self.b}")
+        try:
+            _log_beta(self.a, self.b)
+        except OverflowError:
+            raise ValueError(
+                f"Beta({self.a:g}, {self.b:g}) has no finite log B(a, b), "
+                f"so its density cannot be normalized") from None
 
     def density(self, s):
         """Density value at s; 0 outside the interval.

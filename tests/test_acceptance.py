@@ -52,7 +52,7 @@ def test_criterion_3_cascade_table_invariants():
     start = time.perf_counter()
     refinement = oracles.refinement_residual(12)
     partition = oracles.partition_of_unity(12)
-    gram = oracles.daub4_interior_gram(2, 12)
+    gram = oracles.daub4_interior_gram(2)
     elapsed = time.perf_counter() - start
     print(f"criterion 3: refinement {refinement:.3e}, partition "
           f"{partition:.3e}, gram {gram:.3e} in {elapsed:.2f}s")

@@ -30,7 +30,8 @@ from densop import (
     scaling_values_daub4,
     wavelet_approximation,
 )
-from densop.basis import BAND_BLOCK
+from densop import basis as basis_module
+from densop.basis import BAND_BLOCK, TABLE_LEVEL
 from densop.oracles import (
     daub4_interior_gram,
     partition_of_unity,
@@ -186,8 +187,13 @@ def test_spec_validation():
         BasisSpec("bogus", 2, UNIT)
     with pytest.raises(ValueError):
         BasisSpec("haar", -1, UNIT)
-    with pytest.raises(ValueError):
-        BasisSpec("daubechies4", 2, UNIT, table_level=40)
+    # lo * 2**n or hi * 2**n past the largest double has no translate index
+    for scale_n, interval in ((1023, UNIT), (1100, UNIT),
+                              (2, Interval(-1e308, 3.0))):
+        with pytest.raises(ValueError, match=f"scale_n={scale_n} takes the "
+                                             f"interval .* past the largest"):
+            BasisSpec("daubechies4", scale_n, interval)
+    assert BasisSpec("haar", 1022, UNIT).size == 3 * 2 ** 1022
 
 
 # ---------------------------------------------------------------- evaluation
@@ -206,8 +212,8 @@ def test_haar_evaluation_closed_form():
 
 def test_daub4_evaluation_at_integers():
     spec = BasisSpec("daubechies4", 0, UNIT)
-    table = scaling_values_daub4(spec.table_level)
-    assert eval_father(spec, 0, 1.0) == table[2 ** spec.table_level]
+    table = scaling_values_daub4(TABLE_LEVEL)
+    assert eval_father(spec, 0, 1.0) == table[2 ** TABLE_LEVEL]
     assert eval_father(spec, 0, 0.0) == 0.0
     assert eval_father(spec, 0, 3.0) == 0.0
 
@@ -278,11 +284,12 @@ def test_band_matrix_equals_eval_father_bitwise(family, scale_n):
 def scalar_father(spec, k, s):
     # reference: phi_nk(s) in scalar Python arithmetic straight from the
     # cascade table, the linear interpolation of its two neighbours
-    table = scaling_values_daub4(spec.table_level)
+    level = basis_module.TABLE_LEVEL
+    table = scaling_values_daub4(level)
     x = s * 2 ** spec.scale_n - k
     if not 0.0 < x < 3.0:
         return 0.0
-    t = x * 2 ** spec.table_level
+    t = x * 2 ** level
     i = min(math.floor(t), table.size - 2)
     f = t - i
     phi = float(table[i]) * (1.0 - f) + float(table[i + 1]) * f
@@ -291,8 +298,10 @@ def scalar_father(spec, k, s):
 
 @pytest.mark.parametrize("scale_n, table_level", [(0, 12), (2, 12), (2, 3),
                                                   (5, 12)])
-def test_daub4_lookup_equals_scalar_reference_bitwise(scale_n, table_level):
-    spec = BasisSpec("daubechies4", scale_n, UNIT, table_level=table_level)
+def test_daub4_lookup_equals_scalar_reference_bitwise(monkeypatch, scale_n,
+                                                      table_level):
+    monkeypatch.setattr(basis_module, "TABLE_LEVEL", table_level)
+    spec = BasisSpec("daubechies4", scale_n, UNIT)
     step = 2.0 ** -scale_n
     # points in (-2**-n, 0) whose 2**n s - k rounds to an integer
     near_zero = [-1e-300, -2.0 ** -60, -1e-17, -step * 2.0 ** -53]
@@ -479,37 +488,42 @@ def test_haar_gram_disjoint_supports():
 
 
 def test_daub4_interior_gram_is_identity():
-    # grid spacing 2^-(table_level + n) puts every sample on the dyadic
+    # grid spacing 2^-(TABLE_LEVEL + n) puts every sample on the dyadic
     # table, which is what the 1e-6 statement needs
-    assert daub4_interior_gram(2, 12) <= 1e-6
+    assert daub4_interior_gram(2) <= 1e-6
 
 
 # ---------------------------------------------------------------- projection
 
 
-def fine_spec_and_grid(scale_n=0, level=17):
-    spec = BasisSpec("daubechies4", scale_n, UNIT, table_level=level)
+@pytest.fixture
+def fine_spec_and_grid(monkeypatch):
+    # a level-17 table and a grid on its points make the trapezoid Gram
+    # matrix the identity to well under 1e-8; level 12 gives about 1e-6
+    level = 17
+    monkeypatch.setattr(basis_module, "TABLE_LEVEL", level)
+    spec = BasisSpec("daubechies4", 0, UNIT)
     span = spec.span()
-    cells = int(round(span.width * 2 ** (level + scale_n)))
+    cells = int(round(span.width * 2 ** level))
     return spec, Grid(span, cells)
 
 
-def test_projection_reproduces_a_basis_element():
-    spec, grid = fine_spec_and_grid()
+def test_projection_reproduces_a_basis_element(fine_spec_and_grid):
+    spec, grid = fine_spec_and_grid
     f = eval_father(spec, 0, grid.points)
     out = wavelet_approximation(f, spec, grid)
     assert np.max(np.abs(out - f)) <= 1e-8
 
 
-def test_projection_linearity():
-    spec, grid = fine_spec_and_grid()
+def test_projection_linearity(fine_spec_and_grid):
+    spec, grid = fine_spec_and_grid
     f = 2.0 * eval_father(spec, 0, grid.points) - eval_father(spec, 1, grid.points)
     out = wavelet_approximation(f, spec, grid)
     assert np.max(np.abs(out - f)) <= 1e-8
 
 
-def test_projection_idempotent_on_generic_input():
-    spec, grid = fine_spec_and_grid()
+def test_projection_idempotent_on_generic_input(fine_spec_and_grid):
+    spec, grid = fine_spec_and_grid
     target = BetaTarget(2.0, 5.0, UNIT)
     once = wavelet_approximation(target.density(grid.points), spec, grid)
     twice = wavelet_approximation(once, spec, grid)

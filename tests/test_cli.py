@@ -7,6 +7,7 @@ exercise the full-size defaults.
 
 import contextlib
 import io
+import math
 import os
 import re
 import subprocess
@@ -86,8 +87,6 @@ def test_footprint_arithmetic_at_scale_20_and_30():
     g = 3 * 4096 + 1
     assert spec.size == d
     assert PASS_BYTES == 5 * 2 ** 20
-    # every command holds the weights, the grid points and one block
-    assert footprint(spec, 4096) == 8 * (d + g) + PASS_BYTES < MEMORY_LIMIT
     # fig2a holds s, the d basis rows and the kernel diagonal, and stacks
     # them once more to write them
     assert footprint(spec, 4096, "fig2a") == 8 * (
@@ -109,22 +108,13 @@ def test_footprint_arithmetic_at_scale_20_and_30():
     # the bands are linear in d, so only the basis rows pass the limit
     for command in ("fig3a", "fig3b", "estimate"):
         assert footprint(spec, 4096, command, 300) < MEMORY_LIMIT
-    # at scale 30 the d weights alone take about 26 GB
+    # at scale 30 the d weights alone take about 26 GB, whatever command
     spec = BasisSpec("daubechies4", 30, Interval(0.0, 3.0))
-    assert footprint(spec, 4096) > 8 * 3 * 2 ** 30 > 25e9 > MEMORY_LIMIT
-
-
-@pytest.mark.parametrize("family", ["haar", "daubechies4"])
-def test_every_command_counts_at_least_the_shared_footprint(family):
-    # ExperimentConfig refuses a config from the shared count alone, which
-    # is only right if no command needs less
-    for scale_n in (0, 3, 12, 20):
-        spec = BasisSpec(family, scale_n, Interval(-1.0, 2.5))
-        for grid_cells in (1, 64 * 2 ** scale_n, 4096, 2 ** 22):
-            shared = footprint(spec, grid_cells)
-            for command in TABLE_COLUMNS:
-                for n in (0, 1, 300, 10 ** 8):
-                    assert shared <= footprint(spec, grid_cells, command, n)
+    for command in TABLE_COLUMNS:
+        assert footprint(spec, 4096, command) > 8 * 3 * 2 ** 30 > 25e9
+    # a cell count past the largest double counts as infinite
+    spec = BasisSpec("haar", 0, Interval(-1e308, 3.0))
+    assert footprint(spec, 4096, "fig2b") == math.inf
 
 
 def test_fig3_fits_the_memory_bound_at_scale_12():
@@ -168,14 +158,28 @@ def test_command_peak_is_within_its_footprint(tmp_path, command, changes):
     assert peak <= need
 
 
-def test_config_checks_memory_before_building_the_operator(monkeypatch):
-    # the default config's shared arrays are d = 14 weights and the 16385
-    # grid points beside one block of work, 5 374 072 bytes
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 5_374_071)
-    with pytest.raises(ValueError, match="every command .* over the"):
-        ExperimentConfig()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 5_374_072)
-    assert ExperimentConfig().scale_n == 2
+def test_config_builds_nothing_of_size_d_and_the_command_checks_memory(
+        tmp_path, capsys):
+    # at scale 40 the d = 3 * 2**40 + 2 projection weights alone would take
+    # 26 TB; the config holds none of them, and fig3a refuses to run
+    ExperimentConfig(scale_n=40)
+    tracemalloc.start()
+    try:
+        cfg = ExperimentConfig(scale_n=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.basis().size == 3 * 2 ** 40 + 2
+    assert peak < 64 * 2 ** 10
+    cfgpath = tmp_path / "scale40.cfg"
+    cfgpath.write_text("scale_n = 40\n")
+    out = tmp_path / "fig3a.csv"
+    assert main(["reproduce", "--figure", "fig3a", "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: fig3a at scale_n=40, N=300 samples")
+    assert "GiB limit" in err
+    assert not out.exists()
 
 
 def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
@@ -281,7 +285,8 @@ def test_config_validation():
     ((1.0, -2.0, 3.0), "nonnegative"),
     ((1.0, float("nan"), 3.0), "finite"),
     ((0.0, 0.0, 0.0), "all be zero"),
-], ids=["short", "long", "negative", "nan", "all-zero"])
+    ((1e200, 1.0, 1.0), "finite squares, got 1e\\+200"),
+], ids=["short", "long", "negative", "nan", "all-zero", "square-overflows"])
 def test_config_rejects_bad_weights_at_construction(weights, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(family="haar", scale_n=0, weights=weights)
@@ -697,7 +702,7 @@ def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, family,
     tmp = tmp_path_factory.mktemp("contract")
     size = BasisSpec(family, scale_n, Interval(0.0, 3.0)).size
     weights = "projection" if projection else ",".join(map(repr, data.draw(
-        st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0, 17.5]),
+        st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0, 17.5, 1e200]),
                  min_size=size, max_size=size), label="weights")))
     cfgpath = write_small_config(tmp, family=family, scale_n=scale_n,
                                  grid_cells=grid_cells, weights=weights,
@@ -748,6 +753,55 @@ def test_target_infinite_at_an_end_exits_one(tmp_path, capsys, figure, shape):
     assert not out.exists()
 
 
+# Each once ended in a traceback, a wrong message, or NaN and inf in a
+# table written with exit 0.
+EXTREME_CONFIGS = {
+    "weight-1e200": ("weights = 1e200" + ",1" * 13,
+                     "weights must have finite squares, got 1e+200"),
+    "target_b-1e308": ("target_b = 1e308",
+                       "Beta(2, 1e+308) has no finite log B(a, b)"),
+    "target_a-inf": ("target_a = inf", "beta parameters must be finite"),
+    "lo-1e308": ("lo = -1e308", "scale_n=2 takes the interval [-1e+308, 3]"),
+    "scale_n-1023": ("scale_n = 1023", "scale_n=1023 takes the interval"),
+    "scale_n-1100": ("scale_n = 1100", "scale_n=1100 takes the interval"),
+    "lo-1e308-scale_n-0": ("lo = -1e308\nscale_n = 0",
+                           "needs inf GiB of arrays, over the 1 GiB limit"),
+}
+
+
+@pytest.mark.parametrize("command", [*FIGURES, "estimate"])
+@pytest.mark.parametrize("config", EXTREME_CONFIGS)
+def test_extreme_configs_exit_one_naming_the_cause(tmp_path, capsys, config,
+                                                   command):
+    text, cause = EXTREME_CONFIGS[config]
+    cfgpath = tmp_path / "extreme.cfg"
+    cfgpath.write_text(text + "\n")
+    samples = tmp_path / "s.txt"
+    samples.write_text("1.5\n")
+    argv = (["estimate", str(samples)] if command == "estimate"
+            else ["reproduce", "--figure", command])
+    out = tmp_path / "table.csv"
+    before = sorted(tmp_path.iterdir())
+    assert main([*argv, "--config", str(cfgpath), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert cause in lines[0]
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_table_refuses_non_finite_values(tmp_path, bad):
+    out = tmp_path / "table.csv"
+    column = np.ones(5)
+    column[3] = bad
+    with pytest.raises(ValueError, match="column kernel_diag holds 1 NaN or "
+                                         "infinite values"):
+        _write_table(str(out), ["s", "kernel_diag"], [np.ones(5), column])
+    assert not out.exists()
+
+
 def test_grids_too_coarse_for_the_translates_exit_one(tmp_path, capsys):
     # Both once exited 0: the estimate with a 25-row table of mass 0.577,
     # fig3a with curves of mass 1.17 and 1.15.
@@ -770,17 +824,22 @@ def test_grids_too_coarse_for_the_translates_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_fig3_quadrature_refusal_names_grid_cells(tmp_path, capsys):
+def test_fig3_quadrature_refusal_names_grid_cells(tmp_path, capsys,
+                                                 monkeypatch):
     # 512 cells per unit resolve the scale-2 translates, but the trapezoid
-    # mass of Beta(2, 5) there is off by 1.1e-6; 768 is fine
+    # mass of Beta(2, 5) there is off by 1.1e-6; 768 is fine. The refusal
+    # comes from the exact curve, before any sample is drawn.
+    monkeypatch.setattr("densop.target.BetaTarget.sample", _refuse_to_build)
     for figure in ("fig3a", "fig3b"):
         cfgpath = write_small_config(tmp_path, grid_cells=512)
         out = tmp_path / f"{figure}.csv"
         assert main(["reproduce", "--figure", figure, "--config",
                      str(cfgpath), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "grid_cells=512" in err and "finer grid" in err
+        assert err.startswith("error: zeta quadrature mass 0.999998")
+        assert "512 cells per unit" in err and "finer grid" in err
         assert not out.exists()
+    monkeypatch.undo()
     cfgpath = write_small_config(tmp_path, grid_cells=768)
     assert main(["reproduce", "--figure", "fig3a", "--config", str(cfgpath),
                  "--out", str(tmp_path / "fig3a.csv")]) == 0

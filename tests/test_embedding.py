@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from densop import (
     BasisSpec,
+    DensityCurve,
     EmbeddingOperator,
     Grid,
     Interval,
@@ -26,9 +27,8 @@ def haar_projection(n=2):
     return EmbeddingOperator.projection(BasisSpec("haar", n, UNIT))
 
 
-def daub_projection(n=2, table_level=12):
-    spec = BasisSpec("daubechies4", n, UNIT, table_level=table_level)
-    return EmbeddingOperator.projection(spec)
+def daub_projection(n=2):
+    return EmbeddingOperator.projection(BasisSpec("daubechies4", n, UNIT))
 
 
 def single_translate(spec, k, weight=1.0):
@@ -188,20 +188,22 @@ def test_trace_k_rho_single_weighted_index():
     spec = BasisSpec("daubechies4", 2, UNIT)
     op = single_translate(spec, 4, 0.7)
     grid = Grid(UNIT, 3 * 2 ** 12)
-    uniform = np.full(grid.points.size, 1.0 / 3.0)
-    value = trace_k_rho(op, uniform, grid)
+    uniform = DensityCurve(grid, np.full(grid.points.size, 1.0 / 3.0))
+    value = trace_k_rho(op, uniform)
     assert abs(value - 0.49 / 3.0) <= 1e-5
 
 
-def test_trace_k_rho_rejects_bad_density():
+def test_trace_k_rho_is_linear_in_the_mass_of_zeta():
+    # trace_k_rho checks nothing of zeta: a zeta of mass 3 gives 3 times
+    # the Haar trace 2**n, which the oracle's residual |tr - 2**n| flags.
+    # The right end lies outside every half-open box, so half a cell of
+    # 2048 is missing from both.
     op = haar_projection()
     grid = Grid(UNIT, 2048)
-    with pytest.raises(ValueError):
-        trace_k_rho(op, np.full(grid.points.size, 1.0), grid)  # mass 3
-    bad = np.full(grid.points.size, 1.0 / 3.0)
-    bad[5] = -bad[5]
-    with pytest.raises(ValueError):
-        trace_k_rho(op, bad, grid)
+    one = trace_k_rho(op, DensityCurve(grid, np.full(grid.points.size, 1 / 3)))
+    three = trace_k_rho(op, DensityCurve(grid, np.ones(grid.points.size)))
+    assert abs(one - 4.0) <= 4.0 / 2048
+    assert_allclose(three, 3.0 * one, rtol=1e-14)
 
 
 def test_trace_k_rho_detects_kernel_of_operator():
@@ -209,9 +211,9 @@ def test_trace_k_rho_detects_kernel_of_operator():
     op = single_translate(spec, 0)  # support [0, 0.75]
     grid = Grid(UNIT, 3072)
     zeta = np.where(grid.points >= 2.0, 1.0, 0.0)
-    zeta /= grid.integrate(zeta)
-    with pytest.raises(ValueError):
-        trace_k_rho(op, zeta, grid)
+    zeta = DensityCurve(grid, zeta / grid.integrate(zeta))
+    with pytest.raises(ValueError, match="in the kernel of the embedding"):
+        trace_k_rho(op, zeta)
 
 
 def test_trace_k_map_mean_of_diagonal():

@@ -144,6 +144,18 @@ def test_target_validation():
         BetaTarget(0.0, 1.0, UNIT)
     with pytest.raises(ValueError):
         BetaTarget(2.0, -3.0, UNIT)
+    with pytest.raises(ValueError, match="must be positive, got a=nan"):
+        BetaTarget(math.nan, 5.0, UNIT)
+    with pytest.raises(ValueError, match="must be finite, got a=inf, b=5.0"):
+        BetaTarget(math.inf, 5.0, UNIT)
+    with pytest.raises(ValueError, match="must be finite, got a=2.0, b=inf"):
+        BetaTarget(2.0, math.inf, UNIT)
+    # lgamma overflows past about 2.6e305, where log B(a, b) has no finite
+    # value
+    for a, b in ((2.0, 1e308), (1e307, 1e307)):
+        with pytest.raises(ValueError, match=r"has no finite log B\(a, b\)"):
+            BetaTarget(a, b, UNIT)
+    assert BetaTarget(1e300, 1e-300, UNIT).b == 1e-300
 
 
 # ------------------------------------------------------- cdf and quantile
