@@ -2,8 +2,8 @@
 
 The package splits into small modules: `discrete` for exact
 finite-dimensional states and measurements, `basis` for scaling-function
-families on an interval, `embedding` for weighted basis embeddings and
-their squared kernel, `learn` for the posterior functionals and the
+families on an interval, `embedding` for weighted basis embeddings, their
+kernel and their traces, `learn` for the posterior functionals and the
 kernel-trick MAP estimator, `target` for the beta target and its seeded
 sampler, and `cli`/`config`/`oracles` for the deterministic command-line
 experiments.

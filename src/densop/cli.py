@@ -26,6 +26,7 @@ from .config import TABLE_COLUMNS, ExperimentConfig, load_config
 from .embedding import kernel_diag
 from .learn import (
     DensityCurve,
+    _require_unit_mass,
     embedded_density_exact,
     embedded_density_map,
     normalized_ratio,
@@ -113,6 +114,9 @@ def _write_table(path: str, names, columns) -> None:
 def _zeta_curve(target: BetaTarget, grid: Grid) -> DensityCurve:
     """The target density on the grid, refused where it is infinite."""
     values = target.density(grid.points)
+    # the grid's ends lie on or outside the interval's, where the density
+    # is the mean of its one-sided limits or 0; twice it is the inner limit
+    values[[0, -1]] *= 2.0
     if not np.all(np.isfinite(values)):
         lo, hi = target.interval.lo, target.interval.hi
         raise ValueError(
@@ -136,6 +140,7 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
         return names, [s, *rows, kernel_diag(operator, s)]
     zeta = _zeta_curve(target, grid)
     if figure == "fig2b":
+        _require_unit_mass(zeta)
         return names, [s, zeta.values,
                        wavelet_approximation(zeta.values, spec, grid)]
     # refuses a zeta whose quadrature mass is off, before any sampling

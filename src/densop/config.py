@@ -66,10 +66,10 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str,
     finite double counts as infinite.
     """
     d, w = spec.size, spec.support_width
-    cells = spec.span().width * grid_cells
-    if not math.isfinite(cells):
+    try:
+        g = round(spec.span().width * grid_cells) + 1
+    except OverflowError:  # grid_cells or the cell count past the doubles
         return math.inf
-    g = round(cells) + 1
     n = n_samples if command in SAMPLE_COMMANDS else 0
     ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
     held = ncols * g + n

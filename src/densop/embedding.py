@@ -1,36 +1,35 @@
-"""Weighted basis embeddings and their squared kernel.
+"""Weighted basis embeddings, their kernel and their traces.
 
 An embedding operator is a nonnegative combination A = sum_j alpha_j
 |psi_j><psi_j| over the translates of a basis family, with one weight per
-translate; a zero weight leaves its translate out. Everything downstream
-only ever needs the kernel K(s, t) = sum_j alpha_j^2 psi_j(s) psi_j(t) and
-its diagonal, so the embedded states themselves are never materialized. A
-point meets at most w translates (w = 1 for Haar, 3 for Daubechies 4), so
-the kernel diagonal on G points is a banded sum of G x w terms, evaluated
-block by block of points and added in translate order; nothing calls
-BLAS, so it has the same bits at any BLAS thread count.
-The projection case (all weights 1) is the one used by the experiment
-commands.
+translate; a zero weight leaves its translate out. A density rho with
+position diagonal zeta embeds as the state A rho A* / tr(A rho A*), whose
+position diagonal is integral zeta(t) K(s, t)^2 dt with the kernel
+K(s, t) = <s|A|t> = sum_j alpha_j psi_j(s) psi_j(t); its trace tr(rho A*A)
+integrates zeta against the diagonal <s|A*A|s> = sum_j alpha_j^2
+psi_j(s)^2 of `kernel_diag`, which is K(s, s) for the projection.
 
-The embedded curves in `densop.learn` use the same band: each is the
-quadratic form b(s)^T W M W b(s) / tr of a coefficient matrix M, held as
-the d x w band of its w diagonals, with W the squared weights and
-tr = sum_j W_jj M_jj, and costs O(G w^2). M is scattered block by block
-into one accumulator, still in point order.
+`kernel_diag` is `basis.quadratic_form` of A*A's band, its one diagonal
+alpha^2; the embedded curves in `densop.learn` are the same form of a
+coefficient band scaled by the weights. Neither calls BLAS.
 `kernel_eval`, `kernel_matrix`, `trace_k_rho(A, zeta)` and
 `trace_k_map(A, samples)` build the same numbers another way (dense basis
-rows, quadrature of the kernel diagonal against a `DensityCurve`). The
-curves never call them; they remain as an independent route for tests and
-the oracle suites. Only `learn.embedded_density_exact` checks zeta's mass.
+rows, quadrature of the diagonal against a `DensityCurve`) for tests and
+the oracle suites; the curves never call them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, _band_blocks, basis_matrix
+from .basis import BasisSpec, basis_matrix, quadratic_form
+
+# |phi| <= 1 for Haar; the Daubechies-4 table peaks at phi(1) = 1.366
+_PHI_MAX = 1.5
 
 VANISHING_SAMPLE_TRACE = (
     "every sample lies outside the support of the embedding operator's "
@@ -43,35 +42,35 @@ VANISHING_DENSITY_TRACE = (
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingOperator:
-    """A = sum_j weight_j |psi_j><psi_j|, one weight per basis translate."""
+    """A = sum_j weight_j |psi_j><psi_j|, one weight per basis translate;
+    a weight that takes alpha^2 (w 2**n max phi^2)^2, the largest product
+    the curves and the diagonal form, past the largest double is refused."""
 
     basis: BasisSpec
     weights: np.ndarray
-    squared_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.basis.size,):
             raise ValueError(
                 f"need one weight per basis translate, got {w.size} "
-                f"weights for {self.basis.size} translates"
-            )
+                f"weights for {self.basis.size} translates")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         if not np.any(w > 0):
             raise ValueError("weights must not all be zero")
-        with np.errstate(over="ignore"):
-            squared = w ** 2
-        if not np.all(np.isfinite(squared)):
+        n, width = self.basis.scale_n, self.basis.support_width
+        bound = math.ldexp(
+            math.sqrt(sys.float_info.max) / (width * _PHI_MAX ** 2), -n)
+        if np.max(w) > bound:
             raise ValueError(
-                f"weights must have finite squares, got "
-                f"{np.max(w):g} whose square overflows")
+                f"weight {np.max(w):g} is over {bound:.3g}, the largest "
+                f"for which alpha^2 (w 2**n max phi^2)^2 is a finite "
+                f"double at w={width}, scale_n={n} and |phi| <= {_PHI_MAX}")
         w.flags.writeable = False
-        squared.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "squared_weights", squared)
 
     @classmethod
     def projection(cls, basis: BasisSpec) -> "EmbeddingOperator":
@@ -80,40 +79,38 @@ class EmbeddingOperator:
 
 
 def kernel_eval(A: EmbeddingOperator, s, t):
-    """K(s, t) = sum_j alpha_j^2 psi_j(s) psi_j(t), elementwise in (s, t)."""
+    """K(s, t) = <s|A|t> = sum_j alpha_j psi_j(s) psi_j(t), elementwise."""
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     scalar = s.ndim == 0 and t.ndim == 0
     s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
     bs = basis_matrix(A.basis, s.ravel())
     bt = basis_matrix(A.basis, t.ravel())
-    out = np.einsum("j,jp,jp->p", A.squared_weights, bs, bt).reshape(s.shape)
+    out = np.einsum("j,jp,jp->p", A.weights, bs, bt).reshape(s.shape)
     return float(out.ravel()[0]) if scalar else out
 
 
 def kernel_diag(A: EmbeddingOperator, s):
-    """K(s, s) = sum_j alpha_j^2 psi_j(s)^2, always >= 0."""
+    """<s|A*A|s> = sum_j alpha_j^2 psi_j(s)^2, always >= 0: the form of
+    A*A's band, its one diagonal alpha^2, at unit scale."""
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    out = np.empty(s.size)
-    for block, rows, values in _band_blocks(A.basis, s.ravel()):
-        out[block] = np.sum(A.squared_weights[rows] * values * values, axis=1)
-    out = out.reshape(np.atleast_1d(s).shape)
-    return float(out.ravel()[0]) if scalar else out
+    unit = np.broadcast_to(1.0, A.weights.shape)
+    out = quadratic_form(A.basis, A.weights[:, None] ** 2, s, unit)
+    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 
 def kernel_matrix(A: EmbeddingOperator, s_values, t_values) -> np.ndarray:
     """Cross matrix K(s_a, t_b) for point vectors."""
     bs = basis_matrix(A.basis, np.asarray(s_values, dtype=float).ravel())
     bt = basis_matrix(A.basis, np.asarray(t_values, dtype=float).ravel())
-    return (bs * A.squared_weights[:, None]).T @ bt
+    return (bs * A.weights[:, None]).T @ bt
 
 
 def trace_k_rho(A: EmbeddingOperator, zeta) -> float:
     """tr(A rho A*) for the density with position diagonal zeta.
 
-    Equals the quadrature of zeta(s) K(s, s) on the grid of zeta, a
-    DensityCurve. Raises if the result vanishes, which means
+    Equals tr(rho A*A), the quadrature of zeta(s) <s|A*A|s> on the grid of
+    zeta, a DensityCurve. Raises if the result vanishes, which means
     the density lives in the kernel of A and no embedded density exists.
     """
     grid = zeta.grid
@@ -124,7 +121,7 @@ def trace_k_rho(A: EmbeddingOperator, zeta) -> float:
 
 
 def trace_k_map(A: EmbeddingOperator, samples) -> float:
-    """Mean of K(S_i, S_i) over a sample set.
+    """Mean of <S_i|A*A|S_i> over a sample set.
 
     `samples` may be a SampleSet or any array of sample points; only the
     points are used.

@@ -9,22 +9,19 @@ package's central invariance check. On the interval, from noiseless
 samples, the posterior mode has a closed form, the empirical coefficient
 matrix M = (1/N) sum_i b(S_i) b(S_i)^T over the basis vector b(s).
 
-Both embedded curves are one quadratic form. The kernel-trick sums
-sum_i K(S_i, s)^2 / N and integral zeta(s') K(s, s')^2 ds' expand to
-b(s)^T W M W b(s), with W the diagonal of squared operator weights and M
-either the empirical matrix or the quadrature matrix sum_p h_p zeta_p
-b(s_p) b(s_p)^T; dividing by the trace sum_j W_jj M_jj gives the curve.
-Both curves take that trace from their own M, by one rule; the kernel
-routes `trace_k_rho(A, zeta)` and `trace_k_map(A, samples)` reach the same
-value independently and serve as oracles only. Only the exact curve checks
-that zeta has unit quadrature mass.
-Every translate is compactly supported, so each point meets at most w
-translates (w = 1 for Haar, 3 for Daubechies 4): M has bandwidth w - 1 and
-is held as the d x w band of its diagonals, band[j, o] = M[j, j + o]. The
-points' upper w x w triangles are scattered into one accumulator block by
-block, still in point order; a curve on G points reads w^2 entries per
-point, O(G w^2), with no d x d matrix. The sums are fixed-order and
-nothing calls BLAS: bit-identical at any BLAS thread count.
+Both embedded curves are one quadratic form, the position diagonal of
+the state A rho A* / tr(A rho A*). The kernel-trick sums
+sum_i K(S_i, s)^2 / N and integral zeta(s') K(s, s')^2 ds', with
+K(s, t) = <s|A|t>, expand to b(s)^T D M D b(s), with D the diagonal of
+operator weights and M either the empirical matrix or the quadrature
+matrix sum_p h_p zeta_p b(s_p) b(s_p)^T; dividing by the trace
+sum_j alpha_j M_jj alpha_j, taken from the curve's own M, gives unit
+mass. `trace_k_rho(A, zeta)` and `trace_k_map(A, samples)` reach that
+trace independently and serve as oracles only.
+M is held as the d x w band of its diagonals, band[j, o] = M[j, j + o],
+scattered in point order; a curve on G points reads w^2 entries per
+point, with no d x d matrix. Nothing calls BLAS: the bits are the same at
+any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -213,15 +210,25 @@ def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:
 
 def _embedded_curve(A: EmbeddingOperator, band, grid: Grid,
                     vanishing: str) -> DensityCurve:
-    """b(s)^T W M W b(s) / tr on the grid, with tr = sum_j W_jj M_jj.
-
-    Raises with `vanishing` when tr <= 1e-14, where no curve exists.
-    """
-    trace = float(np.sum(A.squared_weights * band[:, 0]))
+    """b(s)^T D M D b(s) / tr on the grid, with D = diag(alpha) and
+    tr = sum_j alpha_j M_jj alpha_j; raises with `vanishing` when
+    tr <= 1e-14, where no curve exists."""
+    trace = float(np.sum(A.weights * band[:, 0] * A.weights))
     if trace <= 1e-14:
         raise ValueError(vanishing)
-    values = quadratic_form(A.basis, band, grid.points, A.squared_weights)
+    values = quadratic_form(A.basis, band, grid.points, A.weights)
     return DensityCurve(grid=grid, values=values / trace)
+
+
+def _require_unit_mass(zeta: DensityCurve) -> None:
+    """Refuse a zeta whose quadrature mass is not 1 within 1e-6."""
+    mass = zeta.mass()
+    if abs(mass - 1.0) > 1e-6:
+        per_unit = zeta.grid.cells / zeta.grid.interval.width
+        raise ValueError(
+            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 on a "
+            f"grid of {per_unit:.6g} cells per unit; a density of unit "
+            f"mass needs a finer grid")
 
 
 def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
@@ -231,18 +238,11 @@ def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
     The integral is the quadratic form of the trapezoid matrix
     M = sum_p h_p zeta_p b(s_p) b(s_p)^T on zeta's own grid, and T is its
     trace tr(A rho A*) = sum_j alpha_j^2 M_jj. Refuses a zeta whose
-    quadrature mass is not 1 within 1e-6, naming the grid's cells per unit,
-    and a zeta in the kernel of A. For projection operators the output
-    integrates to 1 up to quadrature error, provided the grid covers the
-    span of the translates.
+    quadrature mass is not 1 within 1e-6 and a zeta in the kernel of A.
+    The output integrates to 1 up to quadrature error, provided the grid
+    covers the span of the translates.
     """
-    mass = zeta.mass()
-    if abs(mass - 1.0) > 1e-6:
-        per_unit = zeta.grid.cells / zeta.grid.interval.width
-        raise ValueError(
-            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 on a "
-            f"grid of {per_unit:.6g} cells per unit; a density of unit "
-            f"mass needs a finer grid")
+    _require_unit_mass(zeta)
     weighted = zeta.grid.weights() * zeta.values
     band = coefficient_band(A.basis, zeta.grid.points, weighted)
     return _embedded_curve(A, band, grid, VANISHING_DENSITY_TRACE)

@@ -202,8 +202,8 @@ class BetaTarget:
     def density(self, s):
         """Density value at s; 0 outside the interval.
 
-        At an endpoint the one-sided limit is returned, which is infinite
-        when the corresponding shape parameter is below 1.
+        At an endpoint the mean of the one-sided limits is returned: 0 for
+        a shape above 1, half the inner limit at 1, infinite below 1.
 
         Evaluated as exp((a - 1) log x + (b - 1) log1p(-x) - log_norm) in
         that order, in place on the points inside, so that besides its
@@ -224,16 +224,14 @@ class BetaTarget:
         log_x -= _log_beta(self.a, self.b) + math.log(self.interval.width)
         out = np.zeros(inside.shape)
         out[inside] = np.exp(log_x, out=log_x)
-        out[at_lo] = self._edge_value(self.a, self.b)
-        out[at_hi] = self._edge_value(self.b, self.a)
+        out[at_lo] = self._edge_value(self.a)
+        out[at_hi] = self._edge_value(self.b)
         return float(out[0]) if scalar else out
 
-    def _edge_value(self, shape_here: float, shape_other: float) -> float:
-        if shape_here > 1.0:
-            return 0.0
-        if shape_here == 1.0:
-            return math.exp(-_log_beta(self.a, self.b)) / self.interval.width
-        return math.inf
+    def _edge_value(self, shape: float) -> float:
+        if shape != 1.0:
+            return 0.0 if shape > 1.0 else math.inf
+        return math.exp(-_log_beta(self.a, self.b)) / self.interval.width / 2
 
     def cdf(self, s):
         s = np.asarray(s, dtype=float)

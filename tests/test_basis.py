@@ -388,7 +388,7 @@ def test_coefficient_matrix_checks_weights():
 def unblocked_kernel_diag(op, s):
     # reference: one band over every point, summed as a whole
     rows, values = basis_band(op.basis, s)
-    return np.sum(op.squared_weights[rows] * values * values, axis=1)
+    return np.sum((op.weights ** 2)[rows] * values * values, axis=1)
 
 
 def unblocked_wavelet_approximation(spec, grid, f):

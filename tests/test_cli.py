@@ -26,7 +26,6 @@ from densop import (
     ExperimentConfig,
     Interval,
     load_config,
-    map_coefficients,
     parse_config,
     save_samples,
 )
@@ -285,7 +284,7 @@ def test_config_validation():
     ((1.0, -2.0, 3.0), "nonnegative"),
     ((1.0, float("nan"), 3.0), "finite"),
     ((0.0, 0.0, 0.0), "all be zero"),
-    ((1e200, 1.0, 1.0), "finite squares, got 1e\\+200"),
+    ((1e200, 1.0, 1.0), "weight 1e\\+200 is over 5.96e\\+153"),
 ], ids=["short", "long", "negative", "nan", "all-zero", "square-overflows"])
 def test_config_rejects_bad_weights_at_construction(weights, message):
     with pytest.raises(ValueError, match=message):
@@ -422,9 +421,9 @@ def test_written_values_round_trip_at_full_precision(tmp_path):
 
 
 def test_fig2b_haar_approximation_is_piecewise_constant(tmp_path):
-    # 512 cells per unit clears the 64 * 2**n resolution floor at n = 2
-    cfgpath = write_small_config(tmp_path, family="haar", scale_n=2,
-                                 grid_cells=512)
+    # 1024 cells per unit clears the 64 * 2**n resolution floor at n = 2
+    # and the unit-mass rule for zeta
+    cfgpath = write_small_config(tmp_path, family="haar", scale_n=2)
     out = tmp_path / "h.csv"
     assert main(["reproduce", "--figure", "fig2b",
                  "--config", str(cfgpath), "--out", str(out)]) == 0
@@ -727,15 +726,10 @@ def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, family,
             assert np.all(column >= 0.0), name
         if name.startswith("ratio_"):
             assert abs(np.trapezoid(column, s) - 1.0) <= 1e-12, name
-    if figure == "fig3a":
-        # a weighted curve integrates to sum a^4 M_jj / sum a^2 M_jj
-        cfg = load_config(cfgpath)
-        m = np.diagonal(map_coefficients(
-            cfg.target().sample(cfg.n_samples, cfg.seed), cfg.basis()).matrix)
-        a2 = cfg.operator().squared_weights
-        expect = np.sum(a2 * a2 * m) / np.sum(a2 * m)
-        mass = np.trapezoid(table[:, names.index("embedded_map")], s)
-        assert abs(mass / expect - 1.0) <= EMBEDDED_MASS_BOUND
+        if name.startswith("embedded_"):
+            # the state A rho A* / tr has unit mass at any weights
+            mass = np.trapezoid(column, s)
+            assert abs(mass - 1.0) <= EMBEDDED_MASS_BOUND, (name, mass)
 
 
 @pytest.mark.parametrize("shape", ["target_a", "target_b"])
@@ -753,11 +747,58 @@ def test_target_infinite_at_an_end_exits_one(tmp_path, capsys, figure, shape):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", ["haar", "daubechies4"])
+@pytest.mark.parametrize("figure", ["fig2b", "fig3a", "fig3b"])
+def test_target_with_a_unit_shape_exits_zero(tmp_path, figure, family):
+    # Beta(1, 5) jumps to 5/3 at 0, a grid point: inside the Daubechies-4
+    # span, where zeta takes the mean of its one-sided limits there, and
+    # at the end of the Haar grid, where it takes the inner limit. Either
+    # way zeta's trapezoid mass is 1 within 1e-6; fig3a and fig3b once
+    # refused every such target on the Daubechies-4 grid.
+    cfgpath = write_small_config(tmp_path, family=family, target_a=1.0)
+    out = tmp_path / "table.csv"
+    assert main(["reproduce", "--figure", figure, "--config", str(cfgpath),
+                 "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert abs(np.trapezoid(data[:, 1], data[:, 0]) - 1.0) <= 1e-6
+
+
+def test_fig2b_refuses_a_zeta_of_mass_zero(tmp_path, capsys):
+    # Beta(1e300, 2) is a spike narrower than a cell at the right end, so
+    # every grid value underflows to 0; fig2b once wrote that column
+    cfgpath = write_small_config(tmp_path, target_a=1e300, target_b=2)
+    out = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b", "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "error: zeta quadrature mass 0.000000000 is not 1 within 1e-6")
+    assert not out.exists()
+
+
+def test_weighted_embedded_curves_have_unit_mass(tmp_path):
+    # A rho A* / tr(A rho A*) has unit trace at any weights; with the A*A
+    # kernel in the numerator these curves integrated to 5.05 and 5.16
+    cfgpath = tmp_path / "weighted.cfg"
+    cfgpath.write_text("scale_n = 1\nweights = 1,0.5,2,0,1,3,0.25,1\n")
+    out = tmp_path / "fig3a.csv"
+    assert main(["reproduce", "--figure", "fig3a", "--config", str(cfgpath),
+                 "--out", str(out)]) == 0
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    for column in (2, 3):
+        assert abs(np.trapezoid(data[:, column], data[:, 0]) - 1.0) <= 1e-5
+
+
 # Each once ended in a traceback, a wrong message, or NaN and inf in a
 # table written with exit 0.
 EXTREME_CONFIGS = {
     "weight-1e200": ("weights = 1e200" + ",1" * 13,
-                     "weights must have finite squares, got 1e+200"),
+                     "weight 1e+200 is over 4.97e+152, the largest"),
+    "weight-1e154": ("weights = 1e154" + ",1" * 13,
+                     "weight 1e+154 is over 4.97e+152, the largest"),
+    "grid_cells-1e400": ("grid_cells = 1" + "0" * 400,
+                         "needs inf GiB of arrays, over the 1 GiB limit"),
     "target_b-1e308": ("target_b = 1e308",
                        "Beta(2, 1e+308) has no finite log B(a, b)"),
     "target_a-inf": ("target_a = inf", "beta parameters must be finite"),

@@ -1,4 +1,4 @@
-"""Embedding operators and the squared kernel."""
+"""Embedding operators, their kernel and their traces."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,14 @@ from numpy.testing import assert_allclose
 
 from densop import (
     BasisSpec,
+    BetaTarget,
     DensityCurve,
     EmbeddingOperator,
     Grid,
     Interval,
+    basis_matrix,
+    embedded_density_exact,
+    embedded_density_map,
     eval_father,
     kernel_diag,
     kernel_eval,
@@ -18,6 +22,7 @@ from densop import (
     trace_k_map,
     trace_k_rho,
 )
+from densop.basis import TABLE_LEVEL, scaling_values_daub4
 from densop.oracles import haar_trace_against_density, mercer_positivity
 
 UNIT = Interval(0.0, 3.0)
@@ -45,7 +50,6 @@ def test_projection_covers_all_translates_with_unit_weights():
     op = daub_projection()
     assert op.weights.shape == (14,)  # translates -2 .. 11
     assert np.all(op.weights == 1.0)
-    assert np.all(op.squared_weights == 1.0)
 
 
 def test_operator_holds_read_only_copies():
@@ -54,10 +58,8 @@ def test_operator_holds_read_only_copies():
     op = EmbeddingOperator(spec, given)
     given[0] = 9.0
     assert np.array_equal(op.weights, [0.5, 0.0, 2.0])
-    assert np.array_equal(op.squared_weights, [0.25, 0.0, 4.0])
-    for arr in (op.weights, op.squared_weights):
-        with pytest.raises(ValueError):
-            arr[0] = 1.0
+    with pytest.raises(ValueError):
+        op.weights[0] = 1.0
 
 
 def test_operator_validation():
@@ -100,13 +102,44 @@ def test_rank_one_kernel():
     assert_allclose(kernel_eval(op, s, t), expect, rtol=0, atol=1e-15)
 
 
-def test_weights_enter_squared():
+def test_kernel_is_linear_in_the_weights():
+    # K(s, t) = <s|A|t> carries alpha_j once; the diagonal <s|A*A|s> that
+    # the traces integrate carries alpha_j^2
     spec = BasisSpec("daubechies4", 2, UNIT)
     plain = single_translate(spec, 3)
     scaled = single_translate(spec, 3, 0.5)
     s, t = 0.9, 1.1
     assert_allclose(kernel_eval(scaled, s, t),
-                    0.25 * kernel_eval(plain, s, t), rtol=0, atol=1e-15)
+                    0.5 * kernel_eval(plain, s, t), rtol=0, atol=1e-15)
+    assert kernel_diag(scaled, s) == 0.25 * kernel_diag(plain, s)
+    op = EmbeddingOperator(spec, np.linspace(0.2, 1.5, spec.size))
+    pts = np.linspace(-0.5, 3.5, 41)
+    b = basis_matrix(spec, pts)
+    assert_allclose(kernel_diag(op, pts), (op.weights ** 2) @ (b * b),
+                    rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("family, scale_n", [("haar", 0), ("daubechies4", 2)])
+def test_operator_refuses_weights_whose_products_overflow(family, scale_n):
+    # the bound is sqrt(max double) / (w 2**n 1.5**2): 5.959e153 for Haar
+    # at n = 0, 4.966e152 for Daubechies 4 at n = 2. Just under it the
+    # diagonal and both curves are finite; over it the weight is refused.
+    assert np.max(scaling_values_daub4(TABLE_LEVEL)) <= 1.5
+    spec = BasisSpec(family, scale_n, UNIT)
+    bound = {"haar": 5.95e153, "daubechies4": 4.96e152}[family]
+    weights = np.ones(spec.size)
+    weights[1] = bound
+    op = EmbeddingOperator(spec, weights)
+    grid = Grid(spec.span(), round(spec.span().width * 4096))
+    assert np.all(np.isfinite(kernel_diag(op, grid.points)))
+    target = BetaTarget(2.0, 5.0, UNIT)
+    zeta = DensityCurve(grid, target.density(grid.points))
+    for curve in (embedded_density_exact(op, zeta, grid),
+                  embedded_density_map(op, target.sample(50, 1), grid)):
+        assert abs(curve.mass() - 1.0) <= 1e-3
+    weights[1] = 1.01 * bound
+    with pytest.raises(ValueError, match="weight .* is over .*, the largest"):
+        EmbeddingOperator(spec, weights)
 
 
 @settings(deadline=None, max_examples=50)

@@ -27,7 +27,6 @@ from densop import (
     embedded_density_exact,
     embedded_density_map,
     kernel_diag,
-    kernel_eval,
     kernel_matrix,
     log_posterior_coefficients,
     log_posterior_discrete,
@@ -382,18 +381,25 @@ EQUIVALENCE_SPECS = [("haar", n) for n in range(4)] + [
     ("daubechies4", 2), ("daubechies4", 5)]
 
 
+def dense_diag(op, pts):
+    # <s|A*A|s> = sum_j alpha_j^2 psi_j(s)^2 from dense basis rows; the
+    # kernel's own diagonal K(s, s) = <s|A|s> is not the trace density
+    b = basis_matrix(op.basis, pts)
+    return (op.weights ** 2) @ (b * b)
+
+
 def kernel_trick_exact(op, zeta, out):
     # dense kernel matrices, squared and integrated; the trace comes from
-    # dense kernel evaluation rather than the banded diagonal
+    # dense basis rows rather than the banded diagonal
     pts = zeta.grid.points
     cross = kernel_matrix(op, out.points, pts)
-    trace = zeta.grid.integrate(zeta.values * kernel_eval(op, pts, pts))
+    trace = zeta.grid.integrate(zeta.values * dense_diag(op, pts))
     return (cross * cross) @ (zeta.grid.weights() * zeta.values) / trace
 
 
 def kernel_trick_map(op, samples, out):
     cross = kernel_matrix(op, samples.points, out.points)
-    trace = np.mean(kernel_eval(op, samples.points, samples.points))
+    trace = np.mean(dense_diag(op, samples.points))
     return np.sum(cross * cross, axis=0) / (samples.n * trace)
 
 

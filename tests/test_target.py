@@ -56,9 +56,11 @@ def test_incomplete_beta_validation():
 
 
 def test_uniform_special_case():
+    # 1/3 inside; at each end the mean of the limits 1/3 and 0
     target = BetaTarget(1.0, 1.0, UNIT)
     s = np.linspace(0.0, 3.0, 31)
-    assert_allclose(target.density(s), 1.0 / 3.0, rtol=0, atol=1e-15)
+    assert_allclose(target.density(s[1:-1]), 1.0 / 3.0, rtol=0, atol=1e-15)
+    assert np.array_equal(target.density(s[[0, -1]]), [1.0 / 6.0] * 2)
 
 
 def test_symmetric_midpoint_value():
@@ -74,8 +76,11 @@ def test_density_zero_outside_interval():
 
 
 def test_density_endpoint_limits():
+    # the mean of the one-sided limits: 0 outside, the pdf's limit inside
     assert BetaTarget(2.0, 5.0, UNIT).density(0.0) == 0.0
-    assert BetaTarget(1.0, 1.0, UNIT).density(0.0) == pytest.approx(1.0 / 3.0)
+    assert BetaTarget(1.0, 1.0, UNIT).density(0.0) == pytest.approx(1.0 / 6.0)
+    assert BetaTarget(1.0, 5.0, UNIT).density(0.0) == pytest.approx(5.0 / 6.0)
+    assert BetaTarget(5.0, 1.0, UNIT).density(3.0) == pytest.approx(5.0 / 6.0)
     assert BetaTarget(0.5, 0.5, UNIT).density(0.0) == np.inf
     assert BetaTarget(5.0, 0.8, UNIT).density(3.0) == np.inf
 
@@ -102,7 +107,7 @@ def test_density_equals_its_one_expression_form_bitwise(a, b, lo, hi):
 
     def edge(shape):
         if shape == 1.0:
-            return math.exp(-log_beta) / width
+            return math.exp(-log_beta) / width / 2
         return 0.0 if shape > 1.0 else math.inf
 
     def reference(s):
