@@ -379,23 +379,21 @@ def band_to_dense(band) -> np.ndarray:
     return out
 
 
-def quadratic_form(spec: BasisSpec, band, s_values, scale) -> np.ndarray:
-    """b(s)^T diag(scale) M diag(scale) b(s) at each point, in O(P w m).
+def quadratic_form(spec: BasisSpec, band, s_values) -> np.ndarray:
+    """b(s)^T M b(s) at each point, in O(P w m).
 
-    `band` holds M's first m <= w diagonals, M being zero beyond them, and
-    `scale` one factor per translate; only the entries of the w x w block
-    of M that the point's live translates select and the band holds are
-    read, each distinct one once. The terms (u_a * M_ab) * u_b with
-    |a - b| < m are summed in row-major order, block by block.
+    `band` holds M's first m <= w diagonals, M being zero beyond them;
+    only the entries of the w x w block of M that the point's live
+    translates select and the band holds are read, each distinct one
+    once. The terms (u_a * M_ab) * u_b with |a - b| < m are summed in
+    row-major order, block by block.
     """
     band = np.asarray(band, dtype=float)
-    scale = np.asarray(scale, dtype=float)
     s = np.asarray(s_values, dtype=float).ravel()
     w, m = spec.support_width, band.shape[1]
     pairs = [(a, b) for a in range(w) for b in range(w) if abs(a - b) < m]
     out = np.zeros(s.size)
     for block, rows, u in _band_blocks(spec, s):
-        u *= scale[rows]
         entry = {(a, b): band[rows[:, a], b - a] for a, b in pairs if a <= b}
         acc = out[block]
         for a, b in pairs:

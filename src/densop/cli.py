@@ -21,18 +21,13 @@ import sys
 
 import numpy as np
 
-from .basis import Grid, basis_matrix, wavelet_approximation
+from .basis import basis_matrix, wavelet_approximation
 from .config import TABLE_COLUMNS, ExperimentConfig, load_config
 from .embedding import kernel_diag
-from .learn import (
-    DensityCurve,
-    _require_unit_mass,
-    embedded_density_exact,
-    embedded_density_map,
-    normalized_ratio,
-)
+from .learn import (embedded_density_exact, embedded_density_map,
+                    normalized_ratio)
 from .oracles import SUITES, run_suite
-from .target import BetaTarget, count_samples, load_samples
+from .target import count_samples, load_samples
 from .textio import write_rows
 
 FIGURES = ("fig2a", "fig2b", "fig3a", "fig3b")
@@ -111,41 +106,24 @@ def _write_table(path: str, names, columns) -> None:
         write_rows(fh, stacked)
 
 
-def _zeta_curve(target: BetaTarget, grid: Grid) -> DensityCurve:
-    """The target density on the grid, refused where it is infinite."""
-    values = target.density(grid.points)
-    # the grid's ends lie on or outside the interval's, where the density
-    # is the mean of its one-sided limits or 0; twice it is the inner limit
-    values[[0, -1]] *= 2.0
-    if not np.all(np.isfinite(values)):
-        lo, hi = target.interval.lo, target.interval.hi
-        raise ValueError(
-            f"the Beta({target.a:g}, {target.b:g}) target density is "
-            f"infinite at an end of [{lo:g}, {hi:g}] that is a grid point: "
-            f"a shape below 1 has no finite table there")
-    return DensityCurve(grid, values)
-
-
 def _figure_table(figure: str, cfg: ExperimentConfig):
     cfg.require_memory(figure)
     spec = cfg.basis()
     operator = cfg.operator()
     grid = cfg.curve_grid()
-    target = cfg.target()
     s = grid.points
     names = list(TABLE_COLUMNS[figure])
     if figure == "fig2a":
         rows = basis_matrix(spec, s)
         names[1:1] = [f"phi_{int(k)}" for k in spec.translates]
         return names, [s, *rows, kernel_diag(operator, s)]
-    zeta = _zeta_curve(target, grid)
+    # refuses a zeta whose quadrature mass is off, before any sampling
+    zeta = cfg.target().curve(grid)
     if figure == "fig2b":
-        _require_unit_mass(zeta)
         return names, [s, zeta.values,
                        wavelet_approximation(zeta.values, spec, grid)]
-    # refuses a zeta whose quadrature mass is off, before any sampling
     exact = embedded_density_exact(operator, zeta, grid)
-    samples = target.sample(cfg.n_samples, cfg.seed)
+    samples = cfg.target().sample(cfg.n_samples, cfg.seed)
     mapped = embedded_density_map(operator, samples, grid)
     if figure == "fig3a":
         return names, [s, zeta.values, exact.values, mapped.values]

@@ -62,15 +62,15 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str,
     the stacked table, GRID_VALUES per grid point and the N uniforms or
     scatter weights of the samples, which never coexist, and one block of
     work, PASS_BYTES. Nothing is allocated; the tests check each command's
-    tracemalloc peak against this count. A grid whose cell count is not a
-    finite double counts as infinite.
+    tracemalloc peak against this count. A grid whose cell count, or an N,
+    that is not a finite double counts as infinite.
     """
     d, w = spec.size, spec.support_width
     try:
         g = round(spec.span().width * grid_cells) + 1
-    except OverflowError:  # grid_cells or the cell count past the doubles
+        n = float(n_samples) if command in SAMPLE_COMMANDS else 0
+    except OverflowError:  # grid_cells, the cell count or N past the doubles
         return math.inf
-    n = n_samples if command in SAMPLE_COMMANDS else 0
     ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
     held = ncols * g + n
     if command in ("fig3a", "fig3b"):
@@ -164,13 +164,16 @@ class ExperimentConfig:
         n = self.n_samples if n_samples is None else n_samples
         need = footprint(self.basis(), self.grid_cells, command, n)
         if need > MEMORY_LIMIT:
-            samples = f", N={n} samples" if command in SAMPLE_COMMANDS else ""
+            # past 15 digits, the power of ten: no float holds 10**309
+            count, cells = (v if v < 10 ** 15 else f"10^{math.log10(v):.1f}"
+                            for v in (n, self.grid_cells))
+            samples = (f", N={count} samples"
+                       if command in SAMPLE_COMMANDS else "")
             raise ValueError(
-                f"{command} at scale_n={self.scale_n}"
-                f"{samples} and grid_cells={self.grid_cells} needs "
+                f"{command} at scale_n={self.scale_n}{samples} and "
+                f"grid_cells={cells} needs "
                 f"{need / 2**30:.3g} GiB of arrays, over the "
-                f"{MEMORY_LIMIT / 2**30:g} GiB limit"
-            )
+                f"{MEMORY_LIMIT / 2**30:g} GiB limit")
 
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)

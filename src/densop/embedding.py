@@ -10,8 +10,8 @@ integrates zeta against the diagonal <s|A*A|s> = sum_j alpha_j^2
 psi_j(s)^2 of `kernel_diag`, which is K(s, s) for the projection.
 
 `kernel_diag` is `basis.quadratic_form` of A*A's band, its one diagonal
-alpha^2; the embedded curves in `densop.learn` are the same form of a
-coefficient band scaled by the weights. Neither calls BLAS.
+alpha^2; the embedded curves in `densop.learn` are the same form of the
+state band D M D. Neither calls BLAS.
 `kernel_eval`, `kernel_matrix`, `trace_k_rho(A, zeta)` and
 `trace_k_map(A, samples)` build the same numbers another way (dense basis
 rows, quadrature of the diagonal against a `DensityCurve`) for tests and
@@ -92,10 +92,9 @@ def kernel_eval(A: EmbeddingOperator, s, t):
 
 def kernel_diag(A: EmbeddingOperator, s):
     """<s|A*A|s> = sum_j alpha_j^2 psi_j(s)^2, always >= 0: the form of
-    A*A's band, its one diagonal alpha^2, at unit scale."""
+    A*A's band, its one diagonal alpha^2."""
     s = np.asarray(s, dtype=float)
-    unit = np.broadcast_to(1.0, A.weights.shape)
-    out = quadratic_form(A.basis, A.weights[:, None] ** 2, s, unit)
+    out = quadratic_form(A.basis, A.weights[:, None] ** 2, s)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
 
 

@@ -14,10 +14,11 @@ the state A rho A* / tr(A rho A*). The kernel-trick sums
 sum_i K(S_i, s)^2 / N and integral zeta(s') K(s, s')^2 ds', with
 K(s, t) = <s|A|t>, expand to b(s)^T D M D b(s), with D the diagonal of
 operator weights and M either the empirical matrix or the quadrature
-matrix sum_p h_p zeta_p b(s_p) b(s_p)^T; dividing by the trace
-sum_j alpha_j M_jj alpha_j, taken from the curve's own M, gives unit
-mass. `trace_k_rho(A, zeta)` and `trace_k_map(A, samples)` reach that
-trace independently and serve as oracles only.
+matrix sum_p h_p zeta_p b(s_p) b(s_p)^T. The weights enter once, in the
+state band state[j, o] = alpha_j M[j, j + o] alpha_{j + o}: the curve is
+its form over its trace sum_j state[j, 0], and has unit mass.
+`trace_k_rho(A, zeta)` and `trace_k_map(A, samples)` reach that trace
+independently and serve as oracles only.
 M is held as the d x w band of its diagonals, band[j, o] = M[j, j + o],
 scattered in point order; a curve on G points reads w^2 entries per
 point, with no d x d matrix. Nothing calls BLAS: the bits are the same at
@@ -90,6 +91,16 @@ class DensityCurve:
 
     def mass(self) -> float:
         return self.grid.integrate(self.values)
+
+    def require_unit_mass(self) -> None:
+        """Refuse a zeta whose quadrature mass is not 1 within 1e-6."""
+        mass = self.mass()
+        if abs(mass - 1.0) > 1e-6:
+            per_unit = self.grid.cells / self.grid.interval.width
+            raise ValueError(
+                f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 on a "
+                f"grid of {per_unit:.6g} cells per unit; a density of unit "
+                f"mass needs a finer grid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,25 +221,18 @@ def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:
 
 def _embedded_curve(A: EmbeddingOperator, band, grid: Grid,
                     vanishing: str) -> DensityCurve:
-    """b(s)^T D M D b(s) / tr on the grid, with D = diag(alpha) and
-    tr = sum_j alpha_j M_jj alpha_j; raises with `vanishing` when
-    tr <= 1e-14, where no curve exists."""
-    trace = float(np.sum(A.weights * band[:, 0] * A.weights))
+    """The form of the state band state[j, o] = alpha_j M[j, j + o]
+    alpha_{j + o} over its trace tr on the grid; raises with `vanishing`
+    when tr <= 1e-14, where no curve exists."""
+    w = band.shape[1]
+    right = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([A.weights, np.zeros(w - 1)]), w)
+    state = A.weights[:, None] * band * right
+    trace = float(np.sum(state[:, 0]))
     if trace <= 1e-14:
         raise ValueError(vanishing)
-    values = quadratic_form(A.basis, band, grid.points, A.weights)
+    values = quadratic_form(A.basis, state, grid.points)
     return DensityCurve(grid=grid, values=values / trace)
-
-
-def _require_unit_mass(zeta: DensityCurve) -> None:
-    """Refuse a zeta whose quadrature mass is not 1 within 1e-6."""
-    mass = zeta.mass()
-    if abs(mass - 1.0) > 1e-6:
-        per_unit = zeta.grid.cells / zeta.grid.interval.width
-        raise ValueError(
-            f"zeta quadrature mass {mass:.9f} is not 1 within 1e-6 on a "
-            f"grid of {per_unit:.6g} cells per unit; a density of unit "
-            f"mass needs a finer grid")
 
 
 def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
@@ -242,7 +246,7 @@ def embedded_density_exact(A: EmbeddingOperator, zeta: DensityCurve,
     The output integrates to 1 up to quadrature error, provided the grid
     covers the span of the translates.
     """
-    _require_unit_mass(zeta)
+    zeta.require_unit_mass()
     weighted = zeta.grid.weights() * zeta.values
     band = coefficient_band(A.basis, zeta.grid.points, weighted)
     return _embedded_curve(A, band, grid, VANISHING_DENSITY_TRACE)

@@ -42,7 +42,6 @@ from .embedding import (
     trace_k_rho,
 )
 from .learn import (
-    DensityCurve,
     embedded_density_exact,
     embedded_density_map,
     log_posterior_coefficients,
@@ -263,7 +262,7 @@ def projection_idempotence(rng, n_probe: int) -> float:
 def haar_trace_against_density(scale_n: int, cells: int) -> float:
     """Trace of the Haar kernel against the beta density, minus 2**scale_n."""
     grid = Grid(_UNIT, cells)
-    zeta = DensityCurve(grid, ExperimentConfig().target().density(grid.points))
+    zeta = ExperimentConfig().target().curve(grid)
     return abs(trace_k_rho(_projection("haar", scale_n), zeta)
                - 2.0 ** scale_n)
 
@@ -341,17 +340,13 @@ def map_coefficient_trace(seed: int, n_samples: int) -> float:
     return abs(coeffs.trace() - trace_k_map(cfg.operator(), samples))
 
 
-def _exact_curve(cfg: ExperimentConfig) -> DensityCurve:
-    grid = cfg.curve_grid()
-    zeta = DensityCurve(grid, cfg.target().density(grid.points))
-    return embedded_density_exact(cfg.operator(), zeta, grid)
-
-
 @_check("learn", "exact embedded density has unit mass", 1e-5, 4096)
 def exact_density_mass(cells_per_unit: int) -> float:
     """Quadrature mass of the exact embedded curve, minus 1."""
     cfg = ExperimentConfig(grid_cells=cells_per_unit)
-    return abs(_exact_curve(cfg).mass() - 1.0)
+    grid = cfg.curve_grid()
+    zeta = cfg.target().curve(grid)
+    return abs(embedded_density_exact(cfg.operator(), zeta, grid).mass() - 1.0)
 
 
 @_check("learn", "map embedded density has unit mass", 1e-5, 1, 300, 4096)
@@ -366,13 +361,15 @@ def map_density_mass(seed: int, n_samples: int, cells_per_unit: int) -> float:
 def map_l2_errors(seed: int, sizes, cells_per_unit: int) -> np.ndarray:
     """L2 distances of the MAP curves at `sizes` from the exact curve."""
     cfg = ExperimentConfig(grid_cells=cells_per_unit)
-    exact = _exact_curve(cfg)
+    grid = cfg.curve_grid()
+    exact = embedded_density_exact(cfg.operator(), cfg.target().curve(grid),
+                                   grid)
     errors = []
     for n in sizes:
         est = embedded_density_map(cfg.operator(),
-                                   cfg.target().sample(n, seed), exact.grid)
+                                   cfg.target().sample(n, seed), grid)
         diff = est.values - exact.values
-        errors.append(float(np.sqrt(exact.grid.integrate(diff * diff))))
+        errors.append(float(np.sqrt(grid.integrate(diff * diff))))
     return np.array(errors)
 
 

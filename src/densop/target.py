@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Interval
-from .learn import SampleSet
+from .basis import Grid, Interval
+from .learn import DensityCurve, SampleSet
 from .textio import write_rows
 
 _FPMIN = 1e-300
@@ -233,6 +233,25 @@ class BetaTarget:
             return 0.0 if shape > 1.0 else math.inf
         return math.exp(-_log_beta(self.a, self.b)) / self.interval.width / 2
 
+    def curve(self, grid: Grid) -> DensityCurve:
+        """zeta on `grid`, the one place it is tabulated: the density, but
+        at a grid end on an interval end the inner limit, twice the mean
+        of the one-sided limits. Refuses an infinite value and, by
+        DensityCurve.require_unit_mass, a mass off 1 by over 1e-6."""
+        values = self.density(grid.points)
+        for end in (0, -1):
+            if grid.points[end] in (self.interval.lo, self.interval.hi):
+                values[end] *= 2.0
+        if not np.all(np.isfinite(values)):
+            raise ValueError(
+                f"the Beta({self.a:g}, {self.b:g}) target density is "
+                f"infinite at an end of [{self.interval.lo:g}, "
+                f"{self.interval.hi:g}] that is a grid point: a shape "
+                f"below 1 has no finite table there")
+        zeta = DensityCurve(grid, values)
+        zeta.require_unit_mass()
+        return zeta
+
     def cdf(self, s):
         s = np.asarray(s, dtype=float)
         x = (s - self.interval.lo) / self.interval.width
@@ -307,9 +326,10 @@ def count_samples(path) -> int:
 def load_samples(path, interval: Interval | None = None) -> SampleSet:
     """Read a one-column sample file written by save_samples.
 
-    Blank lines are ignored. A malformed line, or with `interval` a value
-    outside it, raises ValueError naming the line number in the file. The
-    values go straight into one float64 array, with no list of Python floats.
+    Blank lines are ignored. A line that is not a finite number, or with
+    `interval` a value outside it, raises ValueError naming its line
+    number in the file. The values go straight into one float64 array,
+    with no list of Python floats.
     """
     with open(path) as fh:
         points = np.fromiter(_parse_samples(path, fh, interval), dtype=float)
@@ -324,9 +344,10 @@ def _parse_samples(path, fh, interval: Interval | None):
         try:
             value = float(text)
         except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: could not parse {text!r}"
-            ) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: could not parse "
+                             f"{text!r} as a finite number")
         if interval is not None and (value < interval.lo
                                      or value > interval.hi):
             raise ValueError(

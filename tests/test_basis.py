@@ -346,10 +346,9 @@ def dense_scatter(spec, s, weights):
     return out.reshape(d, d)
 
 
-def dense_quadratic_form(spec, matrix, s, scale):
+def dense_quadratic_form(spec, matrix, s):
     # reference: the w x w block read from a dense d x d matrix
-    rows, values = basis_band(spec, s)
-    u = values * scale[rows]
+    rows, u = basis_band(spec, s)
     out = np.zeros(rows.shape[0])
     for a in range(rows.shape[1]):
         for b in range(rows.shape[1]):
@@ -373,10 +372,9 @@ def test_coefficient_matrix_and_quadratic_form_match_dense(family, scale_n):
     assert band.shape == (spec.size, spec.support_width)
     dense = dense_scatter(spec, pts, weights)
     assert np.array_equal(band_to_dense(band), dense)
-    scale = rng.uniform(0.5, 1.5, size=spec.size)
     probe = band_probe_points(spec)
-    assert np.array_equal(quadratic_form(spec, band, probe, scale),
-                          dense_quadratic_form(spec, dense, probe, scale))
+    assert np.array_equal(quadratic_form(spec, band, probe),
+                          dense_quadratic_form(spec, dense, probe))
 
 
 def test_coefficient_matrix_checks_weights():
@@ -425,9 +423,8 @@ def test_blocked_primitives_equal_one_pass_references_bitwise(family):
     band = coefficient_band(spec, pts, weights)
     dense = dense_scatter(spec, pts, weights)
     assert np.array_equal(band_to_dense(band), dense)
-    scale = rng.uniform(0.5, 1.5, size=spec.size)
-    assert np.array_equal(quadratic_form(spec, band, pts, scale),
-                          dense_quadratic_form(spec, dense, pts, scale))
+    assert np.array_equal(quadratic_form(spec, band, pts),
+                          dense_quadratic_form(spec, dense, pts))
     op = EmbeddingOperator(spec, rng.uniform(0.0, 2.0, size=spec.size))
     assert np.array_equal(kernel_diag(op, pts), unblocked_kernel_diag(op, pts))
     assert np.array_equal(basis_matrix(spec, pts),
@@ -444,7 +441,7 @@ def test_band_refuses_points_without_a_translate_index(family):
     op = EmbeddingOperator.projection(spec)
     band = coefficient_band(spec, np.array([0.5, 1.5]), np.ones(2))
     calls = [lambda s: basis_band(spec, s), lambda s: kernel_diag(op, s),
-             lambda s: quadratic_form(spec, band, s, np.ones(spec.size))]
+             lambda s: quadratic_form(spec, band, s)]
     later = np.linspace(0.0, 3.0, BAND_BLOCK + 2)
     later[-1] = np.nan
     cases = [(np.array([np.nan, np.inf, 1.0]), "2 point.*: nan, inf"),

@@ -181,6 +181,20 @@ def test_config_builds_nothing_of_size_d_and_the_command_checks_memory(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("figure", ["fig3a", "fig3b"])
+def test_sample_count_past_the_doubles_exits_one(tmp_path, capsys, figure):
+    # the count once came out an int too large to divide into GiB, and the
+    # command ended in an OverflowError traceback
+    cfgpath = write_small_config(tmp_path, n_samples=10 ** 400)
+    out = tmp_path / "table.csv"
+    assert main(["reproduce", "--figure", figure, "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {figure} at scale_n=2, N=10^400.0 samples and "
+        f"grid_cells=1024 needs inf GiB of arrays, over the 1 GiB limit\n")
+    assert not out.exists()
+
+
 def test_command_over_the_memory_limit_exits_one(tmp_path, capsys):
     # fig2a at scale 10 would hold 3074 x 393 730 basis values, 9.7 GB
     cfgpath = write_small_config(tmp_path, scale_n=10, grid_cells=131072)
@@ -607,6 +621,23 @@ def test_estimate_rejects_malformed_lines(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_estimate_refuses_a_non_finite_sample_naming_its_line(tmp_path, capsys,
+                                                              text):
+    # nan passed the interval test and exited with only "sample points must
+    # be finite", naming neither file nor line
+    cfgpath = write_small_config(tmp_path)
+    samples = tmp_path / "s.txt"
+    samples.write_text(f"1.0\n\n{text}\n")
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(samples), "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {samples}: line 3: could not parse '{text}' as a finite "
+        f"number\n")
+    assert not out.exists()
+
+
 def test_estimate_with_no_sample_in_any_support_exits_one(tmp_path, capsys):
     # both samples sit at the interval's right end, outside every half-open
     # Haar box, so the sample trace is 0 and no curve exists
@@ -763,6 +794,20 @@ def test_target_with_a_unit_shape_exits_zero(tmp_path, figure, family):
     assert abs(np.trapezoid(data[:, 1], data[:, 0]) - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 5.0), (5.0, 1.0)])
+def test_zeta_column_is_the_target_curve_bitwise(tmp_path, a, b):
+    # the Haar grid ends on the interval's ends, where this zeta jumps
+    cfgpath = write_small_config(tmp_path, family="haar", target_a=a,
+                                 target_b=b)
+    out = tmp_path / "fig3a.csv"
+    assert main(["reproduce", "--figure", "fig3a", "--config", str(cfgpath),
+                 "--out", str(out)]) == 0
+    cfg = load_config(cfgpath)
+    data = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 1],
+                          cfg.target().curve(cfg.curve_grid()).values)
+
+
 def test_fig2b_refuses_a_zeta_of_mass_zero(tmp_path, capsys):
     # Beta(1e300, 2) is a spike narrower than a cell at the right end, so
     # every grid value underflows to 0; fig2b once wrote that column
@@ -829,6 +874,8 @@ def test_extreme_configs_exit_one_naming_the_cause(tmp_path, capsys, config,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert cause in lines[0]
+    # grid_cells = 1e400 was once printed with all its 401 digits
+    assert len(lines[0]) < 200, lines[0]
     assert sorted(tmp_path.iterdir()) == before
 
 

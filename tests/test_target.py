@@ -16,7 +16,10 @@ from scipy.special import betaincinv as scipy_betaincinv
 
 from densop import (
     BetaTarget,
+    ExperimentConfig,
+    Grid,
     Interval,
+    embedded_density_exact,
     load_samples,
     regularized_incomplete_beta,
     save_samples,
@@ -130,6 +133,37 @@ def test_density_equals_its_one_expression_form_bitwise(a, b, lo, hi):
         assert isinstance(value, float)
         assert np.array_equal(np.float64(value).view(np.uint64),
                               reference(point).view(np.uint64))
+
+
+def test_curve_takes_the_inner_limit_at_a_grid_end_on_the_interval():
+    # Beta(1, 5) jumps to 5/3 at 0; tabulated as the density there, the
+    # mean 5/6, zeta had mass 0.99959 on this grid and the exact curve
+    # refused it
+    grid = Grid(UNIT, 3072)
+    target = BetaTarget(1.0, 5.0, UNIT)
+    zeta = target.curve(grid)
+    assert zeta.values[0] == 2.0 * target.density(0.0)
+    assert abs(zeta.mass() - 1.0) <= 1e-6
+    cfg = ExperimentConfig(target_a=1.0)
+    curve = embedded_density_exact(cfg.operator(), zeta, cfg.curve_grid())
+    assert abs(curve.mass() - 1.0) <= 1e-5
+
+
+def test_curve_doubles_no_grid_end_inside_or_outside_the_interval():
+    # the left end of [-0.5, 2.9] lies outside [0, 3], where the density
+    # is 0, and the right end inside, where it is small but not 0; 0 is
+    # an inner grid point and keeps the mean of its one-sided limits
+    target = BetaTarget(1.0, 5.0, UNIT)
+    grid = Grid(Interval(-0.5, 2.9), 3400)
+    zeta = target.curve(grid)
+    assert zeta.values[0] == 0.0 and zeta.values[-1] > 0.0
+    assert np.array_equal(zeta.values, target.density(grid.points))
+
+
+def test_curve_refuses_a_density_off_unit_mass():
+    # the grid covers half of Beta(1, 1)'s mass
+    with pytest.raises(ValueError, match="zeta quadrature mass 0.50"):
+        BetaTarget(1.0, 1.0, UNIT).curve(Grid(Interval(0.0, 1.5), 1536))
 
 
 def test_unit_mass_for_random_shapes():
@@ -325,6 +359,16 @@ def test_load_samples_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.5\n\n2.0\nnot-a-number\n")
     with pytest.raises(ValueError, match="line 4"):
+        load_samples(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_load_samples_refuses_a_non_finite_line(tmp_path, text):
+    # without an interval, too; nan once passed the interval test
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1.5\n\n{text}\n")
+    with pytest.raises(ValueError, match=f"line 3: could not parse '{text}' "
+                                         "as a finite number"):
         load_samples(path)
 
 
