@@ -10,19 +10,24 @@ joined by `,`, then one line per grid point with each value printed as
 comment prefix. Parsing a value recovers the exact double, and identical
 config and seed produce byte-identical files.
 
+Each table command is declared once, in COMMANDS, and refuses to run
+before it allocates if its `footprint` is over MEMORY_LIMIT bytes.
+
 Exit status: 0 success, 1 validation or usage error, 2 oracle failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_matrix, wavelet_approximation
-from .config import TABLE_COLUMNS, ExperimentConfig, load_config
+from .basis import BasisSpec, basis_matrix, wavelet_approximation
+from .config import ExperimentConfig, load_config
 from .embedding import kernel_diag
 from .learn import (embedded_density_exact, embedded_density_map,
                     normalized_ratio)
@@ -30,7 +35,92 @@ from .oracles import SUITES, run_suite
 from .target import count_samples, load_samples
 from .textio import write_rows
 
-FIGURES = ("fig2a", "fig2b", "fig3a", "fig3b")
+
+@dataclass(frozen=True)
+class Command:
+    """What one command writes and holds at its peak.
+
+    `header` names the table's columns; a `phi_k` stands for one column
+    per basis translate k. Beside the table the command holds `curves`
+    more columns of G values, `bands` d x w coefficient bands, and, with
+    `samples`, N points.
+    """
+
+    header: tuple
+    curves: int = 0
+    bands: int = 0
+    samples: bool = False
+
+
+COMMANDS = {
+    "fig2a": Command(("s", "phi_k", "kernel_diag")),
+    "fig2b": Command(("s", "zeta", "wavelet_approximation")),
+    "fig3a": Command(("s", "zeta", "embedded_exact", "embedded_map"),
+                     bands=2, samples=True),
+    "fig3b": Command(("s", "zeta", "ratio_exact", "ratio_map"),
+                     curves=2, bands=2, samples=True),
+    "estimate": Command(("s", "embedded_map", "ratio_map"),
+                        bands=1, samples=True),
+}
+FIGURES = tuple(name for name in COMMANDS if name.startswith("fig"))
+
+#: Bytes that one command may hold at its peak; see `footprint`.
+MEMORY_LIMIT = 2 ** 30
+#: Temporaries per grid point that a command holds beside its arrays:
+#: a curve or a ratio after its last block, or the target density.
+GRID_VALUES = 4
+#: Bytes of the one block of work that is live at a time, whatever d, G
+#: and N are. Measured peaks: a block of basis.BAND_BLOCK points of the
+#: Daubechies-4 band with the previous block's products, about 2.4 MB;
+#: the beta quantile on a chunk of target.SAMPLE_CHUNK lanes, at most
+#: 4.8 MB (35 values per lane for shape (200, 0.05)); the table writer's
+#: block, at most 1 MB. fig2a's writer block is one row only when
+#: d + 2 > 4096, where the d x G table alone is over 8 GB, or the grid is
+#: too coarse for the resolution rule.
+PASS_BYTES = 5 * 2 ** 20
+
+
+def footprint(spec: BasisSpec, grid_cells: int, command: str,
+              n_samples: int = 0) -> float:
+    """Bytes of the arrays `command` holds at its peak, from d, G, w and N.
+
+    A command holds its d operator weights, its table's columns of G
+    values and what COMMANDS lists beside them: curves of G values, d x w
+    bands and N = n_samples points. Beside them passes the largest of the
+    stacked table, GRID_VALUES per grid point and the N uniforms or
+    scatter weights of the samples, which never coexist, and one block of
+    work, PASS_BYTES. Nothing is allocated; the tests check each command's
+    tracemalloc peak against this count. A count past the doubles, of
+    cells, samples or bytes, is infinite.
+    """
+    layout = COMMANDS[command]
+    d, w = spec.size, spec.support_width
+    try:
+        g = float(round(spec.span().width * grid_cells) + 1)
+        n = float(n_samples) if layout.samples else 0.0
+        ncols = len(layout.header) + (d - 1 if "phi_k" in layout.header else 0)
+        held = (ncols + layout.curves) * g + layout.bands * d * w + n
+        passing = max(max(ncols, GRID_VALUES) * g, n)
+        return 8 * (d + held + passing) + PASS_BYTES
+    except OverflowError:
+        return math.inf
+
+
+def require_memory(cfg: ExperimentConfig, command: str,
+                   n_samples: int) -> None:
+    """Refuse to run `command` on `cfg` with n_samples points if it needs
+    over MEMORY_LIMIT bytes."""
+    need = footprint(cfg.basis(), cfg.grid_cells, command, n_samples)
+    if need > MEMORY_LIMIT:
+        # past 15 digits, the power of ten: no float holds 10**309
+        count, cells = (v if v < 10 ** 15 else f"10^{math.log10(v):.1f}"
+                        for v in (n_samples, cfg.grid_cells))
+        samples = (f", N={count} samples" if COMMANDS[command].samples
+                   else "")
+        raise ValueError(
+            f"{command} at scale_n={cfg.scale_n}{samples} and "
+            f"grid_cells={cells} needs {need / 2**30:.3g} GiB of arrays, "
+            f"over the {MEMORY_LIMIT / 2**30:g} GiB limit")
 
 
 class _UsageError(Exception):
@@ -107,15 +197,15 @@ def _write_table(path: str, names, columns) -> None:
 
 
 def _figure_table(figure: str, cfg: ExperimentConfig):
-    cfg.require_memory(figure)
+    require_memory(cfg, figure, cfg.n_samples)
     spec = cfg.basis()
     operator = cfg.operator()
     grid = cfg.curve_grid()
     s = grid.points
-    names = list(TABLE_COLUMNS[figure])
+    names = list(COMMANDS[figure].header)
     if figure == "fig2a":
         rows = basis_matrix(spec, s)
-        names[1:1] = [f"phi_{int(k)}" for k in spec.translates]
+        names[1:2] = [f"phi_{int(k)}" for k in spec.translates]
         return names, [s, *rows, kernel_diag(operator, s)]
     # refuses a zeta whose quadrature mass is off, before any sampling
     zeta = cfg.target().curve(grid)
@@ -136,7 +226,7 @@ def _estimate_table(samples_path: str, cfg: ExperimentConfig):
     # the bound is checked from the line count, which is the N that
     # load_samples reads, before any value is parsed
     n_samples = count_samples(samples_path)
-    cfg.require_memory("estimate", n_samples)
+    require_memory(cfg, "estimate", n_samples)
     if n_samples == 0:
         raise ValueError(f"{samples_path}: sample file is empty")
     samples = load_samples(samples_path, cfg.interval())
@@ -144,7 +234,7 @@ def _estimate_table(samples_path: str, cfg: ExperimentConfig):
     grid = cfg.curve_grid()
     mapped = embedded_density_map(operator, samples, grid)
     ratio = normalized_ratio(mapped, operator)
-    return (TABLE_COLUMNS["estimate"],
+    return (COMMANDS["estimate"].header,
             [grid.points, mapped.values, ratio.values])
 
 
@@ -171,19 +261,16 @@ def main(argv=None) -> int:
     try:
         if args.command == "oracle":
             return _run_oracle(args.suite)
-        cfg = ExperimentConfig()
-        if args.config is not None:
-            cfg = load_config(args.config, base=cfg)
+        cfg = (ExperimentConfig() if args.config is None
+               else load_config(args.config))
         if args.seed is not None:
             cfg = cfg.replace(seed=args.seed)
-        if args.out is not None:
-            cfg = cfg.replace(out=args.out)
         reproduce = args.command == "reproduce"
-        out_path = cfg.out or (
-            f"{args.figure}.csv" if reproduce else "estimate.csv")
+        command = args.figure if reproduce else "estimate"
+        out_path = args.out or f"{command}.csv"
         _require_writable(out_path)
         if reproduce:
-            names, cols = _figure_table(args.figure, cfg)
+            names, cols = _figure_table(command, cfg)
         else:
             names, cols = _estimate_table(args.samples, cfg)
         _write_table(out_path, names, cols)

@@ -5,80 +5,20 @@ blank lines ignored. Unknown keys are rejected so typos fail loudly.
 `weights` is either the word `projection` or a comma-separated list with
 one nonnegative value per basis translate.
 
-Two limits hold for every command. Its curve grid must resolve the
-translates: grid_cells >= RESOLUTION * 2**scale_n, checked when the grid
-is built. What it holds at its peak must fit in MEMORY_LIMIT bytes,
-checked by the command from the config alone before anything is
-allocated.
+A config validates its fields and builds nothing of size d or G. Its
+curve grid must resolve the translates, grid_cells >= RESOLUTION *
+2**scale_n, checked when the grid is built; each command checks its own
+memory bound (see `cli.footprint`) before it builds anything else.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .basis import BasisSpec, Grid, Interval, _require_resolution
 from .embedding import EmbeddingOperator
 from .target import BetaTarget
-
-#: Bytes that one command may hold at its peak; see `footprint`.
-MEMORY_LIMIT = 2 ** 30
-#: Temporaries per grid point that a command holds beside its arrays:
-#: a curve or a ratio after its last block, or the target density.
-GRID_VALUES = 4
-#: Bytes of the one block of work that is live at a time, whatever d, G
-#: and N are. Measured peaks: a block of basis.BAND_BLOCK points of the
-#: Daubechies-4 band with the previous block's products, about 2.4 MB;
-#: the beta quantile on a chunk of target.SAMPLE_CHUNK lanes, at most
-#: 4.5 MB (34 values per lane for shape (0.05, 200)); the table writer's
-#: block, at most 1 MB. fig2a's writer block is one row only when
-#: d + 2 > 4096, where the d x G table alone is over 8 GB, or the grid is
-#: too coarse for the resolution rule.
-PASS_BYTES = 5 * 2 ** 20
-#: The commands that hold and scatter N samples.
-SAMPLE_COMMANDS = ("fig3a", "fig3b", "estimate")
-
-#: The header of each command's table, one name per column. fig2a also
-#: has one column phi_k per basis translate k, right after "s".
-TABLE_COLUMNS = {
-    "fig2a": ("s", "kernel_diag"),
-    "fig2b": ("s", "zeta", "wavelet_approximation"),
-    "fig3a": ("s", "zeta", "embedded_exact", "embedded_map"),
-    "fig3b": ("s", "zeta", "ratio_exact", "ratio_map"),
-    "estimate": ("s", "embedded_map", "ratio_map"),
-}
-
-
-def footprint(spec: BasisSpec, grid_cells: int, command: str,
-              n_samples: int = 0) -> float:
-    """Bytes of the arrays `command` holds at its peak, from d, G, w and N.
-
-    A command holds its d operator weights and its table's columns of G
-    values, ncols from TABLE_COLUMNS (fig2a's include the d basis rows).
-    fig3a and fig3b also hold two d x w coefficient bands and N = n_samples
-    sampled points, fig3b the two curves its ratios divide, and estimate
-    one band and the N points it read. Beside them passes the largest of
-    the stacked table, GRID_VALUES per grid point and the N uniforms or
-    scatter weights of the samples, which never coexist, and one block of
-    work, PASS_BYTES. Nothing is allocated; the tests check each command's
-    tracemalloc peak against this count. A grid whose cell count, or an N,
-    that is not a finite double counts as infinite.
-    """
-    d, w = spec.size, spec.support_width
-    try:
-        g = round(spec.span().width * grid_cells) + 1
-        n = float(n_samples) if command in SAMPLE_COMMANDS else 0
-    except OverflowError:  # grid_cells, the cell count or N past the doubles
-        return math.inf
-    ncols = len(TABLE_COLUMNS[command]) + (d if command == "fig2a" else 0)
-    held = ncols * g + n
-    if command in ("fig3a", "fig3b"):
-        held += 2 * d * w + (2 * g if command == "fig3b" else 0)
-    elif command == "estimate":
-        held += d * w
-    passing = max(max(ncols, GRID_VALUES) * g, n)
-    return 8 * (d + held + passing) + PASS_BYTES
 
 
 @dataclass(frozen=True)
@@ -104,7 +44,6 @@ class ExperimentConfig:
     n_samples: int = 300
     seed: int = 1
     grid_cells: int = 4096
-    out: str | None = None
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -154,27 +93,6 @@ class ExperimentConfig:
         _require_resolution(spec, grid)
         return grid
 
-    def require_memory(self, command: str,
-                       n_samples: int | None = None) -> None:
-        """Refuse to run `command` if it needs over MEMORY_LIMIT bytes.
-
-        `n_samples` is the number of points the command scatters, the
-        config's own n_samples unless given; estimate passes its file's.
-        """
-        n = self.n_samples if n_samples is None else n_samples
-        need = footprint(self.basis(), self.grid_cells, command, n)
-        if need > MEMORY_LIMIT:
-            # past 15 digits, the power of ten: no float holds 10**309
-            count, cells = (v if v < 10 ** 15 else f"10^{math.log10(v):.1f}"
-                            for v in (n, self.grid_cells))
-            samples = (f", N={count} samples"
-                       if command in SAMPLE_COMMANDS else "")
-            raise ValueError(
-                f"{command} at scale_n={self.scale_n}{samples} and "
-                f"grid_cells={cells} needs "
-                f"{need / 2**30:.3g} GiB of arrays, over the "
-                f"{MEMORY_LIMIT / 2**30:g} GiB limit")
-
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
 
@@ -185,27 +103,16 @@ class ExperimentConfig:
             if f.name == "weights":
                 value = "projection" if value is None else ",".join(
                     f"{v:.17g}" for v in value)
-            elif f.name == "out":
-                if value is None:
-                    continue
             elif isinstance(value, float):
                 value = f"{value:.17g}"
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
 
-_FIELD_PARSERS = {
-    "lo": float,
-    "hi": float,
-    "family": str,
-    "scale_n": int,
-    "target_a": float,
-    "target_b": float,
-    "n_samples": int,
-    "seed": int,
-    "grid_cells": int,
-    "out": str,
-}
+#: Every key but weights parses as the type of its default.
+_FIELD_PARSERS = {f.name: type(f.default)
+                  for f in dataclasses.fields(ExperimentConfig)
+                  if f.name != "weights"}
 
 
 def _parse_weights(text: str):
@@ -221,8 +128,8 @@ def _parse_weights(text: str):
         ) from None
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse flat key = value text, overriding fields of `base`."""
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse flat key = value text; omitted keys keep their defaults."""
     changes = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -244,10 +151,9 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
                 ) from None
         else:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
-    base = base if base is not None else ExperimentConfig()
-    return base.replace(**changes)
+    return ExperimentConfig(**changes)
 
 
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config(fh.read(), base=base)
+        return parse_config(fh.read())

@@ -120,15 +120,10 @@ def trace_k_rho(A: EmbeddingOperator, zeta) -> float:
 
 
 def trace_k_map(A: EmbeddingOperator, samples) -> float:
-    """Mean of <S_i|A*A|S_i> over a sample set.
-
-    `samples` may be a SampleSet or any array of sample points; only the
-    points are used.
-    """
-    points = np.asarray(getattr(samples, "points", samples), dtype=float)
-    if points.size == 0:
+    """Mean of <S_i|A*A|S_i> over the points of `samples`, a SampleSet."""
+    if samples.n == 0:
         raise ValueError("empty sample set")
-    value = float(np.mean(kernel_diag(A, points.ravel())))
+    value = float(np.mean(kernel_diag(A, samples.points)))
     if value <= 1e-14:
         raise ValueError(VANISHING_SAMPLE_TRACE)
     return value

@@ -163,14 +163,13 @@ def log_posterior_discrete(probabilities, sample_indices,
                            noise_matrix=None) -> float:
     """Position-basis log posterior on a discrete sample space.
 
-    `probabilities` is the distribution Z over states (a DiscreteDistribution
-    or bare vector); `noise_matrix[true, observed]` is row-stochastic. The
+    `probabilities` is the vector of the distribution Z over states;
+    `noise_matrix[true, observed]` is row-stochastic. The
     likelihood of observing index b is then (Z @ noise)[b]. Under the flat
     prior the log posterior is the log likelihood, with the evidence
     constant dropped.
     """
-    z = np.asarray(getattr(probabilities, "probabilities", probabilities),
-                   dtype=float)
+    z = np.asarray(probabilities, dtype=float)
     if z.ndim != 1:
         raise ValueError("probabilities must form a vector")
     observed = z if noise_matrix is None else z @ _check_noise_matrix(
@@ -183,15 +182,15 @@ def log_posterior_coefficients(w, unitary, sample_indices,
     """Log posterior computed entirely in an arbitrary orthonormal basis.
 
     `w` is the coefficient matrix of the state in the basis whose columns
-    are given by `unitary` (a UnitaryBasis or bare matrix). Position-basis
+    are the columns of the matrix `unitary`. Position-basis
     probabilities are recovered through the double contraction
     p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]) rather than by transforming
     w back, so agreement with `log_posterior_discrete` exercises a
     genuinely different computation route. Under the flat prior both are
     the log likelihood, so the two are equal.
     """
-    w = np.asarray(getattr(w, "entries", w))
-    u = np.asarray(getattr(unitary, "columns", unitary))
+    w = np.asarray(w)
+    u = np.asarray(unitary)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("coefficient matrix must be square")
     if u.shape != w.shape:

@@ -5,9 +5,10 @@ than pulled from a statistics package so that sampled streams are
 bit-reproducible from (seed, n) alone: a log-gamma front factor, the Lentz
 continued fraction for the regularized incomplete beta, and for the
 quantile a safeguarded Newton iteration started from a table of the
-incomplete beta on dyadic nodes. Every quantile lane depends only on its
-own u, so the first m points of a stream are the same for any n >= m. The
-uniform stream is numpy's PCG64 generator, whose output for a given seed is
+incomplete beta on dyadic nodes, solving for the mirrored shape within
+one table cell of 1. Every quantile lane depends only on its own u, so
+the first m points of a stream are the same for any n >= m. The uniform
+stream is numpy's PCG64 generator, whose output for a given seed is
 stable under numpy's random-stream compatibility policy.
 """
 
@@ -131,19 +132,27 @@ def _bracket_table(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    """x in [0, 1] with I_x(a, b) = u, lane by lane; see BetaTarget.quantile."""
+    """x in [0, 1] with I_x(a, b) = u by lane; see BetaTarget.quantile."""
+    last = u > _bracket_table(a, b)[1][-2]
+    if not last.any():
+        return _solve_quantile(u, a, b)
+    x = np.empty_like(u)
+    x[last] = 1.0 - _solve_quantile(1.0 - u[last], b, a)
+    x[~last] = _solve_quantile(u[~last], a, b)
+    return x
+
+
+def _solve_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The safeguarded Newton iteration of _beta_quantile on every lane."""
     nodes, table = _bracket_table(a, b)
-    cells = nodes.size - 1
-    k = np.clip(np.searchsorted(table, u, side="left"), 1, cells)
+    k = np.clip(np.searchsorted(table, u, side="left"), 1, nodes.size - 1)
     lo, hi = nodes[k - 1], nodes[k]
     f_lo, f_hi = table[k - 1], table[k]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (u - f_lo) / (f_hi - f_lo)
-        # I_x(a, b) grows like x**a from 0 and 1 - I_x(a, b) like
-        # (1 - x)**b towards 1, so the end cells interpolate that power law.
+        # I_x(a, b) grows like x**a from 0, so the first cell interpolates
+        # that power law.
         t = np.where(k == 1, (u / f_hi) ** (1.0 / a), t)
-        t = np.where(k == cells,
-                     1.0 - ((1.0 - u) / (1.0 - f_lo)) ** (1.0 / b), t)
     t = np.where(f_hi > f_lo, t, 0.0)
     x = lo + t * (hi - lo)
     out = np.empty_like(u)
@@ -261,9 +270,12 @@ class BetaTarget:
         """Inverse CDF: the x in [0, 1] with I_x(a, b) = u, mapped onto s.
 
         A table of I on the 2**_TABLE_LEVEL + 1 dyadic nodes of [0, 1]
-        brackets each u, and interpolation inside the bracket gives the
-        starting point: linear in the inner cells, along the x**a and
-        (1 - x)**b power laws of I in the two end cells. A safeguarded
+        brackets each u. Within a cell of 1, x keeps too few digits for I
+        to resolve u, so a u in the last cell is solved as
+        x = 1 - Q(1 - u; b, a) by the mirrored shape, in whose first cell
+        the root lies. Interpolation inside the
+        bracket gives the starting point: linear in the inner cells, along
+        the x**a power law of I in the first cell. A safeguarded
         Newton iteration with the beta pdf then refines it, taking the
         bisection step whenever the Newton step leaves the bracket, is not
         finite, or has not halved the step from two iterations before. A
@@ -310,11 +322,10 @@ class BetaTarget:
         return SampleSet(points=s)
 
 
-def save_samples(path, samples) -> None:
+def save_samples(path, samples: SampleSet) -> None:
     """Write sample points one per line at full precision."""
-    points = np.asarray(getattr(samples, "points", samples), dtype=float)
     with open(path, "w", newline="\n") as fh:
-        write_rows(fh, points.reshape(-1, 1))
+        write_rows(fh, samples.points.reshape(-1, 1))
 
 
 def count_samples(path) -> int:
@@ -323,12 +334,12 @@ def count_samples(path) -> int:
         return sum(not line.isspace() for line in fh)
 
 
-def load_samples(path, interval: Interval | None = None) -> SampleSet:
+def load_samples(path, interval: Interval) -> SampleSet:
     """Read a one-column sample file written by save_samples.
 
-    Blank lines are ignored. A line that is not a finite number, or with
-    `interval` a value outside it, raises ValueError naming its line
-    number in the file. The values go straight into one float64 array,
+    Blank lines are ignored. A line that is not a finite number, or a
+    value outside `interval`, raises ValueError naming its line number in
+    the file. The values go straight into one float64 array,
     with no list of Python floats.
     """
     with open(path) as fh:
@@ -336,7 +347,7 @@ def load_samples(path, interval: Interval | None = None) -> SampleSet:
     return SampleSet(points=points)
 
 
-def _parse_samples(path, fh, interval: Interval | None):
+def _parse_samples(path, fh, interval: Interval):
     for lineno, line in enumerate(fh, start=1):
         text = line.strip()
         if not text:
@@ -348,8 +359,7 @@ def _parse_samples(path, fh, interval: Interval | None):
         if not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno}: could not parse "
                              f"{text!r} as a finite number")
-        if interval is not None and (value < interval.lo
-                                     or value > interval.hi):
+        if value < interval.lo or value > interval.hi:
             raise ValueError(
                 f"{path}: sample {value:g} on line {lineno} lies "
                 f"outside [{interval.lo:g}, {interval.hi:g}]"

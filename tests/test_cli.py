@@ -29,16 +29,20 @@ from densop import (
     parse_config,
     save_samples,
 )
-from densop import config as config_module
+from densop import cli as cli_module
 from densop.basis import RESOLUTION
 from densop.cli import (
+    COMMANDS,
     FIGURES,
+    MEMORY_LIMIT,
+    PASS_BYTES,
     _estimate_table,
     _figure_table,
     _write_table,
+    footprint,
     main,
+    require_memory,
 )
-from densop.config import MEMORY_LIMIT, PASS_BYTES, TABLE_COLUMNS, footprint
 from densop.oracles import run_suite
 from densop.textio import _block_rows
 
@@ -109,11 +113,16 @@ def test_footprint_arithmetic_at_scale_20_and_30():
         assert footprint(spec, 4096, command, 300) < MEMORY_LIMIT
     # at scale 30 the d weights alone take about 26 GB, whatever command
     spec = BasisSpec("daubechies4", 30, Interval(0.0, 3.0))
-    for command in TABLE_COLUMNS:
+    for command in COMMANDS:
         assert footprint(spec, 4096, command) > 8 * 3 * 2 ** 30 > 25e9
     # a cell count past the largest double counts as infinite
     spec = BasisSpec("haar", 0, Interval(-1e308, 3.0))
     assert footprint(spec, 4096, "fig2b") == math.inf
+    # so do d + 2 columns of G values past it, once an int that could not
+    # be divided into GiB
+    for lo, hi in ((-1e200, 1e200), (1e300, 1.0000000000000002e300)):
+        spec = BasisSpec("haar", 0, Interval(lo, hi))
+        assert footprint(spec, 4096, "fig2a") == math.inf
 
 
 def test_fig3_fits_the_memory_bound_at_scale_12():
@@ -121,9 +130,9 @@ def test_fig3_fits_the_memory_bound_at_scale_12():
     # fig3b's bands, columns, curves and passing arrays take 0.064 GiB
     cfg = ExperimentConfig(scale_n=12, grid_cells=262144)
     for figure in ("fig3a", "fig3b"):
-        cfg.require_memory(figure)
+        require_memory(cfg, figure, cfg.n_samples)
     with pytest.raises(ValueError, match="fig2a at scale_n=12"):
-        cfg.require_memory("fig2a")
+        require_memory(cfg, "fig2a", cfg.n_samples)
 
 
 @pytest.mark.parametrize("command", [*FIGURES, "estimate"])
@@ -215,11 +224,11 @@ def test_estimate_counts_its_sample_file_in_the_memory_bound(
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n" * 100)
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_688)
+    monkeypatch.setattr(cli_module, "MEMORY_LIMIT", 6_161_688)
     assert main(["estimate", str(samples), "--out", str(out)]) == 0
     capsys.readouterr()
     out.unlink()
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_687)
+    monkeypatch.setattr(cli_module, "MEMORY_LIMIT", 6_161_687)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
@@ -234,11 +243,11 @@ def test_estimate_refuses_before_parsing_its_samples(
     samples = tmp_path / "s.txt"
     samples.write_text("1.5\n\n" * 99 + "oops\n")
     out = tmp_path / "est.csv"
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_687)
+    monkeypatch.setattr(cli_module, "MEMORY_LIMIT", 6_161_687)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: estimate at scale_n=2, N=100 samples")
-    monkeypatch.setattr(config_module, "MEMORY_LIMIT", 6_161_688)
+    monkeypatch.setattr(cli_module, "MEMORY_LIMIT", 6_161_688)
     assert main(["estimate", str(samples), "--out", str(out)]) == 1
     assert "line 199: could not parse 'oops'" in capsys.readouterr().err
     assert not out.exists()
@@ -259,11 +268,11 @@ def test_config_round_trip_with_weights():
 
 
 def test_parse_config_merges_over_base():
-    base = ExperimentConfig()
-    cfg = parse_config("seed = 5\n# comment\n\nn_samples = 10\n", base=base)
+    # the base is the defaults: omitted keys keep them
+    cfg = parse_config("seed = 5\n# comment\n\nn_samples = 10\n")
     assert cfg.seed == 5
     assert cfg.n_samples == 10
-    assert cfg.family == base.family
+    assert cfg == ExperimentConfig(seed=5, n_samples=10)
 
 
 def test_parse_config_errors_carry_line_numbers():
@@ -307,6 +316,18 @@ def test_config_rejects_bad_weights_at_construction(weights, message):
         str(w) for w in weights) + "\n"
     with pytest.raises(ValueError, match=message):
         parse_config(text)
+
+
+def test_out_is_not_a_config_key(tmp_path, capsys):
+    # the output path is --out alone
+    cfgpath = tmp_path / "out.cfg"
+    cfgpath.write_text("out = x\n")
+    out = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b", "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: unknown config key 'out'\n")
+    assert not out.exists()
 
 
 def test_load_config_reads_files(tmp_path):
@@ -852,6 +873,10 @@ EXTREME_CONFIGS = {
     "scale_n-1100": ("scale_n = 1100", "scale_n=1100 takes the interval"),
     "lo-1e308-scale_n-0": ("lo = -1e308\nscale_n = 0",
                            "needs inf GiB of arrays, over the 1 GiB limit"),
+    "lo-1e200-hi-1e200": ("lo = -1e200\nhi = 1e200\nscale_n = 0",
+                          "GiB of arrays, over the 1 GiB limit"),
+    "lo-1e300-one-ulp": ("lo = 1e300\nhi = 1.0000000000000002e300\n"
+                         "scale_n = 0", "GiB of arrays, over the 1 GiB limit"),
 }
 
 

@@ -12,6 +12,7 @@ from densop import (
     EmbeddingOperator,
     Grid,
     Interval,
+    SampleSet,
     basis_matrix,
     embedded_density_exact,
     embedded_density_map,
@@ -251,23 +252,24 @@ def test_trace_k_rho_detects_kernel_of_operator():
 
 def test_trace_k_map_mean_of_diagonal():
     op = daub_projection()
-    pts = np.array([0.5])
+    pts = SampleSet(np.array([0.5]))
     assert_allclose(trace_k_map(op, pts), kernel_diag(op, 0.5),
                     rtol=0, atol=1e-15)
     several = np.array([0.3, 1.7, 2.2])
-    doubled = np.concatenate([several, several])
-    assert_allclose(trace_k_map(op, several), trace_k_map(op, doubled),
+    doubled = SampleSet(np.concatenate([several, several]))
+    assert_allclose(trace_k_map(op, SampleSet(several)),
+                    trace_k_map(op, doubled),
                     rtol=1e-15, atol=0)
 
 
 def test_trace_k_map_haar_constant():
     op = haar_projection()
     rng = np.random.Generator(np.random.PCG64(6))
-    pts = rng.uniform(0.0, 3.0, size=57)
+    pts = SampleSet(rng.uniform(0.0, 3.0, size=57))
     assert trace_k_map(op, pts) == 4.0
 
 
 def test_trace_k_map_rejects_empty():
     op = haar_projection()
     with pytest.raises(ValueError):
-        trace_k_map(op, np.array([]))
+        trace_k_map(op, SampleSet(np.array([])))

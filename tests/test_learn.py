@@ -132,9 +132,6 @@ def test_discrete_posterior_hand_oracle():
     idx = [0, 1, 1, 2]
     lp = log_posterior_discrete(z, idx)
     assert_allclose(lp, math.log(1.0 / 128.0), rtol=1e-14)
-    # a DiscreteDistribution and its bare vector are interchangeable
-    wrapped = log_posterior_discrete(DiscreteDistribution(z), idx)
-    assert wrapped == lp
     # identity noise changes nothing
     assert_allclose(
         log_posterior_discrete(z, idx, np.eye(3)),

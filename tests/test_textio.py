@@ -138,8 +138,9 @@ def test_figure_tables_match_savetxt(tmp_path, figure):
 def test_estimate_table_and_sample_file_match_savetxt(tmp_path):
     cfg = ExperimentConfig()
     samples = tmp_path / "samples.txt"
-    points = cfg.target().sample(300, seed=3).points
-    save_samples(samples, points)
+    drawn = cfg.target().sample(300, seed=3)
+    points = drawn.points
+    save_samples(samples, drawn)
     expected = io.BytesIO()
     np.savetxt(expected, points, fmt="%.17g")
     assert samples.read_bytes() == expected.getvalue()
