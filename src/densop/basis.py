@@ -316,7 +316,9 @@ def _band_blocks(spec: BasisSpec, s: np.ndarray):
 
     Every consumer of the band walks its points this way, so the lookup's
     per-point temporaries are one block's worth, reused warm from block
-    to block, while each point's own operations stay the same.
+    to block, while each point's own operations stay the same. A consumer
+    deletes its block's arrays at the end of the loop body: the loop's
+    names would otherwise hold them while the next block is evaluated.
     """
     for start in range(0, s.size, BAND_BLOCK):
         block = slice(start, start + BAND_BLOCK)
@@ -333,6 +335,7 @@ def basis_matrix(spec: BasisSpec, s_values) -> np.ndarray:
             rows.shape)
         live = values != 0.0
         out[rows[live], cols[live]] = values[live]
+        del rows, values, cols, live
     return out
 
 
@@ -366,6 +369,7 @@ def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
             np.multiply(rows[:, a], w, out=flat[:, c])
             flat[:, c] += b - a
         np.add.at(out, flat.ravel(), terms.ravel())
+        del rows, values, terms, flat
     return out.reshape(d, w)
 
 
@@ -400,6 +404,7 @@ def quadratic_form(spec: BasisSpec, band, s_values) -> np.ndarray:
             term = u[:, a] * entry[min(a, b), max(a, b)]
             term *= u[:, b]
             acc += term
+        del rows, u, entry, term
     return out
 
 
@@ -447,9 +452,11 @@ def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
     for block, rows, values in _band_blocks(spec, grid.points):
         terms = values * weights[block, None] * f_values[block, None]
         np.add.at(coeffs, rows.ravel(), terms.ravel())
+        del rows, values, terms
     # the reconstruction evaluates the band again rather than hold it for
     # every point
     out = np.empty(grid.points.size)
     for block, rows, values in _band_blocks(spec, grid.points):
         out[block] = np.sum(coeffs[rows] * values, axis=1)
+        del rows, values
     return out

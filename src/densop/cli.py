@@ -71,12 +71,14 @@ MEMORY_LIMIT = 2 ** 30
 GRID_VALUES = 4
 #: Bytes of the one block of work that is live at a time, whatever d, G
 #: and N are. Measured peaks: a block of basis.BAND_BLOCK points of the
-#: Daubechies-4 band with the previous block's products, about 2.4 MB;
-#: the beta quantile on a chunk of target.SAMPLE_CHUNK lanes, at most
-#: 4.8 MB (35 values per lane for shape (200, 0.05)); the table writer's
-#: block, at most 1 MB. fig2a's writer block is one row only when
-#: d + 2 > 4096, where the d x G table alone is over 8 GB, or the grid is
-#: too coarse for the resolution rule.
+#: Daubechies-4 band, about 1.3 MB (19.5 values per point; a consumer
+#: releases its block before the next is evaluated); the beta quantile on
+#: a chunk of target.SAMPLE_CHUNK lanes, at most 4.5 MB (34 values per
+#: lane for shape (8013, 2), whose lanes all iterate in the first cell,
+#: and 25 for (200, 0.05)); the table writer's block, at most 1 MB.
+#: fig2a's writer block is one row only when d + 2 > 4096, where the
+#: d x G table alone is over 8 GB, or the grid is too coarse for the
+#: resolution rule.
 PASS_BYTES = 5 * 2 ** 20
 
 

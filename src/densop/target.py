@@ -4,12 +4,16 @@ The incomplete beta function and its quantile are implemented here rather
 than pulled from a statistics package so that sampled streams are
 bit-reproducible from (seed, n) alone: a log-gamma front factor, the Lentz
 continued fraction for the regularized incomplete beta, and for the
-quantile a safeguarded Newton iteration started from a table of the
-incomplete beta on dyadic nodes, solving for the mirrored shape within
-one table cell of 1. Every quantile lane depends only on its own u, so
-the first m points of a stream are the same for any n >= m. The uniform
-stream is numpy's PCG64 generator, whose output for a given seed is
-stable under numpy's random-stream compatibility policy.
+quantile a safeguarded Newton iteration on a table of the incomplete beta
+on dyadic nodes. Each lane starts from the cubic Hermite interpolant of
+the inverse in its table cell, or, in the first cell, from the x**a power
+law, which it then solves in log x; a lane in the last cell solves the
+mirrored shape. A lane stops after the Newton step whose predicted error
+is under the tolerance, so most lanes evaluate the incomplete beta once.
+Every quantile lane depends only on its own u, so the first m points of a
+stream are the same for any n >= m. The uniform stream is numpy's PCG64
+generator, whose output for a given seed is stable under numpy's
+random-stream compatibility policy.
 """
 
 from __future__ import annotations
@@ -30,8 +34,14 @@ _CF_MAX_ITER = 300
 _TABLE_LEVEL = 8
 _STOP_ULPS = 16
 _SOLVE_MAX_ITER = 64
-#: Lanes the sampler solves at once. The quantile holds about 36 values
-#: per lane, so a chunk of 2**14 lanes holds under 5 MB whatever n is.
+#: A lane stops after a Newton step whose predicted error, times this
+#: factor, is under _STOP_ULPS units in the last place.
+_STOP_SAFETY = 4.0
+#: The least subnormal, the floor of a first-cell root of u > 0.
+_TINY = 5e-324
+#: Lanes the sampler solves at once. The quantile holds at most about 34
+#: values per lane, so a chunk of 2**14 lanes holds under 5 MB whatever n
+#: is.
 SAMPLE_CHUNK = 2 ** 14
 
 
@@ -82,53 +92,62 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
 def regularized_incomplete_beta(x, a: float, b: float):
     """I_x(a, b), the regularized incomplete beta function, vectorized in x.
 
-    Uses the continued fraction directly for x below the crossover point
-    (a + 1) / (a + b + 2) and the symmetry I_x(a,b) = 1 - I_{1-x}(b,a)
-    above it, which keeps the fraction in its fast-converging regime.
+    Refuses an x outside [0, 1], NaN included.
     """
     if a <= 0 or b <= 0:
         raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x).astype(float)
-    if np.any((x < 0) | (x > 1)):
+    if not np.all((x >= 0) & (x <= 1)):
         raise ValueError("x must lie in [0, 1]")
-    out = np.empty_like(x)
-    lo_edge = x == 0.0
-    hi_edge = x == 1.0
-    out[lo_edge] = 0.0
-    out[hi_edge] = 1.0
-    mid = ~(lo_edge | hi_edge)
-    if np.any(mid):
-        xm = x[mid]
-        log_bt = a * np.log(xm) + b * np.log1p(-xm) - _log_beta(a, b)
-        bt = np.exp(log_bt)
-        direct = xm < (a + 1.0) / (a + b + 2.0)
-        res = np.empty_like(xm)
-        if np.any(direct):
-            xd = xm[direct]
-            res[direct] = bt[direct] * _betacf(a, b, xd) / a
-        if np.any(~direct):
-            xs = xm[~direct]
-            res[~direct] = 1.0 - bt[~direct] * _betacf(b, a, 1.0 - xs) / b
-        out[mid] = res
+    with np.errstate(divide="ignore"):
+        out = _incomplete_beta(x, a, b, _log_beta(a, b))[0]
     return float(out[0]) if scalar else out
 
 
-@functools.lru_cache(maxsize=16)
-def _bracket_table(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """The dyadic nodes of [0, 1] and I_x(a, b) on them, read-only.
+def _incomplete_beta(x: np.ndarray, a: float, b: float,
+                     log_beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """I_x(a, b) and its front factor x**a (1 - x)**b / B(a, b), unchecked.
 
-    Cached per shape, since every sampler of one target brackets with the
+    Uses the continued fraction directly for x below the crossover point
+    (a + 1) / (a + b + 2) and the symmetry I_x(a,b) = 1 - I_{1-x}(b,a)
+    above it, which keeps the fraction in its fast-converging regime. At
+    x = 0 and x = 1 the front factor is 0 and I is 0 and 1.
+    """
+    front = np.exp(a * np.log(x) + b * np.log1p(-x) - log_beta)
+    direct = x < (a + 1.0) / (a + b + 2.0)
+    # where the front factor is 0, so is the fraction's term
+    value = np.where(direct, front, 1.0 - front)
+    live = front > 0
+    lanes = direct & live
+    if lanes.any():
+        value[lanes] = front[lanes] * _betacf(a, b, x[lanes]) / a
+    lanes = ~direct & live
+    if lanes.any():
+        value[lanes] = 1.0 - front[lanes] * _betacf(b, a, 1.0 - x[lanes]) / b
+    return value, front
+
+
+@functools.lru_cache(maxsize=16)
+def _bracket_table(a: float, b: float) -> tuple[np.ndarray, ...]:
+    """The dyadic nodes of [0, 1], I_x(a, b) on them and the slopes
+    dx/du = 1/pdf of the inverse there, read-only.
+
+    Cached per shape, since every sampler of one target starts from the
     same table; the arrays are frozen because every caller shares them.
+    A slope is inf where the pdf underflows and NaN at an end.
     """
     nodes = np.linspace(0.0, 1.0, 2 ** _TABLE_LEVEL + 1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value, front = _incomplete_beta(nodes, a, b, _log_beta(a, b))
+        slopes = nodes * (1.0 - nodes) / front
     # searchsorted needs a sorted table, which rounding alone does not
     # promise across the continued fraction's two branches
-    table = np.maximum.accumulate(regularized_incomplete_beta(nodes, a, b))
-    nodes.flags.writeable = False
-    table.flags.writeable = False
-    return nodes, table
+    table = np.maximum.accumulate(value)
+    for array in (nodes, table, slopes):
+        array.flags.writeable = False
+    return nodes, table, slopes
 
 
 def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -142,46 +161,92 @@ def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return x
 
 
-def _solve_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    """The safeguarded Newton iteration of _beta_quantile on every lane."""
-    nodes, table = _bracket_table(a, b)
+def _start(u: np.ndarray, a: float, b: float, log_norm: float):
+    """Each lane's start x, its bracket lo <= x <= hi, and whether it lies
+    in the table's first cell."""
+    nodes, table, slopes = _bracket_table(a, b)
     k = np.clip(np.searchsorted(table, u, side="left"), 1, nodes.size - 1)
     lo, hi = nodes[k - 1], nodes[k]
     f_lo, f_hi = table[k - 1], table[k]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (u - f_lo) / (f_hi - f_lo)
-        # I_x(a, b) grows like x**a from 0, so the first cell interpolates
-        # that power law.
-        t = np.where(k == 1, (u / f_hi) ** (1.0 / a), t)
-    t = np.where(f_hi > f_lo, t, 0.0)
-    x = lo + t * (hi - lo)
-    out = np.empty_like(u)
-    lanes = np.arange(u.size)
-    step = step_before = hi - lo
-    log_norm = _log_beta(a, b)
+    first = k == 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # cubic Hermite interpolation of the inverse, from the slopes at
+        # the cell's nodes, or linear where the cubic leaves the cell
+        rise = f_hi - f_lo
+        t = np.where(rise > 0, (u - f_lo) / rise, 0.0)
+        x = (lo + (hi - lo) * t * t * (3.0 - 2.0 * t) + rise * t * (1.0 - t)
+             * ((1.0 - t) * slopes[k - 1] - t * slopes[k]))
+        x = np.where((x >= lo) & (x <= hi), x, lo + t * (hi - lo))
+        if first.any():
+            # I grows like x**a from 0. The first cell starts at
+            # x_p * g**(1 - p): x_p = x_1 p, p = (u / I_1)**(1/a), is the
+            # power law through the node (x_1, I_1), and g = x_0 / x_p the
+            # ratio of the asymptote x_0 = (u a B(a, b))**(1/a) to it, so
+            # the start runs from x_0 as u -> 0 to the node. A root of
+            # u > 0 is taken to be at least the least subnormal.
+            log_g = (math.log(table[1]) + math.log(a) + log_norm) / a \
+                - math.log(nodes[1]) if table[1] > 0 else 0.0
+            power = t[first] ** (1.0 / a)
+            start = hi[first] * power * np.exp((1.0 - power) * log_g)
+            inside = u[first] > 0
+            start = np.fmin(np.fmax(start, _TINY), hi[first])
+            x[first] = np.where(inside, start, 0.0)
+            lo[first] = np.where(inside, _TINY, 0.0)
+    return x, lo, hi, first
+
+
+def _solve_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The safeguarded Newton iteration of _beta_quantile on every lane."""
+    log_norm = _log_beta(a, b)
+    x, lo, hi, first = _start(u, a, b, log_norm)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.empty_like(u)
+        lanes = np.arange(u.size)
+        step = step_before = hi - lo
         for _ in range(_SOLVE_MAX_ITER):
-            f = regularized_incomplete_beta(x, a, b) - u
+            value, front = _incomplete_beta(x, a, b, log_norm)
+            f = value - u
             lo = np.where(f < 0, x, lo)
             hi = np.where(f > 0, x, hi)
-            pdf = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
-                         - log_norm)
-            newton = f / pdf
+            # the Newton step f / pdf, with pdf = front / (x (1 - x)); it
+            # leaves an error of about K step**2, where K is half the
+            # curvature over the slope of the solved function: for I(x) - u
+            # that is half of |d log pdf / dx| at the new iterate
+            newton = f * x * (1.0 - x) / front
             x_next = x - newton
+            error = 0.5 * np.abs((a - 1.0) / x_next - (b - 1.0)
+                                 / (1.0 - x_next)) * newton ** 2
+            middle = lo + 0.5 * (hi - lo)
+            if first.any():
+                # in the first cell Newton solves log I = log u in log x,
+                # along which log I is nearly linear, with slope
+                # r = x pdf / I; bisection halves the bracket in log x
+                x1 = x[first]
+                r = front[first] / ((1.0 - x1) * value[first])
+                log_step = np.log1p(f[first] / u[first]) / r
+                x_log = x1 * np.exp(-log_step)
+                x_next[first] = x_log
+                newton[first] = x1 - x_log
+                error[first] = 0.5 * x_log * log_step ** 2 * np.abs(
+                    a - r - (b - 1.0) * x_log / (1.0 - x_log))
+                middle[first] = np.sqrt(lo[first]) * np.sqrt(hi[first])
             # NaN and inf fail the bracket test, so they bisect too
             bisect = ~((x_next >= lo) & (x_next <= hi))
             bisect |= np.abs(2.0 * newton) > np.abs(step_before)
-            x_next = np.where(bisect, lo + 0.5 * (hi - lo), x_next)
+            x_next = np.where(bisect, middle, x_next)
             # a root stays put even where the pdf is 0 or inf
             x_next = np.where(f == 0, x, x_next)
             step_before, step = step, x - x_next
             tol = _STOP_ULPS * np.spacing(x_next)
             out[lanes] = x_next
-            going = (f != 0) & (np.abs(step) > tol) & (hi - lo > tol)
+            settled = ~bisect & (_STOP_SAFETY * error < tol)
+            going = ((f != 0) & (np.abs(step) > tol) & (hi - lo > tol)
+                     & ~settled)
             if not going.any():
                 break
-            lanes, u, x, lo, hi, step, step_before = (
-                v[going] for v in (lanes, u, x_next, lo, hi, step, step_before))
+            lanes, u, x, lo, hi, step, step_before, first = (
+                v[going] for v in (lanes, u, x_next, lo, hi, step,
+                                   step_before, first))
     return out
 
 
@@ -273,17 +338,25 @@ class BetaTarget:
         brackets each u. Within a cell of 1, x keeps too few digits for I
         to resolve u, so a u in the last cell is solved as
         x = 1 - Q(1 - u; b, a) by the mirrored shape, in whose first cell
-        the root lies. Interpolation inside the
-        bracket gives the starting point: linear in the inner cells, along
-        the x**a power law of I in the first cell. A safeguarded
-        Newton iteration with the beta pdf then refines it, taking the
-        bisection step whenever the Newton step leaves the bracket, is not
-        finite, or has not halved the step from two iterations before. A
-        lane stops when I(x) == u, or when its step or bracket is within
-        _STOP_ULPS units in the last place of x, and at the latest after
-        _SOLVE_MAX_ITER evaluations. Only lanes still running are
-        evaluated, and each lane's result depends on (u, a, b) alone, so a
-        sampled stream does not depend on how many points are drawn with it.
+        the root lies. An inner cell starts from the cubic Hermite
+        interpolant of the inverse, whose slopes 1/pdf at the nodes are
+        cached with the table. The first cell, where I grows like x**a
+        and roots reach the subnormals, starts between the power law
+        through its node and the asymptote (u a B(a, b))**(1/a), and is
+        solved in log x, where log I is nearly linear: Newton on
+        log I = log u, and bisection by geometric means down to the least
+        subnormal. The safeguarded Newton iteration takes the bisection
+        step whenever the Newton step leaves the bracket, is not finite,
+        or has not halved the step from two iterations before. A lane
+        stops when I(x) == u; after a Newton step whose predicted error
+        K step**2, K half of |d log pdf / dx| at the new point (in log x
+        on the first cell), is under _STOP_ULPS units in the last place of
+        x with a safety factor of _STOP_SAFETY; when its step or bracket
+        is within those units; and at the latest after _SOLVE_MAX_ITER
+        evaluations. Most lanes stop after one evaluation of I. Only lanes
+        still running are evaluated, and each lane's result depends on
+        (u, a, b) alone, so a sampled stream does not depend on how many
+        points are drawn with it.
         """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0

@@ -7,6 +7,7 @@ the projections against closed forms where one exists.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,6 +434,38 @@ def test_blocked_primitives_equal_one_pass_references_bitwise(family):
     f = rng.uniform(0.0, 2.0, size=n)
     assert np.array_equal(wavelet_approximation(f, spec, grid),
                           unblocked_wavelet_approximation(spec, grid, f))
+
+
+def _traced_peak(call):
+    """tracemalloc peak of call(), less the bytes of the arrays it returns;
+    a first call fills the cascade table cache."""
+    call()
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in (out if isinstance(out, tuple)
+                                         else (out,)))
+
+
+def test_band_consumers_hold_one_block_at_a_time():
+    # each consumer once kept the previous block's rows, values and
+    # products alive while the next block was evaluated: coefficient_band
+    # peaked at 37.6 values per block point where one block's band alone
+    # takes 19.5
+    spec = BasisSpec("daubechies4", 2, UNIT)
+    n = 4 * BAND_BLOCK
+    pts = np.random.Generator(np.random.PCG64(3)).uniform(0.0, 3.0, n)
+    weights = np.full(n, 1.0 / n)
+    band = coefficient_band(spec, pts, weights)
+    one_block = _traced_peak(lambda: basis_band(spec, pts[:BAND_BLOCK]))
+    one_block += 6 * 8 * BAND_BLOCK     # the rows and values it returns
+    for call in (lambda: coefficient_band(spec, pts, weights),
+                 lambda: quadratic_form(spec, band, pts),
+                 lambda: basis_matrix(spec, pts)):
+        assert _traced_peak(call) <= one_block + 64 * 2 ** 10
 
 
 @pytest.mark.parametrize("family", ["haar", "daubechies4"])
