@@ -12,6 +12,12 @@ kept as-is, truncated by the domain; no folding or periodization is
 applied. As a consequence the family is only orthonormal for interior
 translates, and projections onto the family are only approximately
 idempotent near the boundary.
+
+A point meets at most w translates (w = 1 for Haar, 3 for Daubechies 4).
+The banded primitives evaluate them lane by lane, one block of points at
+a time (`_lanes`), and index accumulators, bands and coefficient vectors
+padded with w - 1 zero rows at both ends, so no dense basis matrix and no
+clipped row index is built.
 """
 
 from __future__ import annotations
@@ -228,42 +234,36 @@ class BasisSpec:
         return ks[keep]
 
 
+def _read_table(t: np.ndarray) -> np.ndarray:
+    """phi at t / 2**TABLE_LEVEL for t >= 0, with no guard: t is overwritten.
+
+    The int cast truncates t to its floor i, and each lane computes
+    table[i] * (1 - f) + table[i + 1] * f with f = t - i. The reads clip,
+    so a whole t at or past 3 * 2**TABLE_LEVEL, where f = 0, reads the
+    table's last value, 0, twice.
+    """
+    table = scaling_values_daub4(TABLE_LEVEL)
+    i = t.astype(np.int64)
+    t -= i
+    after = table[1:].take(i, mode="clip")
+    after *= t
+    np.subtract(1.0, t, out=t)
+    t *= table.take(i, mode="clip")
+    t += after
+    return t
+
+
 def _mother_daub4(x: np.ndarray) -> np.ndarray:
     """Mother tap-4 scaling function, linear interpolation on the table.
 
-    One full-width lookup, with no gather of the lanes inside (0, 3): a
-    lane outside, NaN and inf included, reads the table at t = 0 and is
-    zeroed at the end, so no lane ever casts a non-finite t. Inside, t =
-    x * 2**TABLE_LEVEL is positive, so the int cast truncates it to its
-    floor, and the clamp keeps i + 1 in the table. Each lane then
-    computes table[i] * (1 - f) + table[i + 1] * f, the same operations
-    in the same order as a per-lane loop would.
+    A lane outside (0, 3), NaN and inf included, reads the table at t = 0
+    and is zeroed at the end, so no lane ever casts a non-finite t.
     """
-    table = scaling_values_daub4(TABLE_LEVEL)
     inside = (x > 0.0) & (x < 3.0)
     t = np.where(inside, x, 0.0)
     t *= 2 ** TABLE_LEVEL
-    i = t.astype(np.int64)
-    np.minimum(i, table.size - 2, out=i)
-    t -= i
-    out = table.take(i)
-    after = table[1:].take(i)
-    del i
-    after *= t
-    np.subtract(1.0, t, out=t)
-    out *= t
-    out += after
+    out = _read_table(t)
     np.copyto(out, 0.0, where=~inside)
-    return out
-
-
-def _father(spec: BasisSpec, x: np.ndarray) -> np.ndarray:
-    """2**(n/2) phi(x): the Haar box on [0, 1) or the tap-4 table lookup."""
-    amp = 2.0 ** (spec.scale_n / 2.0)
-    if spec.family == "haar":
-        return np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
-    out = _mother_daub4(x)
-    out *= amp
     return out
 
 
@@ -276,66 +276,110 @@ def eval_father(spec: BasisSpec, k: int, s) -> np.ndarray:
     past the interval to cover boundary translates.
     """
     s = np.asarray(s, dtype=float)
-    out = _father(spec, np.atleast_1d(s) * 2 ** spec.scale_n - k)
+    x = np.atleast_1d(s) * 2 ** spec.scale_n - k
+    amp = 2.0 ** (spec.scale_n / 2.0)
+    if spec.family == "haar":
+        out = np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
+    else:
+        out = _mother_daub4(x)
+        out *= amp
     return float(out[0]) if s.ndim == 0 else out
+
+
+def _lanes(spec: BasisSpec, s: np.ndarray):
+    """(first, lanes): the live translates of each point, lane by lane.
+
+    A point s meets at most w translates, w = 1 for Haar and 3 for
+    Daubechies 4: k = floor(2**n s) - (w - 1) + a for lanes a = 0 .. w - 1.
+    `first` (P int64) is the row of lane 0, counted from the first
+    translate of the family; `lanes` (w x P) holds phi_k(s) for each lane.
+    Lane a computes x = x0 - (floor(x0) + a - (w - 1)) in floats, x0 =
+    2**n s, which rounds to the same double k as an int64 k would: that is
+    the x that eval_father computes, so the values are its bits. Every
+    lane lies in [0, 3], or is a whole 4 once |x0| passes 2**54 and k
+    rounds, so the table is read with no guard; a Haar lane lies in
+    [0, 1), where the box is 2**(n/2). Only when a point's lanes
+    reach past the family are lanes outside rows 0 .. d - 1 set to 0 and
+    `first` clipped to [1 - w, d - 1], so first + a + w - 1 always indexes
+    an array padded with w - 1 zero rows at both ends. A point that is not
+    finite, or so large that floor(2**n s) leaves the int64 range, has no
+    translate index and is refused.
+    """
+    x0 = s * 2 ** spec.scale_n
+    if s.size and not np.abs(x0).max() < 2.0 ** 62:
+        bad = s[~(np.abs(x0) < 2.0 ** 62)]
+        shown = ", ".join(repr(v) for v in bad[:5].tolist())
+        raise ValueError(
+            f"cannot evaluate the basis at {bad.size} point(s) that are not "
+            f"finite or beyond 2**62 translate shifts: {shown}")
+    d, w = spec.size, spec.support_width
+    k = np.floor(x0)
+    first = k.astype(np.int64)
+    first -= spec.translate_range[0] + w - 1
+    amp = 2.0 ** (spec.scale_n / 2.0)
+    if spec.family == "haar":
+        lanes = np.full((1, s.size), amp)
+    else:
+        lanes = np.add(np.arange(1.0 - w, 1.0)[:, None], k)
+        np.subtract(x0, lanes, out=lanes)
+        del x0, k
+        lanes *= 2 ** TABLE_LEVEL
+        for x in lanes:
+            _read_table(x)
+        lanes *= amp
+    if s.size and (first.min() < 0 or first.max() > d - w):
+        for a, x in enumerate(lanes):
+            np.copyto(x, 0.0, where=(first < -a) | (first >= d - a))
+        np.maximum(first, 1 - w, out=first)
+        np.minimum(first, d - 1, out=first)
+    return first, lanes
 
 
 def basis_band(spec: BasisSpec, s_values):
     """The live translates at each point: (P x w row index, P x w value).
 
-    A point s meets at most w translates, w = 1 for Haar and 3 for
-    Daubechies 4: those with k in {floor(2**n s) - w + 1, ..., floor(2**n s)}.
-    Row indices count from the first translate of the family; a translate
-    outside translate_range gets value 0 and a clipped index. Values are
-    bit-identical to eval_father, which computes the same x = 2**n s - k
-    and reads the table through the same lookup: every lane goes through
-    it, since a lane outside the support comes out 0 whatever it reads.
-    A point that is not finite, or so large that floor(2**n s) leaves the
-    int64 range, has no translate index and is refused.
+    Lane a of a point holds translate floor(2**n s) - (w - 1) + a; see
+    _lanes. Row indices count from the first translate of the family; a
+    translate outside translate_range gets value 0 and a clipped index.
+    Values are bit-identical to eval_father.
     """
     s = np.asarray(s_values, dtype=float).ravel()
-    x0 = s * 2 ** spec.scale_n
-    indexable = np.abs(x0) < 2.0 ** 62
-    if not indexable.all():
-        bad = s[~indexable]
-        shown = ", ".join(repr(v) for v in bad[:5].tolist())
-        raise ValueError(
-            f"cannot evaluate the basis at {bad.size} point(s) that are not "
-            f"finite or beyond 2**62 translate shifts: {shown}")
-    rows = np.floor(x0).astype(np.int64)[:, None] + np.arange(
-        1 - spec.support_width, 1)
-    values = _father(spec, x0[:, None] - rows)
-    rows -= spec.translate_range[0]
-    np.copyto(values, 0.0, where=(rows < 0) | (rows >= spec.size))
+    first, lanes = _lanes(spec, s)
+    rows = first[:, None] + np.arange(spec.support_width)
     np.clip(rows, 0, spec.size - 1, out=rows)
-    return rows, values
+    return rows, lanes.T
 
 
 def _band_blocks(spec: BasisSpec, s: np.ndarray):
-    """(slice, rows, values): basis_band of s, BAND_BLOCK points at a time.
+    """(slice, first, lanes): _lanes of s, BAND_BLOCK points at a time.
 
     Every consumer of the band walks its points this way, so the lookup's
     per-point temporaries are one block's worth, reused warm from block
     to block, while each point's own operations stay the same. A consumer
-    deletes its block's arrays at the end of the loop body: the loop's
+    indexes an array padded with w - 1 zero rows at both ends by first +
+    w - 1 + a: a lane outside the family is 0 and lands in the pad, and
+    adding a +-0 term to a sum that starts at +0.0 leaves its bits alone.
+    It deletes its block's arrays at the end of the loop body: the loop's
     names would otherwise hold them while the next block is evaluated.
     """
     for start in range(0, s.size, BAND_BLOCK):
         block = slice(start, start + BAND_BLOCK)
-        yield (block, *basis_band(spec, s[block]))
+        yield (block, *_lanes(spec, s[block]))
 
 
 def basis_matrix(spec: BasisSpec, s_values) -> np.ndarray:
-    """Matrix of phi_nk(s) values, one row per translate k: basis_band, dense."""
+    """Matrix of phi_nk(s) values, one row per translate k: the band, dense.
+
+    Only nonzero lanes are written, so a lane outside the family, which is
+    0, needs no row.
+    """
     s = np.asarray(s_values, dtype=float).ravel()
     out = np.zeros((spec.size, s.size))
-    for block, rows, values in _band_blocks(spec, s):
-        cols = np.broadcast_to(
-            np.arange(block.start, block.start + rows.shape[0])[:, None],
-            rows.shape)
-        live = values != 0.0
-        out[rows[live], cols[live]] = values[live]
-        del rows, values, cols, live
+    for block, first, lanes in _band_blocks(spec, s):
+        for a, x in enumerate(lanes):
+            live = np.flatnonzero(x)
+            out[first[live] + a, live + block.start] = x[live]
+        del first, lanes, live
     return out
 
 
@@ -343,12 +387,12 @@ def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
     """sum_p weights_p b(s_p) b(s_p)^T over the translates, as d x w diagonals.
 
     Entry [j, o] is M[j, j + o]. Each point adds the upper triangle of its
-    w x w block into one d x w accumulator, in point order, block by
+    w x w block into one padded accumulator, in point order, block by
     block: bit-reproducible. Within a block the products
-    (v_a * v_b) * weight and their flat indices are written column by
-    column into point-major arrays, and np.add.at adds them in that order,
-    continuing the same sequential sum across blocks that one bincount
-    over all points would make.
+    (v_a * v_b) * weight are written column by column into a point-major
+    P x pairs array, and np.add.at adds them in that order, continuing the
+    same sequential sum across blocks that one bincount over all points
+    would make.
     """
     s = np.asarray(s_values, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
@@ -358,19 +402,26 @@ def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
             f"{s.size} points"
         )
     d, w = spec.size, spec.support_width
+    pad = w - 1
     pairs = list(zip(*np.triu_indices(w)))
-    out = np.zeros(d * w)
-    for block, rows, values in _band_blocks(spec, s):
-        terms = np.empty((rows.shape[0], len(pairs)))
-        flat = np.empty(terms.shape, dtype=np.int64)
+    out = np.zeros((d + 2 * pad) * w)
+    # one block's point-major terms and flat indices, reused from block to
+    # block so that their pages are touched once per call
+    rows = min(s.size, BAND_BLOCK)
+    terms = np.empty((rows, len(pairs)))
+    flat = np.empty((rows, len(pairs)), dtype=np.int64)
+    for block, first, lanes in _band_blocks(spec, s):
+        p = first.size
+        first *= w
         for c, (a, b) in enumerate(pairs):
-            np.multiply(values[:, a], values[:, b], out=terms[:, c])
-            terms[:, c] *= weights[block]
-            np.multiply(rows[:, a], w, out=flat[:, c])
-            flat[:, c] += b - a
-        np.add.at(out, flat.ravel(), terms.ravel())
-        del rows, values, terms, flat
-    return out.reshape(d, w)
+            column = terms[:p, c]
+            np.multiply(lanes[a], lanes[b], out=column)
+            column *= weights[block]
+            # the flat index of pair (a, b) in the padded d x w accumulator
+            np.add(first, (pad + a) * w + b - a, out=flat[:p, c])
+        np.add.at(out, flat[:p].ravel(), terms[:p].ravel())
+        del first, lanes
+    return out[pad * w:(pad + d) * w].reshape(d, w)
 
 
 def band_to_dense(band) -> np.ndarray:
@@ -386,25 +437,36 @@ def band_to_dense(band) -> np.ndarray:
 def quadratic_form(spec: BasisSpec, band, s_values) -> np.ndarray:
     """b(s)^T M b(s) at each point, in O(P w m).
 
-    `band` holds M's first m <= w diagonals, M being zero beyond them;
-    only the entries of the w x w block of M that the point's live
-    translates select and the band holds are read, each distinct one
-    once. The terms (u_a * M_ab) * u_b with |a - b| < m are summed in
-    row-major order, block by block.
+    `band` (d x m, 1 <= m <= w) holds M's first m diagonals, M being zero
+    beyond them; any other shape is refused. Only the entries of the w x w
+    block of M that the point's live translates select and the band holds
+    are read, from a copy padded with w - 1 zero rows at both ends, so a
+    lane outside the family reads 0. The terms (u_a * M_ab) * u_b with
+    |a - b| < m are summed in row-major order, block by block.
     """
     band = np.asarray(band, dtype=float)
+    d, w = spec.size, spec.support_width
+    if band.ndim != 2 or band.shape[0] != d or not 1 <= band.shape[1] <= w:
+        raise ValueError(
+            f"band has shape {band.shape}, need ({d}, m) with 1 <= m <= {w}: "
+            f"one row per translate, at most {w} diagonals")
     s = np.asarray(s_values, dtype=float).ravel()
-    w, m = spec.support_width, band.shape[1]
+    m, pad = band.shape[1], w - 1
+    padded = np.zeros((d + 2 * pad) * m)
+    padded[pad * m:(pad + d) * m] = band.ravel()
     pairs = [(a, b) for a in range(w) for b in range(w) if abs(a - b) < m]
     out = np.zeros(s.size)
-    for block, rows, u in _band_blocks(spec, s):
-        entry = {(a, b): band[rows[:, a], b - a] for a, b in pairs if a <= b}
+    for block, first, u in _band_blocks(spec, s):
+        first *= m
+        first += pad * m
         acc = out[block]
         for a, b in pairs:
-            term = u[:, a] * entry[min(a, b), max(a, b)]
-            term *= u[:, b]
+            lo, hi = min(a, b), max(a, b)
+            term = padded.take(first + (lo * m + hi - lo))
+            term *= u[a]
+            term *= u[b]
             acc += term
-        del rows, u, entry, term
+        del first, u, term
     return out
 
 
@@ -438,7 +500,9 @@ def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
     The coefficients are trapezoid inner products on the given grid and the
     reconstruction is evaluated on the same grid. The output can take
     negative values even for nonnegative f; that is inherent to wavelet
-    approximation, not an error.
+    approximation, not an error. The coefficients are scattered point by
+    point into a vector padded with w - 1 zeros at both ends, and each
+    point sums its w products in lane order from +0.0.
     """
     _require_resolution(spec, grid)
     f_values = np.asarray(f_values, dtype=float)
@@ -448,15 +512,32 @@ def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
             f"({grid.points.shape})"
         )
     weights = grid.weights()
-    coeffs = np.zeros(spec.size)
-    for block, rows, values in _band_blocks(spec, grid.points):
-        terms = values * weights[block, None] * f_values[block, None]
-        np.add.at(coeffs, rows.ravel(), terms.ravel())
-        del rows, values, terms
+    w = spec.support_width
+    coeffs = np.zeros(spec.size + 2 * (w - 1))
+    # one block's point-major terms and flat indices, reused from block to
+    # block so that their pages are touched once per call
+    rows = min(grid.points.size, BAND_BLOCK)
+    terms = np.empty((rows, w))
+    flat = np.empty((rows, w), dtype=np.int64)
+    for block, first, lanes in _band_blocks(spec, grid.points):
+        p = first.size
+        for a, x in enumerate(lanes):
+            column = terms[:p, a]
+            np.multiply(x, weights[block], out=column)
+            column *= f_values[block]
+            np.add(first, w - 1 + a, out=flat[:p, a])
+        np.add.at(coeffs, flat[:p].ravel(), terms[:p].ravel())
+        del first, lanes
+    del terms, flat
     # the reconstruction evaluates the band again rather than hold it for
-    # every point
-    out = np.empty(grid.points.size)
-    for block, rows, values in _band_blocks(spec, grid.points):
-        out[block] = np.sum(coeffs[rows] * values, axis=1)
-        del rows, values
+    # every point; the lane-order sum from +0.0 is the one np.sum over a
+    # P x w array makes
+    out = np.zeros(grid.points.size)
+    for block, first, lanes in _band_blocks(spec, grid.points):
+        first += w - 1
+        acc = out[block]
+        for a, x in enumerate(lanes):
+            x *= coeffs.take(first + a)
+            acc += x
+        del first, lanes
     return out

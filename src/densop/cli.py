@@ -71,8 +71,10 @@ MEMORY_LIMIT = 2 ** 30
 GRID_VALUES = 4
 #: Bytes of the one block of work that is live at a time, whatever d, G
 #: and N are. Measured peaks: a block of basis.BAND_BLOCK points of the
-#: Daubechies-4 band, about 1.3 MB (19.5 values per point; a consumer
-#: releases its block before the next is evaluated); the beta quantile on
+#: Daubechies-4 band, about 1.25 MB (19.0 values per point in
+#: coefficient_band, whose point-major terms and indices are reused from
+#: block to block, 17.0 in wavelet_approximation and 7.0 in
+#: quadratic_form); the beta quantile on
 #: a chunk of target.SAMPLE_CHUNK lanes, at most 4.5 MB (34 values per
 #: lane for shape (8013, 2), whose lanes all iterate in the first cell,
 #: and 25 for (200, 0.05)); the table writer's block, at most 1 MB.

@@ -7,6 +7,7 @@ the projections against closed forms where one exists.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -329,6 +330,38 @@ def test_daub4_lookup_equals_scalar_reference_bitwise(monkeypatch, scale_n,
         assert np.array_equal(bits(values[:, col]), bits(expect))
 
 
+@pytest.mark.parametrize("scale_n", [0, 2, 5])
+def test_band_lanes_where_rounding_matters_equal_scalar_reference(scale_n):
+    # Each lane computes x = 2**n s - k itself. A lane that shared the
+    # point's fraction u = 2**n s - floor(2**n s) and read the table at u
+    # plus its shift would be more accurate, but it would move these bits:
+    # at (1 + 2**-52) 2**-n, x0 + 1 loses u's last bit, and at
+    # (1 - 2**-53) 2**-n the first lane rounds to x = 3.0, where phi is 0.
+    # Points past both span ends sit in a block of interior points.
+    spec = BasisSpec("daubechies4", scale_n, UNIT)
+    step = 2.0 ** -scale_n
+    span = spec.span()
+    rng = np.random.Generator(np.random.PCG64(17))
+    edges = np.array([(1.0 + 2.0 ** -52) * step, (1.0 - 2.0 ** -53) * step])
+    s = np.concatenate([
+        edges, 2.0 * edges, edges + 1.0,
+        rng.uniform(UNIT.lo + 0.1, UNIT.hi - 0.1, 500),
+        [span.lo - 0.3, np.nextafter(span.lo, -np.inf), span.lo,
+         span.hi, np.nextafter(span.hi, np.inf), span.hi + 0.7]])
+    first = np.floor(s * 2 ** scale_n).astype(np.int64) - 2
+    k_min, k_max = spec.translate_range
+    expect = np.array([[scalar_father(spec, int(k), float(v))
+                        if k_min <= k <= k_max else 0.0 for k in (f, f + 1, f + 2)]
+                       for f, v in zip(first, s)])
+    _, values = basis_band(spec, s)
+    assert np.array_equal(values.view(np.int64), expect.view(np.int64))
+    dense = np.zeros((spec.size, s.size))
+    for col in range(3):
+        live = (first + col >= k_min) & (first + col <= k_max)
+        dense[first[live] + col - k_min, np.flatnonzero(live)] = expect[live, col]
+    assert np.array_equal(basis_matrix(spec, s), dense)
+
+
 def test_band_is_zero_outside_the_span():
     spec = BasisSpec("daubechies4", 2, UNIT)
     span = spec.span()
@@ -453,19 +486,38 @@ def _traced_peak(call):
 def test_band_consumers_hold_one_block_at_a_time():
     # each consumer once kept the previous block's rows, values and
     # products alive while the next block was evaluated: coefficient_band
-    # peaked at 37.6 values per block point where one block's band alone
-    # takes 19.5
+    # peaked at 37.6 float64 values per block point. One block's work, the
+    # buffers a consumer reuses from block to block included, must stay
+    # within 19.5 values per BAND_BLOCK point, the peak of each consumer
+    # once it released its blocks
     spec = BasisSpec("daubechies4", 2, UNIT)
     n = 4 * BAND_BLOCK
-    pts = np.random.Generator(np.random.PCG64(3)).uniform(0.0, 3.0, n)
+    rng = np.random.Generator(np.random.PCG64(3))
+    pts = rng.uniform(0.0, 3.0, n)
     weights = np.full(n, 1.0 / n)
     band = coefficient_band(spec, pts, weights)
-    one_block = _traced_peak(lambda: basis_band(spec, pts[:BAND_BLOCK]))
-    one_block += 6 * 8 * BAND_BLOCK     # the rows and values it returns
+    op = EmbeddingOperator(spec, rng.uniform(0.5, 1.5, spec.size))
+    grid = Grid(spec.span(), n - 1)
+    f = rng.uniform(0.0, 2.0, n)
+    bound = 19.5 * 8 * BAND_BLOCK + 64 * 2 ** 10
     for call in (lambda: coefficient_band(spec, pts, weights),
                  lambda: quadratic_form(spec, band, pts),
-                 lambda: basis_matrix(spec, pts)):
-        assert _traced_peak(call) <= one_block + 64 * 2 ** 10
+                 lambda: kernel_diag(op, pts),
+                 lambda: basis_matrix(spec, pts),
+                 lambda: wavelet_approximation(f, spec, grid)):
+        assert _traced_peak(call) <= bound
+
+
+def test_quadratic_form_refuses_a_band_of_the_wrong_shape():
+    # d = 14 translates, w = 3: a band with more rows was once read in part,
+    # one with fewer ended in an IndexError, and one with no diagonal in an
+    # UnboundLocalError
+    spec = BasisSpec("daubechies4", 2, UNIT)
+    s = np.array([0.5, 1.5, 2.5])
+    for shape in [(19, 3), (13, 3), (14, 0), (14, 4), (14,)]:
+        message = f"band has shape {shape}, need (14, m) with 1 <= m <= 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quadratic_form(spec, np.ones(shape), s)
 
 
 @pytest.mark.parametrize("family", ["haar", "daubechies4"])
