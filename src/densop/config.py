@@ -1,7 +1,8 @@
 """Experiment configuration: defaults, flat-file parsing, and builders.
 
 The config file format is one `key = value` pair per line, `#` comments,
-blank lines ignored. Unknown keys are rejected so typos fail loudly.
+blank lines ignored. Unknown keys and keys set twice are rejected so
+typos fail loudly.
 `weights` is either the word `projection` or a comma-separated list with
 one nonnegative value per basis translate.
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from .basis import BasisSpec, Grid, Interval, _require_resolution
 from .embedding import EmbeddingOperator
 from .target import BetaTarget
+from .textio import open_text, require_text
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def _parse_weights(text: str):
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key = value text; omitted keys keep their defaults."""
-    changes = {}
+    changes, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -140,20 +142,26 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key != "weights" and key not in _FIELD_PARSERS:
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"line {lineno}: config key {key!r} is already "
+                             f"set on line {set_on[key]}")
+        set_on[key] = lineno
         if key == "weights":
             changes[key] = _parse_weights(value)
-        elif key in _FIELD_PARSERS:
+        else:
             try:
                 changes[key] = _FIELD_PARSERS[key](value)
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: bad value {value!r} for key {key!r}"
                 ) from None
-        else:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
     return ExperimentConfig(**changes)
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open_text(path) as fh:
+        text = fh.read()
+    require_text(path, text)
+    return parse_config(text)

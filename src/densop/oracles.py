@@ -11,6 +11,7 @@ and the tests call the same functions at their own seeds and sizes.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .embedding import (
     trace_k_rho,
 )
 from .learn import (
+    SampleSet,
     embedded_density_exact,
     embedded_density_map,
     log_posterior_coefficients,
@@ -85,6 +87,57 @@ def _check(suite: str, name: str, tolerance: float, *args):
 
 def _projection(family: str, scale_n: int) -> EmbeddingOperator:
     return EmbeddingOperator.projection(BasisSpec(family, scale_n, _UNIT))
+
+
+# The fixtures that the checks of one run_suite call share, by key. The
+# outermost call sets a fresh dict and resets it when it returns, so no
+# fixture outlives its run, and a check called on its own, outside a run,
+# builds its own from whatever the routes it calls are at that moment.
+_FIXTURES: ContextVar[dict | None] = ContextVar("fixtures", default=None)
+
+
+def _fixture(key, build):
+    """build(), once per run_suite call and on every call outside one."""
+    memo = _FIXTURES.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
+def _daub4_gram(scale_n: int) -> np.ndarray:
+    """Daubechies-4 Gram matrix on the table-aligned grid of spacing
+    2**-(TABLE_LEVEL + scale_n) over the basis span. An interior
+    translate is 0 outside the interval, so its rows read the same
+    nodes, weights and point order as on a grid over the interval."""
+    def build():
+        spec = BasisSpec("daubechies4", scale_n, _UNIT)
+        span = spec.span()
+        cells = int(round(span.width * 2 ** (TABLE_LEVEL + scale_n)))
+        return gram_check(spec, Grid(span, cells))
+    return _fixture(("gram", scale_n), build)
+
+
+def _samples(n: int, seed: int) -> SampleSet:
+    """The default target's sample(n, seed). Within a run, the first n
+    points of the longest stream of `seed` drawn so far: a stream's first
+    points do not depend on its length."""
+    target = ExperimentConfig().target()
+    memo = _FIXTURES.get()
+    if memo is None:
+        return target.sample(n, seed)
+    drawn = memo.get(("samples", seed))
+    if drawn is None or drawn.n < n:
+        drawn = memo[("samples", seed)] = target.sample(n, seed)
+    return drawn if drawn.n == n else SampleSet(drawn.points[:n])
+
+
+def _map_coefficients(seed: int, samples: SampleSet):
+    """map_coefficients of the default basis on `samples`, which are
+    _samples(samples.n, seed)."""
+    return _fixture(("map", seed, samples.n), lambda: map_coefficients(
+        samples, ExperimentConfig().basis()))
 
 
 def _by_dimension(rng, trials: int):
@@ -196,9 +249,8 @@ def daub4_interior_gram(scale_n: int) -> float:
     """Interior Daubechies-4 Gram matrix against the identity, on the
     table-aligned grid of spacing 2**-(TABLE_LEVEL + scale_n)."""
     spec = BasisSpec("daubechies4", scale_n, _UNIT)
-    grid = Grid(_UNIT, 3 * 2 ** (TABLE_LEVEL + scale_n))
     rows = spec.interior_translates() - spec.translate_range[0]
-    sub = gram_check(spec, grid)[np.ix_(rows, rows)]
+    sub = _daub4_gram(scale_n)[np.ix_(rows, rows)]
     return float(np.max(np.abs(sub - np.eye(sub.shape[0]))))
 
 
@@ -246,15 +298,12 @@ def kernel_symmetry(n_points: int) -> float:
         STREAM, 25)
 def projection_idempotence(rng, n_probe: int) -> float:
     """K o K by quadrature on a table-aligned grid against K, at probes."""
-    spec = BasisSpec("daubechies4", 2, _UNIT)
-    proj = EmbeddingOperator.projection(spec)
-    span = spec.span()
-    grid = Grid(span, int(round(span.width * 2 ** (TABLE_LEVEL + 2))))
-    gram = gram_check(spec, grid)
+    proj = _projection("daubechies4", 2)
+    span = proj.basis.span()
     probe = rng.uniform(span.lo, span.hi, size=n_probe)
-    bp = basis_matrix(spec, probe)
+    bp = basis_matrix(proj.basis, probe)
     direct = kernel_eval(proj, probe[:, None], probe[None, :])
-    return float(np.max(np.abs(bp.T @ gram @ bp - direct)))
+    return float(np.max(np.abs(bp.T @ _daub4_gram(2) @ bp - direct)))
 
 
 @_check("embedding", "haar trace against a density equals 4", 1e-5,
@@ -270,7 +319,7 @@ def haar_trace_against_density(scale_n: int, cells: int) -> float:
 @_check("embedding", "haar trace over samples equals 4", 1e-12, 7, 200, 2)
 def haar_trace_over_samples(seed: int, n_samples: int, scale_n: int) -> float:
     """Trace of the Haar kernel over beta samples, minus 2**scale_n."""
-    samples = ExperimentConfig().target().sample(n_samples, seed=seed)
+    samples = _samples(n_samples, seed)
     return abs(trace_k_map(_projection("haar", scale_n), samples)
                - 2.0 ** scale_n)
 
@@ -304,7 +353,7 @@ def posterior_coordinate_invariance(rng, trials: int) -> float:
         11, 500, (3,), 1000)
 def haar_map_histogram(seed: int, n_samples: int, scales, cells: int) -> float:
     """Haar MAP curve at each scale in `scales` against the histogram."""
-    samples = ExperimentConfig().target().sample(n_samples, seed)
+    samples = _samples(n_samples, seed)
     grid = Grid(_UNIT, cells)
     worst = 0.0
     for n in scales:
@@ -324,9 +373,7 @@ def haar_map_histogram(seed: int, n_samples: int, scales, cells: int) -> float:
 @_check("learn", "map coefficient matrix is psd", 1e-10, 1, 300)
 def map_coefficients_psd(seed: int, n_samples: int) -> float:
     """Most negative eigenvalue of the MAP coefficient matrix."""
-    cfg = ExperimentConfig()
-    samples = cfg.target().sample(n_samples, seed)
-    coeffs = map_coefficients(samples, cfg.basis())
+    coeffs = _map_coefficients(seed, _samples(n_samples, seed))
     return max(0.0, -float(np.linalg.eigvalsh(coeffs.matrix)[0]))
 
 
@@ -334,10 +381,10 @@ def map_coefficients_psd(seed: int, n_samples: int) -> float:
         1, 300)
 def map_coefficient_trace(seed: int, n_samples: int) -> float:
     """MAP coefficient trace against the sample trace of the kernel."""
-    cfg = ExperimentConfig()
-    samples = cfg.target().sample(n_samples, seed)
-    coeffs = map_coefficients(samples, cfg.basis())
-    return abs(coeffs.trace() - trace_k_map(cfg.operator(), samples))
+    samples = _samples(n_samples, seed)
+    coeffs = _map_coefficients(seed, samples)
+    return abs(coeffs.trace()
+               - trace_k_map(ExperimentConfig().operator(), samples))
 
 
 @_check("learn", "exact embedded density has unit mass", 1e-5, 4096)
@@ -353,8 +400,8 @@ def exact_density_mass(cells_per_unit: int) -> float:
 def map_density_mass(seed: int, n_samples: int, cells_per_unit: int) -> float:
     """Quadrature mass of the MAP embedded curve, minus 1."""
     cfg = ExperimentConfig(grid_cells=cells_per_unit)
-    samples = cfg.target().sample(n_samples, seed)
-    curve = embedded_density_map(cfg.operator(), samples, cfg.curve_grid())
+    curve = embedded_density_map(cfg.operator(), _samples(n_samples, seed),
+                                 cfg.curve_grid())
     return abs(curve.mass() - 1.0)
 
 
@@ -366,8 +413,7 @@ def map_l2_errors(seed: int, sizes, cells_per_unit: int) -> np.ndarray:
                                    grid)
     errors = []
     for n in sizes:
-        est = embedded_density_map(cfg.operator(),
-                                   cfg.target().sample(n, seed), grid)
+        est = embedded_density_map(cfg.operator(), _samples(n, seed), grid)
         diff = est.values - exact.values
         errors.append(float(np.sqrt(grid.integrate(diff * diff))))
     return np.array(errors)
@@ -413,11 +459,21 @@ def suite_learn() -> list[CheckResult]:
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one suite, or all four in order, and return its results."""
+    """Run one suite, or all four in order, and return its results.
+
+    The checks of one call share their fixtures: the Daubechies-4 Gram
+    matrix, each seed's default-target samples and the MAP coefficients
+    are built once per call, not once per check.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")
-    if name == "all":
-        return [r for sub in SUITES[:-1] for r in run_suite(sub)]
-    # Looked up by module global at call time, so a wrapper installed on
-    # the module (such as a tracer's) is the one called.
-    return globals()[f"suite_{name}"]()
+    token = _FIXTURES.set({}) if _FIXTURES.get() is None else None
+    try:
+        if name == "all":
+            return [r for sub in SUITES[:-1] for r in run_suite(sub)]
+        # Looked up by module global at call time, so a wrapper installed
+        # on the module (such as a tracer's) is the one called.
+        return globals()[f"suite_{name}"]()
+    finally:
+        if token is not None:
+            _FIXTURES.reset(token)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import Grid, Interval
 from .learn import DensityCurve, SampleSet
-from .textio import write_rows
+from .textio import open_text, require_text, write_rows
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
@@ -403,7 +403,7 @@ def save_samples(path, samples: SampleSet) -> None:
 
 def count_samples(path) -> int:
     """Number of non-blank lines in a sample file: the N of load_samples."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         return sum(not line.isspace() for line in fh)
 
 
@@ -415,7 +415,7 @@ def load_samples(path, interval: Interval) -> SampleSet:
     the file. The values go straight into one float64 array,
     with no list of Python floats.
     """
-    with open(path) as fh:
+    with open_text(path) as fh:
         points = np.fromiter(_parse_samples(path, fh, interval), dtype=float)
     return SampleSet(points=points)
 
@@ -430,6 +430,8 @@ def _parse_samples(path, fh, interval: Interval):
         except ValueError:
             value = math.nan
         if not math.isfinite(value):
+            # a byte that is not UTF-8 never parses, so it is refused here
+            require_text(path, text, lineno)
             raise ValueError(f"{path}: line {lineno}: could not parse "
                              f"{text!r} as a finite number")
         if value < interval.lo or value > interval.hi:

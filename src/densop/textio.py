@@ -31,11 +31,15 @@ of most values exactly:
 Every other value (subnormals, |x| <= 1e-6 or >= 1e15, nan and inf) is
 formatted by ``'%-24.17g'`` in one bulk ``%`` per block, so ``%`` stays
 the only definition of the format.
+
+Sample and config files are opened by `open_text`, and `require_text`
+names the file and the line of a byte in them that is not UTF-8 text.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 
@@ -53,6 +57,9 @@ _E_MIN, _E_MAX = -6, 15
 # 10**k for 0 <= k <= 22, all exact doubles, and their Veltkamp halves.
 _POW10 = np.array([10.0 ** k for k in range(23)])
 _SPLIT = 134217729.0  # 2**27 + 1
+# U+DC80..U+DCFF: what the "surrogateescape" handler decodes each byte
+# that is not UTF-8 text to. No UTF-8 text decodes to one.
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _veltkamp(a):
@@ -193,3 +200,20 @@ def write_rows(fh, rows) -> None:
                                      dtype=np.float64).ravel()
         text = _slots(block, seps[:len(block)], tables)
         fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def open_text(path):
+    """Open `path` to read as UTF-8 text. A byte that is not UTF-8 reads
+    as a lone surrogate, which `require_text` finds; no valid line costs
+    a check."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def require_text(path, text: str, lineno: int = 1) -> None:
+    """Refuse `text`, read by `open_text` from line `lineno` of `path` on,
+    if it holds a byte that is not UTF-8 text, naming the file and line."""
+    match = _UNDECODED.search(text)
+    if match:
+        lineno += text.count("\n", 0, match.start())
+        raise ValueError(
+            f"{path}: line {lineno} holds bytes that are not UTF-8 text")

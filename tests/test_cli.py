@@ -43,7 +43,10 @@ from densop.cli import (
     main,
     require_memory,
 )
+from densop import oracles
+from densop.learn import SampleSet
 from densop.oracles import run_suite
+from densop.target import BetaTarget
 from densop.textio import _block_rows
 
 # ------------------------------------------------------------- config
@@ -316,6 +319,22 @@ def test_config_rejects_bad_weights_at_construction(weights, message):
         str(w) for w in weights) + "\n"
     with pytest.raises(ValueError, match=message):
         parse_config(text)
+
+
+def test_config_key_set_twice_is_refused_naming_both_lines(tmp_path, capsys):
+    # the last value used to win silently: scale_n = 3 here
+    cfgpath = tmp_path / "twice.cfg"
+    cfgpath.write_text("scale_n = 2\n# finer\n\nscale_n = 3\n")
+    out = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b", "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 4: config key 'scale_n' is already set on line 1\n")
+    assert not out.exists()
+    with pytest.raises(ValueError, match="key 'weights' is already set on "
+                                         "line 2"):
+        parse_config("family = haar\nweights = projection\n"
+                     "weights = 1,1,1,1,1,1,1,1,1,1,1,1\n")
 
 
 def test_out_is_not_a_config_key(tmp_path, capsys):
@@ -630,6 +649,27 @@ def test_out_of_interval_sample_names_its_file_line(tmp_path, capsys):
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "sample 4.2 on line 4 lies outside [0, 3]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["samples", "config"])
+def test_bytes_that_are_not_utf8_are_refused_naming_file_and_line(
+        tmp_path, capsys, kind):
+    # both used to exit 1 with a bare "'utf-8' codec can't decode byte"
+    samples = tmp_path / "s.txt"
+    cfgpath = write_small_config(tmp_path)
+    if kind == "samples":
+        bad, line = samples, 2
+        samples.write_bytes(b"0.5\n1.\xe9\n")
+    else:
+        bad, line = cfgpath, 3
+        save_samples(samples, SampleSet(np.array([0.5, 1.0])))
+        cfgpath.write_bytes(b"grid_cells = 1024\n\n# caf\xe9 au lait\n")
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(samples), "--config", str(cfgpath),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line {line} holds bytes that are not UTF-8 text\n")
     assert not out.exists()
 
 
@@ -1036,6 +1076,67 @@ def test_run_suite_all_green():
         assert len(match[2].replace(".", "").lstrip("0")) <= 3, r.line()
         assert abs(float(match[1]) - r.tolerance) <= 5e-3 * r.tolerance, \
             r.line()
+
+
+def _checks_alone(suite="all"):
+    """(name, residual bits, verdict) of each check of `suite`, called on
+    its own with its registered arguments and its suite's generator."""
+    rngs = {name: np.random.default_rng(seed)
+            for name, seed in oracles.SEEDS.items()}
+    out = []
+    for entry_suite, name, tolerance, check, args in oracles.REGISTRY:
+        if suite in ("all", entry_suite):
+            residual = float(check(*(rngs[entry_suite] if a is oracles.STREAM
+                                     else a for a in args)))
+            out.append((name, residual.hex(), residual <= tolerance))
+    return out
+
+
+def _results(results):
+    return [(r.name, r.residual.hex(), r.passed) for r in results]
+
+
+def test_run_suite_shares_fixtures_without_changing_a_result(monkeypatch):
+    # the Gram matrix, the samples and the MAP coefficients are built once
+    # per run; each check called alone builds its own and gets the same bits
+    drawn = []
+    sample = BetaTarget.sample
+
+    def counted(self, n, seed):
+        drawn.append(n)
+        return sample(self, n, seed)
+
+    monkeypatch.setattr(BetaTarget, "sample", counted)
+    results = _results(run_suite("all"))
+    # seeds 7 and 11 draw once; seed 1's three draws of 300 points and its
+    # 100 are one stream of 300, and its 10 000 one more
+    assert drawn == [200, 500, 300, 10000]
+    assert oracles._FIXTURES.get() is None
+    assert results == _checks_alone()
+
+
+def _shifted_sample(sample):
+    def shifted(self, n, seed):
+        return SampleSet(sample(self, n, seed).points + 1e-6)
+    return shifted
+
+
+@pytest.mark.parametrize("owner, route, shift, suite, reads", [
+    (oracles, "gram_check", lambda f: lambda *a: f(*a) + 1e-6, "all",
+     ["interior gram identity (daubechies4 n=2)",
+      "projection kernel idempotence (K o K = K)"]),
+    (BetaTarget, "sample", _shifted_sample, "learn",
+     ["map embedded density has unit mass",
+      "map error ratio across two decades (expect ~10)"]),
+], ids=["gram", "samples"])
+def test_no_fixture_outlives_its_run(monkeypatch, owner, route, shift, suite,
+                                     reads):
+    first = _results(run_suite(suite))
+    monkeypatch.setattr(owner, route, shift(getattr(owner, route)))
+    second = _results(run_suite(suite))
+    assert second == _checks_alone(suite)
+    changed = {a[0] for a, b in zip(first, second) if a != b}
+    assert set(reads) <= changed
 
 
 def test_every_exported_name_resolves():
