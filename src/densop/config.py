@@ -131,9 +131,12 @@ def _parse_weights(text: str):
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse flat key = value text; omitted keys keep their defaults."""
+    """Parse flat key = value text; omitted keys keep their defaults.
+
+    Lines end at "\n" alone, so an error names the line an editor shows.
+    """
     changes, set_on = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,7 +164,11 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read and parse the config file at `path`; every error names it."""
     with open_text(path) as fh:
         text = fh.read()
     require_text(path, text)
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

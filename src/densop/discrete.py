@@ -9,10 +9,12 @@ only; the continuous-space modules work with real scalars throughout.
 Density matrices, distributions and unitaries also come as stacks: a
 leading axis holding `count` states of one dimension, shape (count, d, d)
 or (count, d). A stack is validated in one pass by the same rules as a
-single state, with one stacked LAPACK call for the PSD check, and a
-refusal names the index of the first member that breaks a rule. The basis
-change and both Born-rule readouts broadcast over a stack, and the random
-constructors draw a whole stack in one call when given a `count`; without
+single state. Positivity is proved by one stacked Cholesky factorization
+of the states less 1e-10 * I; only a stack it cannot prove has its
+eigenvalues computed, to refuse or rebuild members. A refusal names the
+index of the first member that breaks a rule. The basis change and both
+Born-rule readouts broadcast over a stack, and the random constructors
+draw a whole stack in one call when given a `count`; without
 one they draw a single state, from the same stream as always.
 """
 
@@ -77,6 +79,22 @@ class WaveFunction:
         return self.amplitudes.size
 
 
+def _proves_positive(stack: np.ndarray) -> bool:
+    """True when every member of the Hermitian trace-one `stack` less
+    _PSD_TOL * I has a Cholesky factor. Each smallest eigenvalue is then
+    above _PSD_TOL less the factor's backward error, at most about
+    d**2 * eps, so `eigvalsh` would find none below 0. From the d where
+    that error reaches _PSD_TOL on, nothing is proved."""
+    d = stack.shape[-1]
+    if d * d * np.finfo(float).eps >= _PSD_TOL:
+        return False
+    try:
+        np.linalg.cholesky(stack - _PSD_TOL * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, trace-one matrix, or a (count, d, d) stack of them.
@@ -85,6 +103,11 @@ class DensityMatrix:
     matrix is rebuilt with them clipped to 0 and the trace renormalized.
     Anything more negative is rejected. In a stack only the members with
     such an eigenvalue are rebuilt.
+
+    One Cholesky factorization of the stack less 1e-10 * I proves every
+    eigenvalue positive, and then the entries are kept as given. Only a
+    stack it cannot prove goes to `eigvalsh`, which refuses or rebuilds
+    members as above.
     """
 
     entries: np.ndarray
@@ -99,20 +122,22 @@ class DensityMatrix:
         trace = np.trace(stack, axis1=1, axis2=2).real
         _refuse_first(np.abs(trace - 1.0) > _TRACE_TOL, stacked, lambda i: (
             f"trace {trace[i]:.15f} is not 1 within {_TRACE_TOL}"))
-        smallest = np.linalg.eigvalsh(stack)[:, 0]
-        _refuse_first(smallest < -_PSD_TOL, stacked, lambda i: (
-            f"smallest eigenvalue {smallest[i]:.3e} is below -{_PSD_TOL}"))
-        clip = np.flatnonzero(smallest < 0.0)
-        if clip.size:
-            # a copy, so the caller's array is never written
-            m = m.copy()
-            stack = m.reshape(stack.shape)
-        for i in clip:
-            vals, vecs = np.linalg.eigh(stack[i])
-            vals = np.maximum(vals, 0.0)
-            vals /= vals.sum()
-            rebuilt = (vecs * vals) @ vecs.conj().T
-            stack[i] = 0.5 * (rebuilt + rebuilt.conj().T)
+        if not _proves_positive(stack):
+            smallest = np.linalg.eigvalsh(stack)[:, 0]
+            _refuse_first(smallest < -_PSD_TOL, stacked, lambda i: (
+                f"smallest eigenvalue {smallest[i]:.3e} is below "
+                f"-{_PSD_TOL}"))
+            clip = np.flatnonzero(smallest < 0.0)
+            if clip.size:
+                # a copy, so the caller's array is never written
+                m = m.copy()
+                stack = m.reshape(stack.shape)
+            for i in clip:
+                vals, vecs = np.linalg.eigh(stack[i])
+                vals = np.maximum(vals, 0.0)
+                vals /= vals.sum()
+                rebuilt = (vecs * vals) @ vecs.conj().T
+                stack[i] = 0.5 * (rebuilt + rebuilt.conj().T)
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 

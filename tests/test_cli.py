@@ -289,6 +289,47 @@ def test_parse_config_errors_carry_line_numbers():
         parse_config("weights = 1.0,abc\n")
 
 
+@pytest.mark.parametrize("breaker", ["\f", "\v", "\x1c", "\x85", "\u2028",
+                                     "\u2029"])
+def test_config_lines_end_at_newline_alone(tmp_path, breaker):
+    # str.splitlines also breaks at these, and used to name line 3 here
+    text = f"seed = 2{breaker}\nbogus = 1\n"
+    with pytest.raises(ValueError, match="^line 2: unknown config key"):
+        parse_config(text)
+    path = tmp_path / "breaker.cfg"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: line 2: unknown"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("seed = 1\nbogus = 3\n", "line 2: unknown config key 'bogus'"),
+    ("seed = notanint\n", "line 1: bad value 'notanint' for key 'seed'"),
+    ("seed = 1\n\nseed = 2\n",
+     "line 3: config key 'seed' is already set on line 1"),
+    ("\n\nno equals sign\n", "line 3: expected 'key = value'"),
+    ("n_samples = 0\n", "n_samples must be >= 1, got 0"),
+    ("weights = 1.0,abc\n", "weights must be 'projection'"),
+], ids=["unknown-key", "bad-value", "set-twice", "no-equals", "invalid",
+        "bad-weights"])
+def test_load_config_errors_name_the_file(tmp_path, capsys, text, message):
+    # parse_config names the line; load_config adds the file, once
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        parse_config(text)
+    with pytest.raises(ValueError) as raised:
+        load_config(path)
+    assert str(raised.value).startswith(f"{path}: {message}")
+    assert str(raised.value).count(str(path)) == 1
+    out = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b", "--config", str(path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+    assert not out.exists()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(n_samples=0)
@@ -329,7 +370,8 @@ def test_config_key_set_twice_is_refused_naming_both_lines(tmp_path, capsys):
     assert main(["reproduce", "--figure", "fig2b", "--config", str(cfgpath),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: line 4: config key 'scale_n' is already set on line 1\n")
+        f"error: {cfgpath}: line 4: config key 'scale_n' is already set on "
+        f"line 1\n")
     assert not out.exists()
     with pytest.raises(ValueError, match="key 'weights' is already set on "
                                          "line 2"):
@@ -345,7 +387,7 @@ def test_out_is_not_a_config_key(tmp_path, capsys):
     assert main(["reproduce", "--figure", "fig2b", "--config", str(cfgpath),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: line 1: unknown config key 'out'\n")
+        f"error: {cfgpath}: line 1: unknown config key 'out'\n")
     assert not out.exists()
 
 
@@ -939,8 +981,9 @@ def test_extreme_configs_exit_one_naming_the_cause(tmp_path, capsys, config,
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert cause in lines[0]
-    # grid_cells = 1e400 was once printed with all its 401 digits
-    assert len(lines[0]) < 200, lines[0]
+    # grid_cells = 1e400 was once printed with all its 401 digits; the
+    # config's path, which config errors name, is not counted
+    assert len(lines[0].replace(str(cfgpath), "")) < 200, lines[0]
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -281,6 +281,78 @@ def test_density_stack_rebuilds_only_members_in_the_clip_range():
     assert entries.tobytes() == given_entries.tobytes()
 
 
+def _refused_or_rebuilt(entries):
+    """What DensityMatrix does with a Hermitian trace-one `entries` by
+    eigenvalues alone: the refusal's message, or the entries it keeps."""
+    m = np.array(entries, dtype=complex)
+    stack = m.reshape(-1, *m.shape[-2:])
+    smallest = np.linalg.eigvalsh(stack)[:, 0]
+    for i, value in enumerate(smallest):
+        if value < -1e-10:
+            return ((f"member {i}: " if m.ndim == 3 else "")
+                    + f"smallest eigenvalue {value:.3e} is below -1e-10")
+    for i in np.flatnonzero(smallest < 0.0):
+        vals, vecs = np.linalg.eigh(stack[i])
+        vals = np.maximum(vals, 0.0)
+        vals /= vals.sum()
+        rebuilt = (vecs * vals) @ vecs.conj().T
+        stack[i] = 0.5 * (rebuilt + rebuilt.conj().T)
+    return m
+
+
+def test_well_conditioned_stacks_need_no_eigenvalues(monkeypatch):
+    # the Cholesky factor of the states less 1e-10 * I proves them all
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvalues were computed")
+
+    entries = random_density_matrix(6, rng_for(5), 43).entries.copy()
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for given_entries in (entries, entries[7], random_ensemble(
+            4, rng_for(6), 9).entries, np.eye(671, dtype=complex) / 671):
+        rho = DensityMatrix(given_entries)
+        assert rho.entries.tobytes() == given_entries.tobytes()
+    # from d = 672 on, d**2 * eps reaches the 1e-10 shift and the factor
+    # proves nothing
+    with pytest.raises(AssertionError, match="eigenvalues were computed"):
+        DensityMatrix(np.eye(672) / 672)
+
+
+# the smallest eigenvalue of each member: refused, clipped, either side of
+# the Cholesky shift, and well inside it
+SMALLEST = [-2e-10, -1e-10, -5e-11, 0.0, 5e-11, 1e-10, 2e-10, 1e-3]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(min_value=2, max_value=64),
+       st.lists(st.sampled_from(SMALLEST), min_size=1, max_size=3),
+       st.booleans(), st.integers(min_value=0, max_value=10 ** 9))
+def test_positivity_matches_eigenvalues_alone(d, smallest, stacked, seed):
+    # Q diag(lambda) Q* with the given smallest lambda; the rest share the
+    # remaining trace
+    rng = rng_for(seed)
+    q = random_unitary(d, rng, len(smallest)).columns
+    rest = rng.random((len(smallest), d - 1)) + 0.5
+    rest *= (1.0 - np.array(smallest))[:, None] / rest.sum(axis=1,
+                                                           keepdims=True)
+    lam = np.concatenate([np.array(smallest)[:, None], rest], axis=1)
+    entries = (q * lam[:, None, :]) @ q.conj().swapaxes(-1, -2)
+    entries = 0.5 * (entries + entries.conj().swapaxes(-1, -2))
+    if not stacked:
+        entries = entries[0]
+    given_entries = entries.copy()
+    expected = _refused_or_rebuilt(entries)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as refused:
+            DensityMatrix(entries)
+        assert str(refused.value) == expected
+    else:
+        rho = DensityMatrix(entries)
+        assert rho.entries.shape == expected.shape
+        assert rho.entries.tobytes() == expected.tobytes()
+    assert entries.tobytes() == given_entries.tobytes()
+
+
 def _reference_draws(d, rng):
     """The single-state draws of every random constructor, as loops of
     plain numpy with no stack axis."""

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from densop import (
@@ -34,6 +35,7 @@ from densop import (
     normalized_ratio,
     trace_k_map,
 )
+from densop.learn import _log_likelihood
 from densop.oracles import (
     haar_map_histogram,
     map_coefficient_trace,
@@ -158,6 +160,49 @@ def test_discrete_posterior_minus_inf_and_prior():
     assert log_posterior_discrete(z, [1]) == -math.inf
     # the flat prior adds nothing: the log posterior is the log likelihood
     assert log_posterior_discrete(np.array([0.5, 0.5]), [0]) == math.log(0.5)
+
+
+def _sequential_log_likelihood(observed, sample_indices):
+    total = 0.0
+    for b in sample_indices:
+        like = float(observed[int(b)])
+        if like <= 0.0:
+            return -math.inf
+        total += math.log(like)
+    return total
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=10 ** 9),
+       st.integers(min_value=0, max_value=200))
+def test_log_likelihood_adds_in_draw_order(d, seed, n_draws):
+    # the gathered sum keeps the bits of one log per draw, added in order
+    rng = np.random.default_rng(seed)
+    observed = rng.random(d) + 1e-300
+    draws = rng.integers(-d, d, size=n_draws)
+    got = _log_likelihood(observed, draws)
+    assert got == _sequential_log_likelihood(observed, draws)
+    assert got == _log_likelihood(observed, draws.tolist())
+    assert _log_likelihood(observed, []) == 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -0.25])
+def test_log_likelihood_is_minus_inf_on_a_draw_without_likelihood(bad):
+    observed = np.array([0.5, bad, 0.5])
+    assert _log_likelihood(observed, [0, 2, 1, 0]) == -math.inf
+    assert _log_likelihood(observed, [0, 2, 0]) == math.log(0.5) * 3
+
+
+def test_log_likelihood_refuses_an_index_out_of_range():
+    observed = np.array([1.0, 0.0])
+    with pytest.raises(IndexError):
+        _log_likelihood(observed, [0, 2])
+    # every index is checked before the zero likelihood of draw 1 is seen
+    with pytest.raises(IndexError):
+        _log_likelihood(observed, [1, 2])
+    with pytest.raises(IndexError):
+        log_posterior_discrete(observed, [1, -3])
 
 
 def test_noise_matrix_validation():
