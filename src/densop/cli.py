@@ -77,7 +77,10 @@ GRID_VALUES = 4
 #: quadratic_form); the beta quantile on
 #: a chunk of target.SAMPLE_CHUNK lanes, at most 4.5 MB (34 values per
 #: lane for shape (8013, 2), whose lanes all iterate in the first cell,
-#: and 25 for (200, 0.05)); the table writer's block, at most 1 MB.
+#: and 25 for (200, 0.05)); the table writer's block of at most 4096
+#: values, with the last slot words it builds once per table, at most
+#: 1.0 MiB (0.90-0.97 MiB on random doubles, 1.0 MiB on fine-scale's
+#: estimate table).
 #: fig2a's writer block is one row only when d + 2 > 4096, where the
 #: d x G table alone is over 8 GB, or the grid is too coarse for the
 #: resolution rule.

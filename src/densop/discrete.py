@@ -12,7 +12,8 @@ or (count, d). A stack is validated in one pass by the same rules as a
 single state. Positivity is proved by one stacked Cholesky factorization
 of the states less 1e-10 * I; only a stack it cannot prove has its
 eigenvalues computed, to refuse or rebuild members. A refusal names the
-index of the first member that breaks a rule. The basis change and both
+index of the first member that breaks a rule. A NaN or infinite entry
+fails the same comparisons, and the refusal then names that entry. The basis change and both
 Born-rule readouts broadcast over a stack, and the random constructors
 draw a whole stack in one call when given a `count`; without
 one they draw a single state, from the same stream as always.
@@ -52,6 +53,17 @@ def _refuse_first(bad: np.ndarray, stacked: bool, message) -> None:
         raise ValueError((f"member {i}: " if stacked else "") + message(i))
 
 
+def _finite_or(values: np.ndarray, what: str, message: str) -> str:
+    """The refusal of one member: that its `what` must be finite when one
+    of `values` is NaN or infinite, else `message`."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
+        where = index[0] if len(index) == 1 else index
+        return f"{what} must be finite, but entry {where} is {values[index]}"
+    return message
+
+
 def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
@@ -67,10 +79,10 @@ class WaveFunction:
         if amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitudes must form a nonempty vector")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise ValueError(
-                f"squared norm {norm_sq:.15f} is not 1 within {_NORM_TOL}"
-            )
+        if not abs(norm_sq - 1.0) <= _NORM_TOL:
+            raise ValueError(_finite_or(
+                amp, "amplitudes",
+                f"squared norm {norm_sq:.15f} is not 1 within {_NORM_TOL}"))
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
@@ -97,7 +109,8 @@ def _proves_positive(stack: np.ndarray) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix, or a (count, d, d) stack of them.
+    """Hermitian, PSD, trace-one matrix of finite entries, or a
+    (count, d, d) stack of them.
 
     Eigenvalues in [-1e-10, 0) are treated as floating-point noise: the
     matrix is rebuilt with them clipped to 0 and the trace renormalized.
@@ -116,9 +129,12 @@ class DensityMatrix:
         m, stack = _as_stack(self.entries, complex, "square matrix",
                              "entries")
         stacked = m.ndim == 3
-        skew = np.max(np.abs(stack - _dagger(stack)), axis=(1, 2))
-        _refuse_first(skew > _HERM_TOL, stacked,
-                      lambda i: "matrix is not Hermitian within 1e-12")
+        # A NaN or infinite entry makes its member's skew NaN or infinite,
+        # which the comparison refuses.
+        with np.errstate(invalid="ignore"):
+            skew = np.max(np.abs(stack - _dagger(stack)), axis=(1, 2))
+        _refuse_first(~(skew <= _HERM_TOL), stacked, lambda i: _finite_or(
+            stack[i], "entries", "matrix is not Hermitian within 1e-12"))
         trace = np.trace(stack, axis1=1, axis2=2).real
         _refuse_first(np.abs(trace - 1.0) > _TRACE_TOL, stacked, lambda i: (
             f"trace {trace[i]:.15f} is not 1 within {_TRACE_TOL}"))
@@ -157,11 +173,15 @@ class DiscreteDistribution:
         p, stack = _as_stack(self.probabilities, float, "vector",
                              "probabilities")
         stacked = p.ndim == 2
-        _refuse_first(np.any(stack < 0, axis=1), stacked,
-                      lambda i: "probabilities must be nonnegative")
+        # A NaN or +inf entry makes the sum fail the second comparison.
+        _refuse_first(np.any(stack < 0, axis=1), stacked, lambda i: (
+            _finite_or(stack[i], "probabilities",
+                       "probabilities must be nonnegative")))
         total = stack.sum(axis=1)
-        _refuse_first(np.abs(total - 1.0) > _TRACE_TOL, stacked, lambda i: (
-            f"sum {total[i]:.15f} is not 1 within {_TRACE_TOL}"))
+        _refuse_first(~(np.abs(total - 1.0) <= _TRACE_TOL), stacked,
+                      lambda i: _finite_or(
+                          stack[i], "probabilities",
+                          f"sum {total[i]:.15f} is not 1 within {_TRACE_TOL}"))
         p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
 
@@ -180,10 +200,12 @@ class UnitaryBasis:
     def __post_init__(self):
         u, stack = _as_stack(self.columns, complex, "square matrix",
                              "columns")
-        gram = _dagger(stack) @ stack
-        off = np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(1, 2))
-        _refuse_first(off > _UNITARY_TOL, u.ndim == 3,
-                      lambda i: "columns are not orthonormal within 1e-10")
+        with np.errstate(invalid="ignore"):
+            gram = _dagger(stack) @ stack
+            off = np.max(np.abs(gram - np.eye(u.shape[-1])), axis=(1, 2))
+        _refuse_first(~(off <= _UNITARY_TOL), u.ndim == 3, lambda i: (
+            _finite_or(stack[i], "columns",
+                       "columns are not orthonormal within 1e-10")))
         u.flags.writeable = False
         object.__setattr__(self, "columns", u)
 

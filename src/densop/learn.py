@@ -44,6 +44,7 @@ from .basis import (
     coefficient_band,
     quadratic_form,
 )
+from .discrete import _TRACE_TOL, DiscreteDistribution
 from .embedding import (
     VANISHING_DENSITY_TRACE,
     VANISHING_SAMPLE_TRACE,
@@ -168,15 +169,22 @@ def log_posterior_discrete(probabilities, sample_indices,
                            noise_matrix=None) -> float:
     """Position-basis log posterior on a discrete sample space.
 
-    `probabilities` is the vector of the distribution Z over states;
-    `noise_matrix[true, observed]` is row-stochastic. The
-    likelihood of observing index b is then (Z @ noise)[b]. Under the flat
-    prior the log posterior is the log likelihood, with the evidence
-    constant dropped.
+    `probabilities` is the vector of the distribution Z over states,
+    refused unless it is finite, nonnegative and sums to 1 within 1e-12,
+    as `DiscreteDistribution` requires; `noise_matrix[true, observed]` is
+    row-stochastic. The likelihood of observing index b is then
+    (Z @ noise)[b]. Under the flat prior the log posterior is the log
+    likelihood, with the evidence constant dropped.
     """
     z = np.asarray(probabilities, dtype=float)
     if z.ndim != 1:
         raise ValueError("probabilities must form a vector")
+    # DiscreteDistribution's rules in two reductions, the sum's comparison
+    # failing on NaN and inf. Only a vector that fails them is handed to
+    # it, to be refused with the cause named.
+    if z.size == 0 or not (np.minimum.reduce(z) >= 0.0 and
+                           abs(np.add.reduce(z) - 1.0) <= _TRACE_TOL):
+        DiscreteDistribution(z)
     observed = z if noise_matrix is None else z @ _check_noise_matrix(
         noise_matrix, z.size)
     return _log_likelihood(observed, sample_indices)

@@ -21,12 +21,23 @@ of most values exactly:
   and N is computed again; a value still outside goes to ``%``.
 - Text: fixed notation for e >= -4 and ``d.ddde-0X`` below, with trailing
   zeros and a bare point stripped. Each value owns a slot of ``_SLOT``
-  bytes holding every character it could print. A keep-mask looked up
-  from (e, digit count) zeroes the others, and ``bytes.translate``
-  deletes the zero bytes of the whole block. A zero keeps the slot's
-  template, printed as for e = 0 and N = 0: ``0`` or ``-0``. Digits are
-  computed only for the other values in the domain, so tables made mostly
-  of zeros, such as fig2a's basis rows, cost little beyond their slots.
+  bytes, six 8-byte words, holding every character it could print. A
+  keep-mask looked up from (sign, e, digit count) zeroes the others, and
+  ``bytes.translate`` deletes the zero bytes of the whole block. The
+  sign is a half of the keep-mask table, so every slot starts with a
+  ``-`` that only negative values keep.
+- Stores: every slot gets the template's first word (sign, ``0.000``,
+  d0 and its point) and its last word (``e-0X``, its separator and the
+  padding); the last words, separators folded in, are built once per
+  call. The four words of d1..d16 come from a table of 4-digit groups,
+  and with d0 and the exponent byte they are written only for the values
+  that have digits. Any other value's keep-mask zeroes them.
+- Blocks: when every value of a block lies in the domain, as in most
+  blocks of the density tables, digits, stores and keep-mask rows go
+  through whole slices. Otherwise they go through the indices of the
+  values in the domain. A zero keeps the template, printed as for e = 0
+  and N = 0: ``0`` or ``-0``, so tables made mostly of zeros, such as
+  fig2a's basis rows, cost little beyond their slots.
 
 Every other value (subnormals, |x| <= 1e-6 or >= 1e15, nan and inf) is
 formatted by ``'%-24.17g'`` in one bulk ``%`` per block, so ``%`` stays
@@ -51,8 +62,9 @@ _BLOCK_VALUES = 4096
 # of four digits.
 _SIGN, _LEAD, _DIGITS, _EXP, _SEP, _SLOT = 0, 1, 6, 40, 44, 48
 _WIDE = 24  # the longest %.17g text, as in -2.2250738585072014e-308
-# The keep-mask table has one row per decimal exponent in [-6, 15], and
-# each row one mask per digit count 0..17 (0 unused).
+# The keep-mask table has two halves, for + and -, each with one row per
+# decimal exponent in [-6, 15], and each row one mask per digit count
+# 0..17 (0 unused): 792 masks in all.
 _E_MIN, _E_MAX = -6, 15
 # 10**k for 0 <= k <= 22, all exact doubles, and their Veltkamp halves.
 _POW10 = np.array([10.0 ** k for k in range(23)])
@@ -70,7 +82,7 @@ def _veltkamp(a):
 
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
 # Digits before group j of d1..d16: the digit count of group j adds to it.
-_GROUP_SHIFT = np.arange(0, 16, 4, dtype=np.int8)
+_GROUP_SHIFT = np.arange(0, 16, 4, dtype=np.int8)[:, None]
 
 
 def _block_rows(ncols: int) -> int:
@@ -90,25 +102,27 @@ def _tables():
     template[_DIGITS + 1:_EXP:2] = ord(".")
     template[_EXP:_SEP] = np.frombuffer(b"e-00", dtype=np.uint8)
 
-    keep = np.zeros((_E_MAX - _E_MIN + 1, 18, _SLOT), dtype=np.uint8)
+    # The second half keeps the slot's "-".
+    keep = np.zeros((2, _E_MAX - _E_MIN + 1, 18, _SLOT), dtype=np.uint8)
     keep[..., _SEP] = 1
+    keep[1, ..., _SIGN] = 1
     digit = np.arange(17)
     ndig = np.arange(18)[:, None]
     for row, e in enumerate(range(_E_MIN, _E_MAX + 1)):
-        digits = keep[row, :, _DIGITS:_EXP:2]
-        points = keep[row, :, _DIGITS + 1:_EXP:2]
+        digits = keep[:, row, :, _DIGITS:_EXP:2]
+        points = keep[:, row, :, _DIGITS + 1:_EXP:2]
         if e >= 0:
             # d0..de, then the point and the digits up to the last nonzero
             digits[:] = (digit <= e) | (digit < ndig)
-            points[:, e] = ndig[:, 0] > e + 1
+            points[..., e] = ndig[:, 0] > e + 1
         elif e >= -4:
             # "0.", -e - 1 zeros and the digits up to the last nonzero
-            keep[row, :, _LEAD:_LEAD + 1 - e] = 1
+            keep[:, row, :, _LEAD:_LEAD + 1 - e] = 1
             digits[:] = digit < ndig
         else:
             digits[:] = digit < ndig
-            points[:, 0] = ndig[:, 0] > 1
-            keep[row, :, _EXP:_SEP] = 1
+            points[..., 0] = ndig[:, 0] > 1
+            keep[:, row, :, _EXP:_SEP] = 1
 
     # For each 4-digit group v: its digits, each followed by a point, as
     # one 8-byte word, and its digit count through the last nonzero one,
@@ -118,7 +132,7 @@ def _tables():
     text[:, ::2] = digits + ord("0")
     through = np.where(digits.any(axis=1),
                        4 - np.argmax(digits[:, ::-1] != 0, axis=1), -16)
-    tables = (template, keep.reshape(-1, _SLOT),
+    tables = (template.view(np.uint64), keep.reshape(-1, _SLOT),
               text.view(np.uint64).ravel(), through.astype(np.int8))
     for table in tables:
         table.flags.writeable = False
@@ -135,19 +149,27 @@ def _digits(ax, e):
     return p.astype(np.int64) + np.rint(err).astype(np.int64)
 
 
-def _slots(x, seps, tables):
-    """One slot per value of x, ending in its separator from seps, with
+def _slots(x, tails, tables):
+    """One slot per value of x, with `tails` as its last word, and with
     every byte the value does not print set to 0."""
     template, keep, group_text, group_through = tables
     m = len(x)
-    slots = np.empty((m, _SLOT), dtype=np.uint8)
-    slots[:] = template
-    slots[:, _SEP] = seps
+    words = np.empty((m, _SLOT // 8), dtype=np.uint64)
+    slots = words.view(np.uint8)
+    # Words 1..4 are d1..d16 and their points: each live value writes its
+    # own, and every other value's keep-mask zeroes them.
+    words[:, 0] = template[0]
+    words[:, 5] = tails
     # A zero prints from e = 0 and N = 0: the template's "0", or "-0".
-    # Digits are computed only for the other values in the domain.
+    # Digits are computed only for the other values in the domain, through
+    # slices when the whole block lies in it.
     ax = np.abs(x)
-    live = np.flatnonzero((ax > 1e-6) & (ax < 1e15))
-    ax = ax[live]
+    inside = (ax > 1e-6) & (ax < 1e15)
+    if inside.all():
+        live = slice(None)
+    else:
+        live = np.flatnonzero(inside)
+        ax = ax[live]
     e = np.clip(np.floor(np.log10(ax)), _E_MIN, _E_MAX).astype(np.int64)
     n = _digits(ax, e)
     off = (n < 10 ** 16).astype(np.int64) - (n >= 10 ** 17)
@@ -156,25 +178,39 @@ def _slots(x, seps, tables):
         e[moved] = np.clip(e[moved] - off[moved], _E_MIN, _E_MAX)
         n[moved] = _digits(ax[moved], e[moved])
         exact = (n >= 10 ** 16) & (n < 10 ** 17)
-        live, e, n = live[exact], e[exact], n[exact]
+        if not exact.all():
+            live = np.arange(m)[live][exact]
+            e, n = e[exact], n[exact]
 
-    # N = d0 * 10**16 + four groups of four digits
-    groups = np.empty((len(n), 4), dtype=np.int64)
-    np.divmod(n, 10 ** 8, out=(groups[:, 0], groups[:, 2]))
-    lead = np.divmod(groups[:, 0], 10 ** 8, out=(n, groups[:, 0]))[0]
-    np.divmod(groups[:, ::2], 10 ** 4, out=(groups[:, ::2], groups[:, 1::2]))
+    # N = d0 * 10**16 + four groups of four digits, one row per group.
+    # floor_divide by a constant into contiguous rows skips the hardware
+    # division per value that divmod makes; remainders are multiply and
+    # subtract.
+    groups = np.empty((2, 2, len(n)), dtype=np.int64)
+    high = n // 10 ** 8
+    lead = high // 10 ** 8
+    np.subtract(high, lead * 10 ** 8, out=groups[0, 1])
+    np.subtract(n, high * 10 ** 8, out=groups[1, 1])
+    np.floor_divide(groups[:, 1], 10 ** 4, out=groups[:, 0])
+    groups[:, 1] -= groups[:, 0] * 10 ** 4
+    groups = groups.reshape(4, -1)
     slots[live, _DIGITS] = lead + ord("0")
-    slots.view(np.uint64)[live, 1:5] = group_text.take(groups)
+    words[live, 1:5] = group_text.take(groups).T
     slots[live, _SEP - 1] = ord("0") - e
     through = group_through.take(groups)
     through += _GROUP_SHIFT
-    ndig = 1 + np.maximum(np.maximum(through[:, 0], through[:, 1]),
-                          np.maximum(through[:, 2], through[:, 3])).clip(0)
+    ndig = 1 + np.maximum(np.maximum(through[0], through[1]),
+                          np.maximum(through[2], through[3])).clip(0)
 
+    # Keep-mask row: sign, then e, then the digit count. A zero's is that
+    # of e = 0 and N = 0.
     row = np.full(m, -_E_MIN * 18 + 1)
-    row[live] = (e - _E_MIN) * 18 + ndig
+    e -= _E_MIN
+    e *= 18
+    e += ndig
+    row[live] = e
+    row += np.signbit(x) * (len(keep) // 2)
     text = keep.take(row, axis=0)
-    text[:, _SIGN] = np.signbit(x)
     slow = x != 0
     slow[live] = False
     slow = np.flatnonzero(slow)
@@ -192,13 +228,16 @@ def write_rows(fh, rows) -> None:
     nrows, ncols = rows.shape
     step = _block_rows(ncols)
     tables = _tables()
-    seps = np.full((min(nrows, step), ncols), ord(","), dtype=np.uint8)
-    seps[:, -1] = ord("\n")
-    seps = seps.ravel()
+    # Word 5 of each slot: "e-00", the value's separator and the padding.
+    tails = np.empty((min(nrows, step), ncols, 8), dtype=np.uint8)
+    tails[:] = tables[0].view(np.uint8)[_EXP:]
+    tails[..., _SEP - _EXP] = ord(",")
+    tails[:, -1, _SEP - _EXP] = ord("\n")
+    tails = tails.view(np.uint64).ravel()
     for start in range(0, nrows, step):
         block = np.ascontiguousarray(rows[start:start + step],
                                      dtype=np.float64).ravel()
-        text = _slots(block, seps[:len(block)], tables)
+        text = _slots(block, tails[:len(block)], tables)
         fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))
 
 

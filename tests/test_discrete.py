@@ -267,6 +267,52 @@ def test_distribution_and_unitary_stacks_name_the_bad_member():
         DensityMatrix(np.zeros((0, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("at", [(0, 1), (1, 0), (0, 0), (2, 2)])
+def test_density_matrix_refuses_non_finite_entries(bad, at):
+    # Cholesky and eigvalsh read one triangle, so a NaN in the other used
+    # to pass every check and stay in the state.
+    m = np.eye(3, dtype=complex) / 3
+    m[at] = bad
+    with pytest.raises(ValueError, match=(
+            rf"^entries must be finite, but entry \({at[0]}, {at[1]}\)")):
+        DensityMatrix(m)
+    entries = _valid_stack().astype(complex)
+    entries[2][at] = bad
+    with pytest.raises(ValueError, match="^member 2: entries must be finite"):
+        DensityMatrix(entries)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.nan)])
+def test_wave_function_and_unitary_refuse_non_finite_entries(bad):
+    amplitudes = np.array([1.0, 0.0, 0.0], dtype=complex)
+    amplitudes[1] = bad
+    with pytest.raises(ValueError, match=(
+            r"^amplitudes must be finite, but entry 1 is")):
+        WaveFunction(amplitudes)
+    columns = random_unitary(3, rng_for(5), 4).columns.copy()
+    columns[3, 2, 0] = bad
+    with pytest.raises(ValueError, match=(
+            r"^member 3: columns must be finite, but entry \(2, 0\) is")):
+        UnitaryBasis(columns)
+
+
+@pytest.mark.parametrize("p, message", [
+    ([np.nan, 1.0], "finite, but entry 0 is nan"),
+    ([0.5, np.nan, 0.5], "finite, but entry 1 is nan"),
+    ([np.inf, 1.0], "finite, but entry 0 is inf"),
+    ([1.0, -np.inf, np.inf], "finite, but entry 1 is -inf"),
+])
+def test_distribution_refuses_non_finite_entries(p, message):
+    with pytest.raises(ValueError, match=f"^probabilities must be {message}"):
+        DiscreteDistribution(np.array(p))
+    stack = random_distribution(len(p), rng_for(4), 3).probabilities.copy()
+    stack[1] = p
+    with pytest.raises(ValueError, match=f"^member 1: probabilities must be "
+                                         f"{message}"):
+        DiscreteDistribution(stack)
+
+
 def test_density_stack_rebuilds_only_members_in_the_clip_range():
     entries = _valid_stack()
     eps = 5e-11

@@ -5,6 +5,7 @@ Haar embeddings whose piecewise-constant closed forms are exact.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -160,6 +161,43 @@ def test_discrete_posterior_minus_inf_and_prior():
     assert log_posterior_discrete(z, [1]) == -math.inf
     # the flat prior adds nothing: the log posterior is the log likelihood
     assert log_posterior_discrete(np.array([0.5, 0.5]), [0]) == math.log(0.5)
+
+
+@pytest.mark.parametrize("z, message", [
+    ([2.0, 3.0], "^sum 5.000000000000000 is not 1"),
+    ([0.5, 0.5 + 2e-12], "^sum .* is not 1 within 1e-12"),
+    ([1.5, -0.5], "^probabilities must be nonnegative"),
+    ([np.nan, 1.0], "^probabilities must be finite, but entry 0 is nan"),
+    ([1.0, np.nan], "^probabilities must be finite, but entry 1 is nan"),
+    ([np.inf, 1.0], "^probabilities must be finite, but entry 0 is inf"),
+    ([1.0, -np.inf], "^probabilities must be finite, but entry 1 is -inf"),
+    ([], "nonempty"),
+])
+def test_discrete_posterior_refuses_what_is_not_a_distribution(z, message):
+    noise = np.eye(len(z)) if z else None
+    for matrix in (None, noise):
+        with pytest.raises(ValueError, match=message):
+            log_posterior_discrete(z, [0] if z else [], matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e-12, 1.0), min_size=1, max_size=8),
+       st.floats(-3e-12, 3e-12))
+def test_discrete_posterior_refuses_exactly_what_a_distribution_refuses(
+        weights, shift):
+    # vectors near the nonnegativity and sum bounds: the two-reduction test
+    # and DiscreteDistribution agree on each
+    z = np.array(weights)
+    if z.sum() > 0:
+        z = z / z.sum()
+    z[0] += shift
+    try:
+        DiscreteDistribution(z)
+    except ValueError as refused:
+        with pytest.raises(ValueError, match=re.escape(str(refused))):
+            log_posterior_discrete(z, [0])
+    else:
+        log_posterior_discrete(z, [0])
 
 
 def _sequential_log_likelihood(observed, sample_indices):

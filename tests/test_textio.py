@@ -16,7 +16,7 @@ import pytest
 from densop.cli import _estimate_table, _figure_table, _write_table
 from densop.config import ExperimentConfig
 from densop.target import save_samples
-from densop.textio import write_rows
+from densop.textio import _block_rows, write_rows
 
 
 def _reference(rows) -> str:
@@ -47,19 +47,25 @@ def _is_tie(x: float) -> bool:
     return len(digits) == 18 and digits[17] == 5
 
 
-def test_exact_ties_round_half_to_even():
+def _ties(rng, count: int) -> np.ndarray:
+    """`count` exact ties of each decade in [1e-3, 1e3]."""
     # (2j + 1) * 2**-m has m fractional decimal digits, the last a 5; with
     # 18 significant digits it is a tie at 17. Every one is a multiple of
     # 2**-20 in [1e-3, 1e3].
-    rng = np.random.default_rng(20)
     ties = []
     for m, lo, hi in [(15, 100, 1000), (16, 10, 100), (17, 1, 10),
                       (18, 0.1, 1), (19, 0.01, 0.1), (20, 0.001, 0.01)]:
         odd = 2 * rng.integers(int(lo * 2 ** (m - 1)),
-                               int(hi * 2 ** (m - 1)), 2000) + 1
+                               int(hi * 2 ** (m - 1)), count) + 1
         ties.append(np.ldexp(odd.astype(float), -m))
     ties = np.concatenate(ties)
     assert all(_is_tie(x) for x in ties)
+    return ties
+
+
+def test_exact_ties_round_half_to_even():
+    rng = np.random.default_rng(20)
+    ties = _ties(rng, 2000)
     # the digit before the 5 is even for some and odd for others
     kept = {Decimal(x).as_tuple().digits[16] % 2 for x in ties}
     assert kept == {0, 1}
@@ -110,6 +116,47 @@ def test_zeros_among_other_values():
     values[rng.random(20_000) < 0.05] *= -0.0
     _assert_matches(values, ncols=388)
     _assert_matches(values, ncols=3)
+
+
+def _in_domain(count: int, rng) -> np.ndarray:
+    """`count` values, all with 1e-6 < |x| < 1e15, in random order and of
+    random sign: exact ties, the neighbours of the powers of ten and the
+    domain bounds, the values that round up across a power of ten, and
+    log-uniform fill."""
+    ties = _ties(rng, count // 48)
+    near = []
+    for p in range(-6, 16):
+        below = above = 10.0 ** p
+        for _ in range(4):
+            below = np.nextafter(below, 0.0)
+            above = np.nextafter(above, np.inf)
+            near += [below, above]
+    near += [9.9999999999999999e-5, 0.99999999999999999, 99.999999999999999]
+    near = [v for v in near if 1e-6 < v < 1e15]
+    fill = np.exp(rng.uniform(np.log(1e-6), np.log(1e15), count))
+    values = np.concatenate([ties, near, fill])[:count]
+    return rng.permutation(values) * rng.choice([-1.0, 1.0], count)
+
+
+@pytest.mark.parametrize("ncols", [1, 3, 388])
+def test_whole_blocks_in_the_domain_and_one_value_out(ncols):
+    # Three whole blocks and a partial one, every value in the domain, so
+    # every block takes the slice path; then a single value out of the
+    # domain at the first, a middle and the last value of the first three
+    # blocks sends each down the mixed path.
+    rng = np.random.default_rng(ncols)
+    block = _block_rows(ncols) * ncols
+    values = _in_domain(3 * block + 2 * ncols, rng)
+    ax = np.abs(values)
+    assert np.all((ax > 1e-6) & (ax < 1e15))
+    # floor(log10|x|) misses the printed exponent for some of them
+    printed = np.array([int(("%.16e" % x).split("e")[1]) for x in ax])
+    assert np.any(np.floor(np.log10(ax)) != printed)
+    _assert_matches(values, ncols)
+    for out in (0.0, -0.0, 5e-324, 1e-7, 1e15):
+        spoiled = values.copy()
+        spoiled[[0, block + block // 2, 3 * block - 1]] = out
+        _assert_matches(spoiled, ncols)
 
 
 def test_random_bit_patterns():
