@@ -8,7 +8,8 @@ Output tables are plain text: one header line with the column names
 joined by `,`, then one line per grid point with each value printed as
 `%.17g` and separated by `,`. Every line ends in `\n`, and there is no
 comment prefix. Parsing a value recovers the exact double, and identical
-config and seed produce byte-identical files.
+config and seed produce byte-identical files. A command that fails
+writes no table, not even part of one.
 
 Each table command is declared once, in COMMANDS, and refuses to run
 before it allocates if its `footprint` is over MEMORY_LIMIT bytes.
@@ -24,8 +25,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .basis import BasisSpec, basis_matrix, wavelet_approximation
 from .config import ExperimentConfig, load_config
 from .embedding import kernel_diag
@@ -33,7 +32,7 @@ from .learn import (embedded_density_exact, embedded_density_map,
                     normalized_ratio)
 from .oracles import SUITES, run_suite
 from .target import count_samples, load_samples
-from .textio import write_rows
+from .textio import write_table
 
 
 @dataclass(frozen=True)
@@ -78,11 +77,11 @@ GRID_VALUES = 4
 #: a chunk of target.SAMPLE_CHUNK lanes, at most 4.5 MB (34 values per
 #: lane for shape (8013, 2), whose lanes all iterate in the first cell,
 #: and 25 for (200, 0.05)); the table writer's block of at most 4096
-#: values, with the last slot words it builds once per table, at most
-#: 1.0 MiB (0.90-0.97 MiB on random doubles, 1.0 MiB on fine-scale's
-#: estimate table).
+#: values and its buffer, with the last slot words it builds once per
+#: table, at most 1.05 MiB (0.93-0.98 MiB on random doubles, 1.03 MiB on
+#: fine-scale's estimate table).
 #: fig2a's writer block is one row only when d + 2 > 4096, where the
-#: d x G table alone is over 8 GB, or the grid is too coarse for the
+#: d x G basis rows alone are over 8 GB, or the grid is too coarse for the
 #: resolution rule.
 PASS_BYTES = 5 * 2 ** 20
 
@@ -93,12 +92,12 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str,
 
     A command holds its d operator weights, its table's columns of G
     values and what COMMANDS lists beside them: curves of G values, d x w
-    bands and N = n_samples points. Beside them passes the largest of the
-    stacked table, GRID_VALUES per grid point and the N uniforms or
-    scatter weights of the samples, which never coexist, and one block of
-    work, PASS_BYTES. Nothing is allocated; the tests check each command's
-    tracemalloc peak against this count. A count past the doubles, of
-    cells, samples or bytes, is infinite.
+    bands and N = n_samples points. Beside them pass the larger of
+    GRID_VALUES per grid point and the N uniforms or scatter weights of
+    the samples, which never coexist, and one block of work, PASS_BYTES.
+    Nothing is allocated; the tests check each command's tracemalloc peak
+    against this count. A count past the doubles, of cells, samples or
+    bytes, is infinite.
     """
     layout = COMMANDS[command]
     d, w = spec.size, spec.support_width
@@ -107,7 +106,7 @@ def footprint(spec: BasisSpec, grid_cells: int, command: str,
         n = float(n_samples) if layout.samples else 0.0
         ncols = len(layout.header) + (d - 1 if "phi_k" in layout.header else 0)
         held = (ncols + layout.curves) * g + layout.bands * d * w + n
-        passing = max(max(ncols, GRID_VALUES) * g, n)
+        passing = max(GRID_VALUES * g, n)
         return 8 * (d + held + passing) + PASS_BYTES
     except OverflowError:
         return math.inf
@@ -173,8 +172,8 @@ def _add_common(sub: argparse.ArgumentParser):
 def _require_writable(path: str) -> None:
     """Reject an output path that cannot be written, before any work.
 
-    Nothing is created: the table is opened only once it is complete, so a
-    failure in between leaves no partial file behind.
+    Nothing is created: the table is opened only once it is complete, and
+    a failed write removes it, so no partial file is ever left behind.
     """
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
@@ -187,22 +186,6 @@ def _require_writable(path: str) -> None:
         raise ValueError(f"cannot write {path}: {parent} is not writable")
 
 
-def _write_table(path: str, names, columns) -> None:
-    """Write the table, or refuse before opening `path` if a value is NaN
-    or infinite."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    for name, column in zip(names, columns):
-        bad = np.count_nonzero(~np.isfinite(column))
-        if bad:
-            raise ValueError(
-                f"cannot write {path}: column {name} holds {bad} NaN or "
-                f"infinite values")
-    stacked = np.column_stack(columns)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        write_rows(fh, stacked)
-
-
 def _figure_table(figure: str, cfg: ExperimentConfig):
     require_memory(cfg, figure, cfg.n_samples)
     spec = cfg.basis()
@@ -211,9 +194,8 @@ def _figure_table(figure: str, cfg: ExperimentConfig):
     s = grid.points
     names = list(COMMANDS[figure].header)
     if figure == "fig2a":
-        rows = basis_matrix(spec, s)
         names[1:2] = [f"phi_{int(k)}" for k in spec.translates]
-        return names, [s, *rows, kernel_diag(operator, s)]
+        return names, [s, basis_matrix(spec, s), kernel_diag(operator, s)]
     # refuses a zeta whose quadrature mass is off, before any sampling
     zeta = cfg.target().curve(grid)
     if figure == "fig2b":
@@ -280,7 +262,7 @@ def main(argv=None) -> int:
             names, cols = _figure_table(command, cfg)
         else:
             names, cols = _estimate_table(args.samples, cfg)
-        _write_table(out_path, names, cols)
+        write_table(out_path, names, cols)
         print(out_path)
         return 0
     except (ValueError, OSError) as exc:

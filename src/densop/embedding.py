@@ -31,6 +31,9 @@ from .basis import BasisSpec, basis_matrix, quadratic_form
 # |phi| <= 1 for Haar; the Daubechies-4 table peaks at phi(1) = 1.366
 _PHI_MAX = 1.5
 
+#: tr(A rho A*) at or below this counts as vanished: no embedded density
+#: exists, and one of the messages below says why.
+VANISHING_TRACE = 1e-14
 VANISHING_SAMPLE_TRACE = (
     "every sample lies outside the support of the embedding operator's "
     "weighted translates, so the sample trace vanishes"
@@ -114,7 +117,7 @@ def trace_k_rho(A: EmbeddingOperator, zeta) -> float:
     """
     grid = zeta.grid
     value = grid.integrate(zeta.values * kernel_diag(A, grid.points))
-    if value <= 1e-14:
+    if value <= VANISHING_TRACE:
         raise ValueError(VANISHING_DENSITY_TRACE)
     return float(value)
 
@@ -124,6 +127,6 @@ def trace_k_map(A: EmbeddingOperator, samples) -> float:
     if samples.n == 0:
         raise ValueError("empty sample set")
     value = float(np.mean(kernel_diag(A, samples.points)))
-    if value <= 1e-14:
+    if value <= VANISHING_TRACE:
         raise ValueError(VANISHING_SAMPLE_TRACE)
     return value

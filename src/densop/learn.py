@@ -44,10 +44,19 @@ from .basis import (
     coefficient_band,
     quadratic_form,
 )
-from .discrete import _TRACE_TOL, DiscreteDistribution
+from .discrete import (
+    _HERM_TOL,
+    _TRACE_TOL,
+    _UNITARY_TOL,
+    DensityMatrix,
+    DiscreteDistribution,
+    UnitaryBasis,
+    _proves_positive,
+)
 from .embedding import (
     VANISHING_DENSITY_TRACE,
     VANISHING_SAMPLE_TRACE,
+    VANISHING_TRACE,
     EmbeddingOperator,
     kernel_diag,
 )
@@ -200,7 +209,9 @@ def log_posterior_coefficients(w, unitary, sample_indices,
     p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]) rather than by transforming
     w back, so agreement with `log_posterior_discrete` exercises a
     genuinely different computation route. Under the flat prior both are
-    the log likelihood, so the two are equal.
+    the log likelihood, so the two are equal. `w` and `unitary` are
+    refused, with the same messages, where `DensityMatrix` and
+    `UnitaryBasis` refuse them.
     """
     w = np.asarray(w)
     u = np.asarray(unitary)
@@ -213,6 +224,18 @@ def log_posterior_coefficients(w, unitary, sample_indices,
     d = w.shape[0]
     if d > 64:
         raise ValueError(f"discrete dimension {d} exceeds the oracle scale 64")
+    # DensityMatrix's and UnitaryBasis's rules, each comparison failing on
+    # NaN and inf. Only a matrix that fails them is handed to its type, to
+    # be refused with the cause named.
+    with np.errstate(invalid="ignore"):
+        state = (abs(w - w.conj().T).max() <= _HERM_TOL
+                 and abs(w.trace().real - 1.0) <= _TRACE_TOL
+                 and _proves_positive(w))
+        basis = abs(u.conj().T @ u - np.eye(d)).max() <= _UNITARY_TOL
+    if not state:
+        DensityMatrix(w)
+    if not basis:
+        UnitaryBasis(u)
     p = np.einsum("jk,kl,jl->j", u, w, np.conj(u)).real
     observed = p if noise_matrix is None else p @ _check_noise_matrix(
         noise_matrix, d)
@@ -238,13 +261,13 @@ def _embedded_curve(A: EmbeddingOperator, band, grid: Grid,
                     vanishing: str) -> DensityCurve:
     """The form of the state band state[j, o] = alpha_j M[j, j + o]
     alpha_{j + o} over its trace tr on the grid; raises with `vanishing`
-    when tr <= 1e-14, where no curve exists."""
+    when tr <= VANISHING_TRACE, where no curve exists."""
     w = band.shape[1]
     right = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([A.weights, np.zeros(w - 1)]), w)
     state = A.weights[:, None] * band * right
     trace = float(np.sum(state[:, 0]))
-    if trace <= 1e-14:
+    if trace <= VANISHING_TRACE:
         raise ValueError(vanishing)
     values = quadratic_form(A.basis, state, grid.points)
     return DensityCurve(grid=grid, values=values / trace)

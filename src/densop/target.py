@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import Grid, Interval
 from .learn import DensityCurve, SampleSet
-from .textio import open_text, require_text, write_rows
+from .textio import open_text, require_text, write_table
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
@@ -397,8 +397,7 @@ class BetaTarget:
 
 def save_samples(path, samples: SampleSet) -> None:
     """Write sample points one per line at full precision."""
-    with open(path, "w", newline="\n") as fh:
-        write_rows(fh, samples.points.reshape(-1, 1))
+    write_table(path, (), [samples.points])
 
 
 def count_samples(path) -> int:

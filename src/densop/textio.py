@@ -4,9 +4,9 @@ Every value is printed as ``'%.17g' % x`` prints it: enough significant
 digits that parsing the text recovers the exact double. Values in a row
 are separated by ``,`` and each row ends in ``\\n``.
 
-Rows are formatted in blocks of about ``_BLOCK_VALUES`` values, and each
-block is written with one call. Within a block, numpy computes the text
-of most values exactly:
+Rows are gathered from the columns, in blocks of about ``_BLOCK_VALUES``
+values, into one buffer whose bytes are written in one call. Within a
+block, numpy computes the text of most values exactly:
 
 - Domain: finite x with 1e-6 < |x| < 1e15. The double 1e-6 lies below
   10**-6, so the strict bound keeps the decimal exponent e of the rounded
@@ -50,7 +50,9 @@ names the file and the line of a byte in them that is not UTF-8 text.
 from __future__ import annotations
 
 import functools
+import os
 import re
+from itertools import chain, count
 
 import numpy as np
 
@@ -223,9 +225,10 @@ def _slots(x, tails, tables):
     return np.multiply(slots, text, out=text)
 
 
-def write_rows(fh, rows) -> None:
-    """Write a 2-D float array to a text file, one ``%.17g`` row per line."""
-    nrows, ncols = rows.shape
+def write_rows(fh, columns) -> None:
+    """Write `columns`, 1-D or 2-D with one column per row, to binary `fh`."""
+    groups = [np.atleast_2d(c) for c in columns]
+    nrows, ncols = groups[0].shape[1], sum(map(len, groups))
     step = _block_rows(ncols)
     tables = _tables()
     # Word 5 of each slot: "e-00", the value's separator and the padding.
@@ -234,11 +237,35 @@ def write_rows(fh, rows) -> None:
     tails[..., _SEP - _EXP] = ord(",")
     tails[:, -1, _SEP - _EXP] = ord("\n")
     tails = tails.view(np.uint64).ravel()
+    buffer = np.empty((min(nrows, step), ncols))  # one block, row-major
     for start in range(0, nrows, step):
-        block = np.ascontiguousarray(rows[start:start + step],
-                                     dtype=np.float64).ravel()
-        text = _slots(block, tails[:len(block)], tables)
-        fh.write(text.tobytes().translate(None, b"\0").decode("ascii"))
+        rows = buffer[:min(step, nrows - start)]
+        np.concatenate([g[:, start:start + step] for g in groups], out=rows.T)
+        text = _slots(rows.ravel(), tails[:rows.size], tables)
+        fh.write(text.tobytes().translate(None, b"\0"))
+
+
+def write_table(path, header, columns) -> None:
+    """Write `columns` to `path` by `write_rows`, after a line of the names
+    in `header` if it has any. A NaN or infinite value is refused before
+    `path` is opened; a failed write then removes it, unless it is a link
+    or not a regular file."""
+    columns = [np.atleast_2d(c) for c in columns]
+    for name, column in zip(header or count(), chain(*columns)):
+        bad = np.count_nonzero(~np.isfinite(column))
+        if bad:
+            raise ValueError(f"cannot write {path}: column {name} holds "
+                             f"{bad} NaN or infinite values")
+    fh = open(path, "wb")
+    try:
+        with fh:
+            if header:
+                fh.write(f"{','.join(header)}\n".encode())
+            write_rows(fh, columns)
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):
+            os.remove(path)
+        raise
 
 
 def open_text(path):

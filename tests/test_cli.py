@@ -38,7 +38,6 @@ from densop.cli import (
     PASS_BYTES,
     _estimate_table,
     _figure_table,
-    _write_table,
     footprint,
     main,
     require_memory,
@@ -47,7 +46,7 @@ from densop import oracles
 from densop.learn import SampleSet
 from densop.oracles import run_suite
 from densop.target import BetaTarget
-from densop.textio import _block_rows
+from densop.textio import _block_rows, write_table
 
 # ------------------------------------------------------------- config
 
@@ -84,19 +83,19 @@ def test_curve_grid_needs_resolution_cells_per_translate_shift():
 
 
 def test_footprint_arithmetic_at_scale_20_and_30():
-    # d weights and the held arrays, plus the largest of the stacked table,
-    # 4 values per grid point and the N samples' uniforms or weights, plus
-    # one block of work; computed, never allocated
+    # d weights and the held arrays, plus the larger of 4 values per grid
+    # point and the N samples' uniforms or weights, plus one block of work;
+    # computed, never allocated
     spec = BasisSpec("daubechies4", 20, Interval(0.0, 3.0))
     d = 3 * 2 ** 20 + 2
     # the span [-2, 3 * 2**20 + 2] / 2**20 rounds to 3 * 4096 cells
     g = 3 * 4096 + 1
     assert spec.size == d
     assert PASS_BYTES == 5 * 2 ** 20
-    # fig2a holds s, the d basis rows and the kernel diagonal, and stacks
-    # them once more to write them
+    # fig2a holds s, the d basis rows and the kernel diagonal, and writes
+    # them as they are, with no stacked copy
     assert footprint(spec, 4096, "fig2a") == 8 * (
-        d + 2 * (d + 2) * g) + PASS_BYTES > MEMORY_LIMIT
+        d + (d + 2) * g + 4 * g) + PASS_BYTES > MEMORY_LIMIT
     # fig3a holds 4 columns, two d x w bands and its N samples; at N = 300
     # the 4 values per grid point outweigh the samples
     assert footprint(spec, 4096, "fig3a", 300) == 8 * (
@@ -141,12 +140,14 @@ def test_fig3_fits_the_memory_bound_at_scale_12():
 @pytest.mark.parametrize("command", [*FIGURES, "estimate"])
 @pytest.mark.parametrize("changes", [
     {}, {"family": "haar"}, {"n_samples": 20000},
-    {"family": "haar", "n_samples": 20000},
-], ids=["defaults", "haar", "n20000", "haar-n20000"])
+    {"family": "haar", "n_samples": 20000}, {"scale_n": 5},
+], ids=["defaults", "haar", "n20000", "haar-n20000", "scale5"])
 def test_command_peak_is_within_its_footprint(tmp_path, command, changes):
     # tracemalloc sees numpy's allocations. The first run fills the
     # per-process caches (the cascade table, the sampler's bracket table
-    # and the writer's digit tables); the second is measured.
+    # and the writer's digit tables); the second is measured. At scale 5,
+    # fig2a's 100 x G table is 10 MB: a stacked copy of it would exceed
+    # the count, which allows one block of work and 4 values per grid point.
     cfg = ExperimentConfig(**changes)
     samples = str(tmp_path / "samples.txt")
     save_samples(samples, cfg.target().sample(cfg.n_samples, 5))
@@ -156,7 +157,7 @@ def test_command_peak_is_within_its_footprint(tmp_path, command, changes):
             names, cols = _estimate_table(samples, cfg)
         else:
             names, cols = _figure_table(command, cfg)
-        _write_table(str(tmp_path / "out.csv"), names, cols)
+        write_table(str(tmp_path / "out.csv"), names, cols)
 
     run()
     tracemalloc.start()
@@ -570,7 +571,7 @@ def test_write_table_matches_savetxt(tmp_path, ncols, nrows):
     np.savetxt(expected, stacked, fmt="%.17g", delimiter=",",
                header=",".join(names), comments="")
     written = tmp_path / "table.csv"
-    _write_table(str(written), names, list(stacked.T))
+    write_table(str(written), names, list(stacked.T))
     assert written.read_bytes() == expected.read_bytes()
 
 
@@ -994,8 +995,47 @@ def test_write_table_refuses_non_finite_values(tmp_path, bad):
     column[3] = bad
     with pytest.raises(ValueError, match="column kernel_diag holds 1 NaN or "
                                          "infinite values"):
-        _write_table(str(out), ["s", "kernel_diag"], [np.ones(5), column])
+        write_table(str(out), ["s", "kernel_diag"], [np.ones(5), column])
     assert not out.exists()
+    # a column of a 2-D group is named as well
+    group = np.ones((3, 5))
+    group[1, 2] = bad
+    with pytest.raises(ValueError, match="column phi_1 holds 1 NaN"):
+        write_table(str(out), ["s", "phi_0", "phi_1", "phi_2"],
+                    [np.ones(5), group])
+    assert not out.exists()
+
+
+def test_a_write_that_fails_midway_leaves_no_file(tmp_path, capsys,
+                                                 monkeypatch):
+    # a full disk, say, on the second block of rows, after the file is
+    # opened and its first block written
+    slots = densop.textio._slots
+    calls = []
+
+    def fail_on_second_block(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return slots(*args)
+
+    monkeypatch.setattr(densop.textio, "_slots", fail_on_second_block)
+    out = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "No space left on device" in lines[0]
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+    # a link named as the output is left in place, not removed
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    calls.clear()
+    with pytest.raises(OSError):
+        write_table(str(link), ["s"], [np.ones(2 * _block_rows(1))])
+    assert link.is_symlink() and target.exists()
 
 
 def test_grids_too_coarse_for_the_translates_exit_one(tmp_path, capsys):

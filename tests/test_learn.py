@@ -278,6 +278,27 @@ def test_coefficient_posterior_validation():
         log_posterior_coefficients(np.zeros((2, 3)), np.eye(3), [0])
 
 
+@pytest.mark.parametrize("w,unitary,message", [
+    # each once scored: 0.0, nan and log 4
+    (np.eye(2), np.eye(2), r"^trace 2\.000000000000000 is not 1 within"),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2),
+     r"^entries must be finite, but entry \(0, 0\) is"),
+    (np.eye(2) / 2, 2 * np.eye(2),
+     r"^columns are not orthonormal within 1e-10$"),
+    # Hermitian and of trace one, but not positive semidefinite
+    (np.array([[1.5, 0.5j], [-0.5j, -0.5]]), np.eye(2),
+     r"^smallest eigenvalue -6\.180e-01 is below -1e-10$"),
+])
+def test_coefficient_posterior_refuses_what_is_not_a_state_or_a_basis(
+        w, unitary, message):
+    with pytest.raises(ValueError, match=message):
+        log_posterior_coefficients(w, unitary, [0, 1])
+    # with the messages of the types that define a state and a basis
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(w)
+        UnitaryBasis(unitary)
+
+
 # ------------------------------------------------------- closed-form MAP
 
 

@@ -13,10 +13,10 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from densop.cli import _estimate_table, _figure_table, _write_table
+from densop.cli import _estimate_table, _figure_table
 from densop.config import ExperimentConfig
 from densop.target import save_samples
-from densop.textio import _block_rows, write_rows
+from densop.textio import _block_rows, write_rows, write_table
 
 
 def _reference(rows) -> str:
@@ -24,17 +24,17 @@ def _reference(rows) -> str:
     return "".join(line % tuple(row) for row in rows.tolist())
 
 
-def _written(rows) -> str:
-    fh = io.StringIO()
-    write_rows(fh, rows)
-    return fh.getvalue()
+def _written(columns) -> str:
+    fh = io.BytesIO()
+    write_rows(fh, columns)
+    return fh.getvalue().decode("ascii")
 
 
 def _assert_matches(values, ncols=1):
     values = np.asarray(values, dtype=float)
     values = np.resize(values, -(-values.size // ncols) * ncols)
     rows = values.reshape(-1, ncols)
-    written, expected = _written(rows), _reference(rows)
+    written, expected = _written([rows.T]), _reference(rows)
     if written != expected:
         pairs = zip(written.splitlines(), expected.splitlines())
         bad = [(w, e) for w, e in pairs if w != e][:5]
@@ -103,7 +103,7 @@ def test_zeros_subnormals_and_non_finite_values():
     values = np.array([0.0, -0.0, 5e-324, -5e-324, tiny, -tiny,
                        np.nextafter(tiny, 0.0), 1e-310, np.nan, -np.nan,
                        np.inf, -np.inf, np.finfo(float).max])
-    assert _written(np.array([[0.0, -0.0]])) == "0,-0\n"
+    assert _written([0.0, -0.0]) == "0,-0\n"
     _assert_matches(values)
     _assert_matches(values, ncols=3)
 
@@ -159,6 +159,23 @@ def test_whole_blocks_in_the_domain_and_one_value_out(ncols):
         _assert_matches(spoiled, ncols)
 
 
+@pytest.mark.parametrize("ncols", [1, 3, 388])
+def test_a_group_of_columns_writes_as_its_columns_one_by_one(ncols):
+    # fig2a hands its d translates over as one d x G group. Three blocks
+    # and part of a fourth split the group by rows; at 3 and 388 columns it
+    # also sits between two single columns.
+    rng = np.random.default_rng(ncols + 1)
+    nrows = 3 * _block_rows(ncols) + 2
+    table = 10.0 ** rng.uniform(-8, 17, (ncols, nrows))
+    table *= rng.choice([-1.0, 1.0], table.shape)
+    table[rng.random(table.shape) < 0.5] = 0.0
+    expected = _reference(table.T)
+    assert _written(list(table)) == expected
+    assert _written([table]) == expected
+    if ncols > 1:
+        assert _written([table[0], table[1:-1], table[-1]]) == expected
+
+
 def test_random_bit_patterns():
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
@@ -169,6 +186,7 @@ def test_random_bit_patterns():
 
 def _savetxt(names, cols) -> bytes:
     fh = io.BytesIO()
+    cols = [np.transpose(c) for c in cols]  # a 2-D group's rows to columns
     np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
                header=",".join(names), comments="")
     return fh.getvalue()
@@ -178,7 +196,7 @@ def _savetxt(names, cols) -> bytes:
 def test_figure_tables_match_savetxt(tmp_path, figure):
     names, cols = _figure_table(figure, ExperimentConfig())
     path = tmp_path / f"{figure}.csv"
-    _write_table(str(path), names, cols)
+    write_table(str(path), names, cols)
     assert path.read_bytes() == _savetxt(names, cols)
 
 
@@ -194,5 +212,5 @@ def test_estimate_table_and_sample_file_match_savetxt(tmp_path):
 
     names, cols = _estimate_table(str(samples), cfg)
     path = tmp_path / "estimate.csv"
-    _write_table(str(path), names, cols)
+    write_table(str(path), names, cols)
     assert path.read_bytes() == _savetxt(names, cols)
