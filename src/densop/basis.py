@@ -470,7 +470,7 @@ def quadratic_form(spec: BasisSpec, band, s_values) -> np.ndarray:
     return out
 
 
-def _require_resolution(spec: BasisSpec, grid: Grid):
+def require_resolution(spec: BasisSpec, grid: Grid):
     """Refuse a grid with fewer than RESOLUTION cells per translate shift."""
     n = spec.scale_n
     per_shift = grid.cells / (grid.interval.width * 2 ** n)
@@ -490,7 +490,7 @@ def gram_check(spec: BasisSpec, grid: Grid) -> np.ndarray:
     multiple of 2**-(TABLE_LEVEL + scale_n) so the sample points fall on
     the dyadic table.
     """
-    _require_resolution(spec, grid)
+    require_resolution(spec, grid)
     return band_to_dense(coefficient_band(spec, grid.points, grid.weights()))
 
 
@@ -504,7 +504,7 @@ def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
     point into a vector padded with w - 1 zeros at both ends, and each
     point sums its w products in lane order from +0.0.
     """
-    _require_resolution(spec, grid)
+    require_resolution(spec, grid)
     f_values = np.asarray(f_values, dtype=float)
     if f_values.shape != grid.points.shape:
         raise ValueError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .basis import BasisSpec, Grid, Interval, _require_resolution
+from .basis import BasisSpec, Grid, Interval, require_resolution
 from .embedding import EmbeddingOperator
 from .target import BetaTarget
 from .textio import open_text, require_text
@@ -92,7 +92,7 @@ class ExperimentConfig:
         spec = self.basis()
         span = spec.span()
         grid = Grid(span, max(1, round(span.width * self.grid_cells)))
-        _require_resolution(spec, grid)
+        require_resolution(spec, grid)
         return grid
 
     def replace(self, **changes) -> "ExperimentConfig":

@@ -13,15 +13,17 @@ single state. Positivity is proved by one stacked Cholesky factorization
 of the states less 1e-10 * I; only a stack it cannot prove has its
 eigenvalues computed, to refuse or rebuild members. A refusal names the
 index of the first member that breaks a rule. A NaN or infinite entry
-fails the same comparisons, and the refusal then names that entry. The basis change and both
-Born-rule readouts broadcast over a stack, and the random constructors
-draw a whole stack in one call when given a `count`; without
-one they draw a single state, from the same stream as always.
+fails the same comparisons, and the refusal then names that entry.
+`members` hands out the members of a validated stack without validating
+them again. The basis change and both Born-rule readouts broadcast over a
+stack, and the random constructors draw a whole stack in one call when
+given a `count`; without one they draw a single state, from the same
+stream as always.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -212,6 +214,22 @@ class UnitaryBasis:
     @property
     def d(self) -> int:
         return self.columns.shape[-1]
+
+
+def members(stack):
+    """Each member of a validated `DensityMatrix`, `DiscreteDistribution`
+    or `UnitaryBasis` stack as a value of that type holding a read-only
+    view of the stack. Every rule holds member by member, so none is
+    validated again. A single state yields itself."""
+    (field,) = fields(stack)
+    values = getattr(stack, field.name)
+    if values.ndim == (1 if isinstance(stack, DiscreteDistribution) else 2):
+        yield stack
+        return
+    for value in values:
+        member = object.__new__(type(stack))
+        object.__setattr__(member, field.name, value)
+        yield member
 
 
 def ensemble_from_distribution(z: DiscreteDistribution) -> DensityMatrix:

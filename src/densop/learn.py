@@ -44,15 +44,7 @@ from .basis import (
     coefficient_band,
     quadratic_form,
 )
-from .discrete import (
-    _HERM_TOL,
-    _TRACE_TOL,
-    _UNITARY_TOL,
-    DensityMatrix,
-    DiscreteDistribution,
-    UnitaryBasis,
-    _proves_positive,
-)
+from .discrete import DensityMatrix, DiscreteDistribution, UnitaryBasis
 from .embedding import (
     VANISHING_DENSITY_TRACE,
     VANISHING_SAMPLE_TRACE,
@@ -148,98 +140,73 @@ class MapCoefficients:
         return float(np.sum(self.band[:, 0]))
 
 
-def _check_noise_matrix(noise_matrix, d: int) -> np.ndarray:
-    noise = np.asarray(noise_matrix, dtype=float)
-    if noise.shape != (d, d):
-        raise ValueError(
-            f"noise matrix shape {noise.shape} does not match dimension {d}"
-        )
-    if np.any(noise < -1e-12):
-        raise ValueError("noise matrix entries must be nonnegative")
-    rows = noise.sum(axis=1)
-    if np.max(np.abs(rows - 1.0)) > 1e-10:
-        raise ValueError("noise matrix rows must each sum to 1")
-    return noise
-
-
-def _log_likelihood(observed, sample_indices) -> float:
-    """Sum of log observed[b] over the draws b, in draw order; -inf when
-    one draw has zero likelihood. Every index is checked first, so one
-    out of range raises IndexError even after a zero likelihood."""
+def _log_likelihood(p, sample_indices, noise_matrix=None) -> float:
+    """Sum of log observed[b] over the draws b, in draw order, with
+    observed = p @ noise, or p without a noise matrix; -inf when one draw
+    has zero likelihood. The noise rows must form a d x d stack of
+    `DiscreteDistribution`s. The draws must be integers in [0, d), all
+    checked first, so one out of range raises IndexError even after a
+    zero likelihood."""
+    if noise_matrix is not None:
+        noise = DiscreteDistribution(noise_matrix).probabilities
+        if noise.shape != (p.size, p.size):
+            raise ValueError(f"noise matrix shape {noise.shape} does not "
+                             f"match dimension {p.size}")
+        p = p @ noise
+    draws = np.asarray(sample_indices)
+    if draws.size == 0:
+        return 0.0
+    if not np.issubdtype(draws.dtype, np.integer):
+        raise ValueError(f"sample indices must be integers, not {draws.dtype}")
+    if draws.min() < 0:
+        raise IndexError(f"sample index {draws.min()} out of range for "
+                         f"dimension {p.size}")
     total = 0.0
-    for like in observed[np.asarray(sample_indices, dtype=np.intp)].tolist():
+    for like in p[draws].tolist():
         if like <= 0.0:
             return -math.inf
         total += math.log(like)
     return total
 
 
-def log_posterior_discrete(probabilities, sample_indices,
+def log_posterior_discrete(z: DiscreteDistribution, sample_indices,
                            noise_matrix=None) -> float:
     """Position-basis log posterior on a discrete sample space.
 
-    `probabilities` is the vector of the distribution Z over states,
-    refused unless it is finite, nonnegative and sums to 1 within 1e-12,
-    as `DiscreteDistribution` requires; `noise_matrix[true, observed]` is
-    row-stochastic. The likelihood of observing index b is then
-    (Z @ noise)[b]. Under the flat prior the log posterior is the log
-    likelihood, with the evidence constant dropped.
+    `z` is one distribution Z over the states, not a stack, and the rows
+    of `noise_matrix[true, observed]` are distributions. The likelihood of
+    observing index b in [0, d) is then (Z @ noise)[b]. Under the flat
+    prior the log posterior is the log likelihood, with the evidence
+    constant dropped.
     """
-    z = np.asarray(probabilities, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("probabilities must form a vector")
-    # DiscreteDistribution's rules in two reductions, the sum's comparison
-    # failing on NaN and inf. Only a vector that fails them is handed to
-    # it, to be refused with the cause named.
-    if z.size == 0 or not (np.minimum.reduce(z) >= 0.0 and
-                           abs(np.add.reduce(z) - 1.0) <= _TRACE_TOL):
-        DiscreteDistribution(z)
-    observed = z if noise_matrix is None else z @ _check_noise_matrix(
-        noise_matrix, z.size)
-    return _log_likelihood(observed, sample_indices)
+    if z.probabilities.ndim != 1:
+        raise ValueError(f"the posterior takes one distribution, not a "
+                         f"stack of shape {z.probabilities.shape}")
+    return _log_likelihood(z.probabilities, sample_indices, noise_matrix)
 
 
-def log_posterior_coefficients(w, unitary, sample_indices,
-                               noise_matrix=None) -> float:
+def log_posterior_coefficients(w: DensityMatrix, unitary: UnitaryBasis,
+                               sample_indices, noise_matrix=None) -> float:
     """Log posterior computed entirely in an arbitrary orthonormal basis.
 
-    `w` is the coefficient matrix of the state in the basis whose columns
-    are the columns of the matrix `unitary`. Position-basis
-    probabilities are recovered through the double contraction
-    p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]) rather than by transforming
-    w back, so agreement with `log_posterior_discrete` exercises a
-    genuinely different computation route. Under the flat prior both are
-    the log likelihood, so the two are equal. `w` and `unitary` are
-    refused, with the same messages, where `DensityMatrix` and
-    `UnitaryBasis` refuse them.
+    `w` is the coefficient matrix of one state in the basis whose columns
+    are the columns of `unitary`, both of one dimension d <= 64.
+    Position-basis probabilities are recovered through the double
+    contraction p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]) rather than by
+    transforming w back, so agreement with `log_posterior_discrete`
+    exercises a genuinely different computation route. Under the flat
+    prior both are the log likelihood, so the two are equal.
     """
-    w = np.asarray(w)
-    u = np.asarray(unitary)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("coefficient matrix must be square")
-    if u.shape != w.shape:
+    w, u = w.entries, unitary.columns
+    if w.ndim != 2 or u.shape != w.shape:
+        raise ValueError(f"the posterior takes one state and one basis of "
+                         f"the same dimension, not shapes {w.shape} and "
+                         f"{u.shape}")
+    if w.shape[0] > 64:
         raise ValueError(
-            f"unitary shape {u.shape} does not match coefficients {w.shape}"
-        )
-    d = w.shape[0]
-    if d > 64:
-        raise ValueError(f"discrete dimension {d} exceeds the oracle scale 64")
-    # DensityMatrix's and UnitaryBasis's rules, each comparison failing on
-    # NaN and inf. Only a matrix that fails them is handed to its type, to
-    # be refused with the cause named.
-    with np.errstate(invalid="ignore"):
-        state = (abs(w - w.conj().T).max() <= _HERM_TOL
-                 and abs(w.trace().real - 1.0) <= _TRACE_TOL
-                 and _proves_positive(w))
-        basis = abs(u.conj().T @ u - np.eye(d)).max() <= _UNITARY_TOL
-    if not state:
-        DensityMatrix(w)
-    if not basis:
-        UnitaryBasis(u)
+            f"discrete dimension {w.shape[0]} exceeds the oracle scale 64")
     p = np.einsum("jk,kl,jl->j", u, w, np.conj(u)).real
-    observed = p if noise_matrix is None else p @ _check_noise_matrix(
-        noise_matrix, d)
-    return _log_likelihood(observed, sample_indices)
+    return _log_likelihood(p, sample_indices, noise_matrix)
 
 
 def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:

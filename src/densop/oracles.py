@@ -30,6 +30,7 @@ from .discrete import (
     born_probability,
     change_basis,
     ensemble_from_distribution,
+    members,
     probability_from_coefficients,
     random_density_matrix,
     random_distribution,
@@ -328,23 +329,22 @@ def haar_trace_over_samples(seed: int, n_samples: int, scale_n: int) -> float:
 def posterior_coordinate_invariance(rng, trials: int) -> float:
     """Posterior in position against coefficient coordinates; odd trials
     add a row-stochastic noise matrix. The states of one dimension come
-    as one stack; the draws differ in length, so each trial's posterior is
-    evaluated on its own."""
+    as one stack, validated once; the draws differ in length, so each
+    trial's posterior is evaluated on its own, on the stacks' members."""
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
-        rho = random_ensemble(d, rng, trial.size)
-        z = np.diagonal(rho.entries, axis1=1, axis2=2).real
+        z = random_distribution(d, rng, trial.size)
         u = random_unitary(d, rng, trial.size)
-        w = change_basis(rho, u)
-        for k, i in enumerate(trial):
+        w = change_basis(ensemble_from_distribution(z), u)
+        for i, z_k, w_k, u_k in zip(trial, *map(members, (z, w, u))):
             draws = rng.integers(0, d, size=int(rng.integers(1, 21)))
             noise = None
             if i % 2:
                 noise = rng.random((d, d)) + 0.05
                 noise /= noise.sum(axis=1, keepdims=True)
-            by_position = log_posterior_discrete(z[k], draws, noise)
-            by_coefficients = log_posterior_coefficients(
-                w.entries[k], u.columns[k], draws, noise)
+            by_position = log_posterior_discrete(z_k, draws, noise)
+            by_coefficients = log_posterior_coefficients(w_k, u_k, draws,
+                                                         noise)
             worst = max(worst, abs(by_position - by_coefficients))
     return worst
 

@@ -49,6 +49,7 @@ names the file and the line of a byte in them that is not UTF-8 text.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import re
@@ -248,8 +249,10 @@ def write_rows(fh, columns) -> None:
 def write_table(path, header, columns) -> None:
     """Write `columns` to `path` by `write_rows`, after a line of the names
     in `header` if it has any. A NaN or infinite value is refused before
-    `path` is opened; a failed write then removes it, unless it is a link
-    or not a regular file."""
+    `path` is opened. A failed write then removes `path` if it is a
+    regular file, empties the regular file it links to if it is a link,
+    and leaves anything else alone; the write's error is raised even if
+    that fails."""
     columns = [np.atleast_2d(c) for c in columns]
     for name, column in zip(header or count(), chain(*columns)):
         bad = np.count_nonzero(~np.isfinite(column))
@@ -263,8 +266,12 @@ def write_table(path, header, columns) -> None:
                 fh.write(f"{','.join(header)}\n".encode())
             write_rows(fh, columns)
     except BaseException:
-        if os.path.isfile(path) and not os.path.islink(path):
-            os.remove(path)
+        with contextlib.suppress(OSError):
+            if os.path.isfile(path):
+                if os.path.islink(path):
+                    os.truncate(path, 0)
+                else:
+                    os.remove(path)
         raise
 
 

@@ -1029,13 +1029,22 @@ def test_a_write_that_fails_midway_leaves_no_file(tmp_path, capsys,
     assert "No space left on device" in lines[0]
     assert len(calls) == 2
     assert list(tmp_path.iterdir()) == []
-    # a link named as the output is left in place, not removed
+    # a link named as the output is left in place, not removed, and the
+    # regular file it points to is emptied of the rows already written
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     link.symlink_to(target)
     calls.clear()
-    with pytest.raises(OSError):
+    with pytest.raises(OSError, match="No space left on device"):
         write_table(str(link), ["s"], [np.ones(2 * _block_rows(1))])
-    assert link.is_symlink() and target.exists()
+    assert link.is_symlink() and target.read_bytes() == b""
+    # a cleanup that fails does not hide the write's error
+    def refuse(*args):
+        raise PermissionError("cannot empty")
+
+    monkeypatch.setattr(os, "truncate", refuse)
+    calls.clear()
+    with pytest.raises(OSError, match="No space left on device"):
+        write_table(str(link), ["s"], [np.ones(2 * _block_rows(1))])
 
 
 def test_grids_too_coarse_for_the_translates_exit_one(tmp_path, capsys):

@@ -24,6 +24,7 @@ from densop import (
 )
 from densop import oracles
 from densop.discrete import (
+    members,
     random_density_matrix,
     random_distribution,
     random_ensemble,
@@ -49,12 +50,15 @@ def test_wavefunction_requires_unit_norm():
 
 def test_density_matrix_invariants():
     DensityMatrix(np.diag([0.25, 0.75]))
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.3], [0.2, 0.5]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([0.5, 0.6]))  # trace
-    with pytest.raises(ValueError):
-        DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+    with pytest.raises(ValueError,
+                       match="^matrix is not Hermitian within 1e-12$"):
+        DensityMatrix(np.array([[0.5, 0.3], [0.2, 0.5]]))
+    with pytest.raises(ValueError,
+                       match=r"^trace 1\.100000000000000 is not 1 within"):
+        DensityMatrix(np.diag([0.5, 0.6]))
+    with pytest.raises(ValueError, match=(
+            r"^smallest eigenvalue -5\.000e-01 is below -1e-10$")):
+        DensityMatrix(np.diag([1.5, -0.5]))
 
 
 def test_density_matrix_clips_tiny_negative_eigenvalues():
@@ -67,15 +71,16 @@ def test_density_matrix_clips_tiny_negative_eigenvalues():
 
 def test_distribution_invariants():
     DiscreteDistribution(np.array([0.2, 0.3, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sum 1.100000000000000 is not 1"):
         DiscreteDistribution(np.array([0.6, 0.5]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^probabilities must be nonnegative"):
         DiscreteDistribution(np.array([1.2, -0.2]))
 
 
 def test_unitary_invariants():
     UnitaryBasis(np.eye(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^columns are not orthonormal within 1e-10$"):
         UnitaryBasis(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         UnitaryBasis(np.ones((2, 3)))
@@ -429,20 +434,48 @@ def test_random_draws_without_count_keep_their_bits(d):
 
 
 def test_stacked_routes_match_member_by_member():
+    # each member validated on its own, and each member as `members` hands
+    # it out, unvalidated again
     rng = rng_for(23)
     rho = random_density_matrix(5, rng, 6)
     u = random_unitary(5, rng, 6)
     w = change_basis(rho, u)
-    for k in range(6):
-        rho_k = DensityMatrix(rho.entries[k])
-        u_k = UnitaryBasis(u.columns[k])
-        w_k = change_basis(rho_k, u_k)
-        assert w_k.entries.tobytes() == w.entries[k].tobytes()
-        for j in range(5):
-            assert isinstance(born_probability(rho_k, j), float)
-            assert born_probability(rho, j)[k] == born_probability(rho_k, j)
-            assert (probability_from_coefficients(w, u, j)[k]
-                    == probability_from_coefficients(w_k, u_k, j))
+    for k, handed in enumerate(zip(members(rho), members(u))):
+        for rho_k, u_k in ((DensityMatrix(rho.entries[k]),
+                            UnitaryBasis(u.columns[k])), handed):
+            w_k = change_basis(rho_k, u_k)
+            assert w_k.entries.tobytes() == w.entries[k].tobytes()
+            for j in range(5):
+                assert isinstance(born_probability(rho_k, j), float)
+                assert (born_probability(rho, j)[k]
+                        == born_probability(rho_k, j))
+                assert (probability_from_coefficients(w, u, j)[k]
+                        == probability_from_coefficients(w_k, u_k, j))
+
+
+def test_members_are_read_only_views_not_validated_again(monkeypatch):
+    rng = rng_for(24)
+    stacks = (random_density_matrix(4, rng, 3), random_distribution(4, rng, 3),
+              random_unitary(4, rng, 3))
+    singles = (random_density_matrix(4, rng), random_distribution(4, rng),
+               random_unitary(4, rng))
+    calls = []
+    for cls in (DensityMatrix, DiscreteDistribution, UnitaryBasis):
+        def counted(self, post_init=cls.__post_init__):
+            calls.append(type(self))
+            post_init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for stack, single in zip(stacks, singles):
+        values = next(iter(vars(stack).values()))
+        handed = list(members(stack))
+        assert len(handed) == 3
+        for k, member in enumerate(handed):
+            assert type(member) is type(stack) and member.d == stack.d
+            value = next(iter(vars(member).values()))
+            assert value.base is values and not value.flags.writeable
+            assert value.tobytes() == values[k].tobytes()
+        assert list(members(single)) == [single]
+    assert calls == []
 
 
 def _shifted(route):

@@ -5,7 +5,6 @@ Haar embeddings whose piecewise-constant closed forms are exact.
 """
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -131,7 +130,7 @@ def test_map_coefficients_validation():
 
 
 def test_discrete_posterior_hand_oracle():
-    z = np.array([0.5, 0.25, 0.25])
+    z = DiscreteDistribution(np.array([0.5, 0.25, 0.25]))
     idx = [0, 1, 1, 2]
     lp = log_posterior_discrete(z, idx)
     assert_allclose(lp, math.log(1.0 / 128.0), rtol=1e-14)
@@ -143,13 +142,13 @@ def test_discrete_posterior_hand_oracle():
 
 
 def test_discrete_posterior_with_noise_matrix():
-    z = np.array([0.5, 0.25, 0.25])
+    z = DiscreteDistribution(np.array([0.5, 0.25, 0.25]))
     noise = np.array([
         [0.8, 0.2, 0.0],
         [0.1, 0.8, 0.1],
         [0.0, 0.2, 0.8],
     ])
-    observed = z @ noise
+    observed = z.probabilities @ noise
     idx = [0, 1, 1, 2]
     lp = log_posterior_discrete(z, idx, noise)
     expected = sum(math.log(observed[b]) for b in idx)
@@ -157,10 +156,11 @@ def test_discrete_posterior_with_noise_matrix():
 
 
 def test_discrete_posterior_minus_inf_and_prior():
-    z = np.array([1.0, 0.0])
+    z = DiscreteDistribution(np.array([1.0, 0.0]))
     assert log_posterior_discrete(z, [1]) == -math.inf
     # the flat prior adds nothing: the log posterior is the log likelihood
-    assert log_posterior_discrete(np.array([0.5, 0.5]), [0]) == math.log(0.5)
+    uniform = DiscreteDistribution(np.array([0.5, 0.5]))
+    assert log_posterior_discrete(uniform, [0]) == math.log(0.5)
 
 
 @pytest.mark.parametrize("z, message", [
@@ -174,30 +174,18 @@ def test_discrete_posterior_minus_inf_and_prior():
     ([], "nonempty"),
 ])
 def test_discrete_posterior_refuses_what_is_not_a_distribution(z, message):
-    noise = np.eye(len(z)) if z else None
-    for matrix in (None, noise):
-        with pytest.raises(ValueError, match=message):
-            log_posterior_discrete(z, [0] if z else [], matrix)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.floats(-1e-12, 1.0), min_size=1, max_size=8),
-       st.floats(-3e-12, 3e-12))
-def test_discrete_posterior_refuses_exactly_what_a_distribution_refuses(
-        weights, shift):
-    # vectors near the nonnegativity and sum bounds: the two-reduction test
-    # and DiscreteDistribution agree on each
-    z = np.array(weights)
-    if z.sum() > 0:
-        z = z / z.sum()
-    z[0] += shift
-    try:
-        DiscreteDistribution(z)
-    except ValueError as refused:
-        with pytest.raises(ValueError, match=re.escape(str(refused))):
-            log_posterior_discrete(z, [0])
-    else:
-        log_posterior_discrete(z, [0])
+    # each vector as row 1 of a noise matrix, under both posteriors: the
+    # rows are refused by the rules of DiscreteDistribution, naming the row
+    noise = np.array([[0.5, 0.5], z]) if z else np.zeros((2, 0))
+    match = message.replace("^", "^member 1: ") if z else message
+    state = DensityMatrix(np.eye(2) / 2.0)
+    for posterior in (
+            lambda: log_posterior_discrete(
+                DiscreteDistribution(np.full(2, 0.5)), [0], noise),
+            lambda: log_posterior_coefficients(
+                state, UnitaryBasis(np.eye(2)), [0], noise)):
+        with pytest.raises(ValueError, match=match):
+            posterior()
 
 
 def _sequential_log_likelihood(observed, sample_indices):
@@ -218,11 +206,15 @@ def test_log_likelihood_adds_in_draw_order(d, seed, n_draws):
     # the gathered sum keeps the bits of one log per draw, added in order
     rng = np.random.default_rng(seed)
     observed = rng.random(d) + 1e-300
-    draws = rng.integers(-d, d, size=n_draws)
+    draws = rng.integers(0, d, size=n_draws)
     got = _log_likelihood(observed, draws)
     assert got == _sequential_log_likelihood(observed, draws)
     assert got == _log_likelihood(observed, draws.tolist())
     assert _log_likelihood(observed, []) == 0.0
+    # a negative index is refused, not read from the end
+    if n_draws:
+        with pytest.raises(IndexError, match="sample index -"):
+            _log_likelihood(observed, draws - d)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -0.25])
@@ -240,23 +232,55 @@ def test_log_likelihood_refuses_an_index_out_of_range():
     with pytest.raises(IndexError):
         _log_likelihood(observed, [1, 2])
     with pytest.raises(IndexError):
-        log_posterior_discrete(observed, [1, -3])
+        log_posterior_discrete(DiscreteDistribution(observed), [1, -3])
+    # -1 once scored the last state
+    with pytest.raises(IndexError,
+                       match="^sample index -1 out of range for dimension 2$"):
+        _log_likelihood(observed, [0, -1])
+
+
+@pytest.mark.parametrize("draws", [[0.9, 1.7], [0.0], np.array([True]),
+                                   np.array([1.0, 0.0])])
+def test_log_likelihood_refuses_indices_that_are_not_integers(draws):
+    # [0.9, 1.7] was once scored as [0, 1]
+    z = DiscreteDistribution(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="^sample indices must be integers"):
+        log_posterior_discrete(z, draws)
 
 
 def test_noise_matrix_validation():
-    z = np.array([0.5, 0.5])
-    with pytest.raises(ValueError):
+    z = DiscreteDistribution(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match=r"^noise matrix shape \(3, 3\) "
+                                         r"does not match dimension 2$"):
         log_posterior_discrete(z, [0], np.eye(3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^member 0: probabilities must be "
+                                         "nonnegative"):
         log_posterior_discrete(z, [0], np.array([[1.1, -0.1], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^member 0: sum 0.9"):
         log_posterior_discrete(z, [0], np.array([[0.5, 0.4], [0.0, 1.0]]))
+    # the rows' rules are the distribution's: a sum off by 1e-11 and an
+    # entry of -1e-13 are refused
+    with pytest.raises(ValueError, match="^member 1: sum"):
+        log_posterior_discrete(z, [0], np.array([[1.0, 0.0],
+                                                 [0.5, 0.5 + 1e-11]]))
+    with pytest.raises(ValueError, match="^member 0: .*nonnegative"):
+        log_posterior_discrete(z, [0], np.array([[1.0 + 1e-13, -1e-13],
+                                                 [0.0, 1.0]]))
+    # a NaN or an infinite row was once scored, as nan
+    z = DiscreteDistribution(np.array([0.5, 0.25, 0.25]))
+    for bad in (np.nan, np.inf):
+        noise = np.eye(3)
+        noise[2, 1] = bad
+        with pytest.raises(ValueError, match="^member 2: probabilities must "
+                                             "be finite, but entry 1 is"):
+            log_posterior_discrete(z, [0, 1], noise)
 
 
 def test_coefficient_posterior_identity_basis():
     z = np.array([0.5, 0.25, 0.25])
     idx = [0, 1, 1, 2]
-    lp = log_posterior_coefficients(np.diag(z), np.eye(3), idx)
+    lp = log_posterior_coefficients(DensityMatrix(np.diag(z)),
+                                    UnitaryBasis(np.eye(3)), idx)
     assert_allclose(lp, math.log(1.0 / 128.0), rtol=1e-14)
 
 
@@ -270,33 +294,26 @@ def test_coefficient_route_matches_position_route(seed):
 
 
 def test_coefficient_posterior_validation():
-    with pytest.raises(ValueError):
-        log_posterior_coefficients(np.eye(65) / 65.0, np.eye(65), [0])
-    with pytest.raises(ValueError):
-        log_posterior_coefficients(np.eye(3) / 3.0, np.eye(4), [0])
-    with pytest.raises(ValueError):
-        log_posterior_coefficients(np.zeros((2, 3)), np.eye(3), [0])
+    with pytest.raises(ValueError, match="exceeds the oracle scale 64"):
+        log_posterior_coefficients(DensityMatrix(np.eye(65) / 65.0),
+                                   UnitaryBasis(np.eye(65)), [0])
+    state, basis = DensityMatrix(np.eye(3) / 3.0), UnitaryBasis(np.eye(3))
+    state_stack = DensityMatrix(np.stack([np.eye(3) / 3.0] * 2))
+    basis_stack = UnitaryBasis(np.stack([np.eye(3)] * 2))
+    for w, u in ((state, UnitaryBasis(np.eye(4))), (state_stack, basis),
+                 (state, basis_stack), (state_stack, basis_stack)):
+        with pytest.raises(ValueError, match=(
+                "^the posterior takes one state and one basis of the same "
+                "dimension, not shapes")):
+            log_posterior_coefficients(w, u, [0])
 
 
-@pytest.mark.parametrize("w,unitary,message", [
-    # each once scored: 0.0, nan and log 4
-    (np.eye(2), np.eye(2), r"^trace 2\.000000000000000 is not 1 within"),
-    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2),
-     r"^entries must be finite, but entry \(0, 0\) is"),
-    (np.eye(2) / 2, 2 * np.eye(2),
-     r"^columns are not orthonormal within 1e-10$"),
-    # Hermitian and of trace one, but not positive semidefinite
-    (np.array([[1.5, 0.5j], [-0.5j, -0.5]]), np.eye(2),
-     r"^smallest eigenvalue -6\.180e-01 is below -1e-10$"),
-])
-def test_coefficient_posterior_refuses_what_is_not_a_state_or_a_basis(
-        w, unitary, message):
-    with pytest.raises(ValueError, match=message):
-        log_posterior_coefficients(w, unitary, [0, 1])
-    # with the messages of the types that define a state and a basis
-    with pytest.raises(ValueError, match=message):
-        DensityMatrix(w)
-        UnitaryBasis(unitary)
+def test_discrete_posterior_refuses_a_stack():
+    stack = DiscreteDistribution(np.full((2, 3), 1.0 / 3.0))
+    with pytest.raises(ValueError, match=(
+            r"^the posterior takes one distribution, not a stack of shape "
+            r"\(2, 3\)$")):
+        log_posterior_discrete(stack, [0])
 
 
 # ------------------------------------------------------- closed-form MAP
