@@ -14,6 +14,9 @@ writes no table, not even part of one.
 Each table command is declared once, in COMMANDS, and refuses to run
 before it allocates if its `footprint` is over MEMORY_LIMIT bytes.
 
+A table command prints the path it wrote to stderr, so that
+`--out /dev/stdout` sends the table alone to stdout.
+
 Exit status: 0 success, 1 validation or usage error, 2 oracle failure.
 """
 
@@ -78,8 +81,10 @@ GRID_VALUES = 4
 #: lane for shape (8013, 2), whose lanes all iterate in the first cell,
 #: and 25 for (200, 0.05)); the table writer's block of at most 4096
 #: values and its buffer, with the last slot words it builds once per
-#: table, at most 1.05 MiB (0.93-0.98 MiB on random doubles, 1.03 MiB on
-#: fine-scale's estimate table).
+#: table, at most 1.2 MiB (0.78-0.82 MiB on random doubles, 0.95 MiB on
+#: fine-scale's estimate table, 1.13-1.17 MiB on values whose point
+#: moves, as in [10, 1e14] or log-uniform over the whole of
+#: 1e-99 < |x| < 1e15).
 #: fig2a's writer block is one row only when d + 2 > 4096, where the
 #: d x G basis rows alone are over 8 GB, or the grid is too coarse for the
 #: resolution rule.
@@ -263,7 +268,8 @@ def main(argv=None) -> int:
         else:
             names, cols = _estimate_table(args.samples, cfg)
         write_table(out_path, names, cols)
-        print(out_path)
+        # stderr, so that a table written to stdout stays whole
+        print(out_path, file=sys.stderr)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

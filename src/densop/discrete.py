@@ -34,11 +34,19 @@ _PSD_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
 
+def _owned(values, dtype) -> np.ndarray:
+    """A contiguous copy of `values`. The types freeze the array they keep,
+    and a copy is frozen without freezing the caller's array, and cannot
+    change through it or through any array it views."""
+    return np.array(values, dtype=dtype, order="C", ndmin=1)
+
+
 def _as_stack(values, dtype, item: str, what: str):
-    """`values` as a contiguous array and as a view of it with one leading
-    member axis. `item` is "vector" or "square matrix"; anything but one
-    nonempty item or a nonempty stack of them is refused."""
-    a = np.ascontiguousarray(values, dtype=dtype)
+    """`values` as a contiguous array of its own and as a view of it with
+    one leading member axis. `item` is "vector" or "square matrix";
+    anything but one nonempty item or a nonempty stack of them is
+    refused."""
+    a = _owned(values, dtype)
     item_ndim = 1 if item == "vector" else 2
     square = item_ndim == 1 or (a.ndim >= 2 and a.shape[-1] == a.shape[-2])
     if a.ndim not in (item_ndim, item_ndim + 1) or not square or a.size == 0:
@@ -77,7 +85,7 @@ class WaveFunction:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amp = _owned(self.amplitudes, complex)
         if amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitudes must form a nonempty vector")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
@@ -145,12 +153,7 @@ class DensityMatrix:
             _refuse_first(smallest < -_PSD_TOL, stacked, lambda i: (
                 f"smallest eigenvalue {smallest[i]:.3e} is below "
                 f"-{_PSD_TOL}"))
-            clip = np.flatnonzero(smallest < 0.0)
-            if clip.size:
-                # a copy, so the caller's array is never written
-                m = m.copy()
-                stack = m.reshape(stack.shape)
-            for i in clip:
+            for i in np.flatnonzero(smallest < 0.0):
                 vals, vecs = np.linalg.eigh(stack[i])
                 vals = np.maximum(vals, 0.0)
                 vals /= vals.sum()

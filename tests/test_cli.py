@@ -427,7 +427,8 @@ def test_reproduce_writes_well_formed_tables(tmp_path, capsys, figure):
     rc = main(["reproduce", "--figure", figure,
                "--config", str(cfgpath), "--out", str(out)])
     assert rc == 0
-    assert capsys.readouterr().out.strip() == str(out)
+    printed = capsys.readouterr()
+    assert printed.err.strip() == str(out) and printed.out == ""
     lines = out.read_text().splitlines()
     header = lines[0].split(",")
     if figure == "fig2a":
@@ -477,7 +478,30 @@ def test_default_output_name(tmp_path, monkeypatch, capsys):
     assert main(["reproduce", "--figure", "fig2b",
                  "--config", str(cfgpath)]) == 0
     assert (tmp_path / "fig2b.csv").exists()
-    assert capsys.readouterr().out.strip() == "fig2b.csv"
+    printed = capsys.readouterr()
+    assert printed.err.strip() == "fig2b.csv" and printed.out == ""
+
+
+def test_a_table_sent_to_stdout_is_whole(tmp_path):
+    # The path goes to stderr: a table written to /dev/stdout and
+    # redirected to a file is the table that --out writes.
+    cfgpath = write_small_config(tmp_path)
+    out = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b",
+                 "--config", str(cfgpath), "--out", str(out)]) == 0
+    src = str(Path(densop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    redirected = tmp_path / "stdout.csv"
+    with open(redirected, "wb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "densop", "reproduce", "--figure", "fig2b",
+             "--config", str(cfgpath), "--out", "/dev/stdout"],
+            stdout=fh, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "/dev/stdout\n"
+    assert redirected.read_bytes() == out.read_bytes()
 
 
 def test_fig3a_is_identical_across_blas_thread_counts(tmp_path):

@@ -86,6 +86,35 @@ def test_unitary_invariants():
         UnitaryBasis(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("cls, values", [
+    (WaveFunction, np.array([0.6, 0.8j])),
+    (DensityMatrix, np.eye(3, dtype=complex) / 3),
+    (DensityMatrix, np.stack([np.eye(2, dtype=complex) / 2] * 3)),
+    (DiscreteDistribution, np.full(4, 0.25)),
+    (DiscreteDistribution, np.full((3, 4), 0.25)),
+    (UnitaryBasis, np.eye(3, dtype=complex)),
+])
+def test_types_leave_the_callers_array_writeable(cls, values):
+    # the array already has the type's dtype and layout, so no conversion
+    # copies it; the type keeps a frozen copy of its own
+    state = cls(values)
+    kept = next(iter(vars(state).values()))
+    assert values.flags.writeable and not kept.flags.writeable
+    expected = kept.copy()
+    values[...] = 7.0
+    assert np.array_equal(kept, expected)
+
+
+def test_types_keep_no_view_of_the_callers_array():
+    # a read-only view of a writeable array is not the type's to freeze
+    base = np.full(4, 0.25)
+    view = base.view()
+    view.flags.writeable = False
+    distribution = DiscreteDistribution(view)
+    base[0] = 7.0
+    assert distribution.probabilities.sum() == 1.0
+
+
 # ---------------------------------------------------------------- ensembles
 
 

@@ -77,17 +77,82 @@ def test_exact_ties_round_half_to_even():
     _assert_matches(np.ldexp(k, -20), ncols=3)
 
 
-def test_neighbours_of_the_domain_bounds_and_powers_of_ten():
+def _neighbours(centres, ulps: int) -> np.ndarray:
+    """Each of `centres` and its `ulps` neighbours on either side."""
     values = []
-    for v in (1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e14, 1e15, 1e16, 1e17):
+    for v in centres:
         below = above = v
-        for _ in range(8):
+        for _ in range(ulps):
             below = np.nextafter(below, 0.0)
             above = np.nextafter(above, np.inf)
             values += [below, above]
         values.append(v)
-    values = np.array(values)
+    return np.array(values)
+
+
+def test_neighbours_of_the_domain_bounds_and_powers_of_ten():
+    values = _neighbours((1e-99, 1e-6, 1e-5, 1e-4, 1e-3, 1.0, 1e14, 1e15,
+                          1e16, 1e17), 8)
     _assert_matches(np.concatenate([values, -values]))
+
+
+def test_neighbours_of_small_powers_of_ten():
+    # The double nearest 10**p lies below it for some p, and then its
+    # product with 10**(16 - p) can round up to exactly 10**16: e must
+    # move down by the residual's sign, as it must for 1e-6 at e = -6.
+    powers = [float(f"1e{p}") for p in range(-100, -4)]
+    assert any(Decimal(v) < Decimal(f"1e{p}")
+               for v, p in zip(powers, range(-100, -4)))
+    values = _neighbours(powers, 8)
+    _assert_matches(np.concatenate([values, -values]), ncols=3)
+
+
+def test_tail_values_down_to_1e_99():
+    # log-uniform in (1e-99, 1e-6], as whole blocks and with one zero per
+    # block, as in the tails of the density tables
+    rng = np.random.default_rng(99)
+    for ncols in (1, 3):
+        block = _block_rows(ncols) * ncols
+        values = np.exp(rng.uniform(np.log(1e-99), np.log(1e-6), 3 * block))
+        values *= rng.choice([-1.0, 1.0], values.size)
+        _assert_matches(values, ncols)
+        values[np.arange(0, values.size, block) + block // 3] = 0.0
+        _assert_matches(values, ncols)
+
+
+def test_values_whose_point_moves():
+    # For e >= 1 the point moves after de: 1.5 * 10**e, 10**e and values
+    # with zeros in their fraction or before their point, for every e
+    values = []
+    for e in range(1, 16):
+        values += [1.5 * 10.0 ** e, 10.0 ** e, 1.2 * 10.0 ** e + 0.5,
+                   10.0 ** e + 0.0625, 10.0 ** e + 1 / 3]
+    values = np.array(values + [120.5, 1000.25, 90000.0078125])
+    _assert_matches(np.concatenate([values, -values]))
+    _assert_matches(np.concatenate([values, -values, [0.0, 0.5]]), ncols=3)
+
+
+# Found by a Decimal search over log-uniform doubles of (1e-99, 1e-7):
+# each product |x| * 10**k, k = 16 - e, lies within 2**-20 of a tie, and
+# 10**k is not an exact double. The exact ties m * 2**-24 and m * 2**-25
+# are half-integers times 10**23 and 10**24.
+NEAR_TIES = [1.2050808291453962e-78, 8.957421398292486e-11,
+             1.5686382357694298e-59, 7.962443688567939e-25,
+             8.112366299052316e-81, 9.57055576441292e-28,
+             1.684098085852365e-39]
+EXACT_TIES = ([m * 2.0 ** -24 for m in range(3, 16, 2)]
+              + [2.0 ** -25, 3 * 2.0 ** -25])
+
+
+def test_near_ties_under_an_inexact_power_of_ten():
+    for x in NEAR_TIES + EXACT_TIES:
+        e = int(("%.16e" % x).split("e")[1])
+        assert 16 - e > 22  # 10**(16 - e) is not an exact double
+        product = Decimal(x).scaleb(16 - e)
+        assert abs(product % 1 - Decimal("0.5")) < Decimal(2) ** -20
+    values = np.array(NEAR_TIES + EXACT_TIES)
+    _assert_matches(np.concatenate([values, -values]))
+    _assert_matches(np.concatenate([values, -values]), ncols=3)
 
 
 def test_rounding_up_across_a_power_of_ten():
@@ -119,21 +184,15 @@ def test_zeros_among_other_values():
 
 
 def _in_domain(count: int, rng) -> np.ndarray:
-    """`count` values, all with 1e-6 < |x| < 1e15, in random order and of
+    """`count` values, all with 1e-99 < |x| < 1e15, in random order and of
     random sign: exact ties, the neighbours of the powers of ten and the
     domain bounds, the values that round up across a power of ten, and
     log-uniform fill."""
     ties = _ties(rng, count // 48)
-    near = []
-    for p in range(-6, 16):
-        below = above = 10.0 ** p
-        for _ in range(4):
-            below = np.nextafter(below, 0.0)
-            above = np.nextafter(above, np.inf)
-            near += [below, above]
+    near = list(_neighbours([10.0 ** p for p in range(-99, 16)], 4))
     near += [9.9999999999999999e-5, 0.99999999999999999, 99.999999999999999]
-    near = [v for v in near if 1e-6 < v < 1e15]
-    fill = np.exp(rng.uniform(np.log(1e-6), np.log(1e15), count))
+    near = [v for v in near if 1e-99 < v < 1e15]
+    fill = np.exp(rng.uniform(np.log(1e-99), np.log(1e15), count))
     values = np.concatenate([ties, near, fill])[:count]
     return rng.permutation(values) * rng.choice([-1.0, 1.0], count)
 
@@ -148,12 +207,12 @@ def test_whole_blocks_in_the_domain_and_one_value_out(ncols):
     block = _block_rows(ncols) * ncols
     values = _in_domain(3 * block + 2 * ncols, rng)
     ax = np.abs(values)
-    assert np.all((ax > 1e-6) & (ax < 1e15))
+    assert np.all((ax > 1e-99) & (ax < 1e15))
     # floor(log10|x|) misses the printed exponent for some of them
     printed = np.array([int(("%.16e" % x).split("e")[1]) for x in ax])
     assert np.any(np.floor(np.log10(ax)) != printed)
     _assert_matches(values, ncols)
-    for out in (0.0, -0.0, 5e-324, 1e-7, 1e15):
+    for out in (0.0, -0.0, 5e-324, 1e-100, 1e15):
         spoiled = values.copy()
         spoiled[[0, block + block // 2, 3 * block - 1]] = out
         _assert_matches(spoiled, ncols)
