@@ -15,10 +15,8 @@ from .basis import (
     Grid,
     Interval,
     band_to_dense,
-    basis_band,
     basis_matrix,
     coefficient_band,
-    eval_father,
     gram_check,
     quadratic_form,
     scaling_values_daub4,
@@ -40,7 +38,6 @@ from .embedding import (
     EmbeddingOperator,
     kernel_diag,
     kernel_eval,
-    kernel_matrix,
     trace_k_map,
     trace_k_rho,
 )
@@ -80,7 +77,6 @@ __all__ = [
     "UnitaryBasis",
     "WaveFunction",
     "band_to_dense",
-    "basis_band",
     "basis_matrix",
     "born_probability",
     "change_basis",
@@ -88,11 +84,9 @@ __all__ = [
     "embedded_density_exact",
     "embedded_density_map",
     "ensemble_from_distribution",
-    "eval_father",
     "gram_check",
     "kernel_diag",
     "kernel_eval",
-    "kernel_matrix",
     "load_config",
     "load_samples",
     "log_posterior_coefficients",

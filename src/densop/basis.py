@@ -17,7 +17,8 @@ A point meets at most w translates (w = 1 for Haar, 3 for Daubechies 4).
 The banded primitives evaluate them lane by lane, one block of points at
 a time (`_lanes`), and index accumulators, bands and coefficient vectors
 padded with w - 1 zero rows at both ends, so no dense basis matrix and no
-clipped row index is built.
+clipped row index is built. `basis_matrix` is the one dense evaluation:
+the same lanes, written into a d x P matrix.
 """
 
 from __future__ import annotations
@@ -71,6 +72,10 @@ class Interval:
             raise ValueError("interval bounds must be finite")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not math.isfinite(self.hi - self.lo):
+            raise ValueError(
+                f"interval [{self.lo:g}, {self.hi:g}] is wider than the "
+                f"largest double: hi - lo must be finite")
 
     @property
     def width(self) -> float:
@@ -253,39 +258,6 @@ def _read_table(t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _mother_daub4(x: np.ndarray) -> np.ndarray:
-    """Mother tap-4 scaling function, linear interpolation on the table.
-
-    A lane outside (0, 3), NaN and inf included, reads the table at t = 0
-    and is zeroed at the end, so no lane ever casts a non-finite t.
-    """
-    inside = (x > 0.0) & (x < 3.0)
-    t = np.where(inside, x, 0.0)
-    t *= 2 ** TABLE_LEVEL
-    out = _read_table(t)
-    np.copyto(out, 0.0, where=~inside)
-    return out
-
-
-def eval_father(spec: BasisSpec, k: int, s) -> np.ndarray:
-    """Evaluate phi_nk(s) = 2**(n/2) phi(2**n s - k).
-
-    Haar uses the half-open support convention [k/2^n, (k+1)/2^n), so the
-    value at the right edge of a box is 0. Points outside the support
-    return 0; no interval check is applied, since curve grids may extend
-    past the interval to cover boundary translates.
-    """
-    s = np.asarray(s, dtype=float)
-    x = np.atleast_1d(s) * 2 ** spec.scale_n - k
-    amp = 2.0 ** (spec.scale_n / 2.0)
-    if spec.family == "haar":
-        out = np.where((x >= 0.0) & (x < 1.0), amp, 0.0)
-    else:
-        out = _mother_daub4(x)
-        out *= amp
-    return float(out[0]) if s.ndim == 0 else out
-
-
 def _lanes(spec: BasisSpec, s: np.ndarray):
     """(first, lanes): the live translates of each point, lane by lane.
 
@@ -294,8 +266,10 @@ def _lanes(spec: BasisSpec, s: np.ndarray):
     `first` (P int64) is the row of lane 0, counted from the first
     translate of the family; `lanes` (w x P) holds phi_k(s) for each lane.
     Lane a computes x = x0 - (floor(x0) + a - (w - 1)) in floats, x0 =
-    2**n s, which rounds to the same double k as an int64 k would: that is
-    the x that eval_father computes, so the values are its bits. Every
+    2**n s, which rounds to the same double k as an int64 k would, so x
+    is the double 2**n s - k for the lane's own translate, whatever the
+    point's other lanes hold; its value is 2**(n/2) times the table read
+    at 2**TABLE_LEVEL x, interpolated as `_read_table` says. Every
     lane lies in [0, 3], or is a whole 4 once |x0| passes 2**54 and k
     rounds, so the table is read with no guard; a Haar lane lies in
     [0, 1), where the box is 2**(n/2). Only when a point's lanes
@@ -333,21 +307,6 @@ def _lanes(spec: BasisSpec, s: np.ndarray):
         np.maximum(first, 1 - w, out=first)
         np.minimum(first, d - 1, out=first)
     return first, lanes
-
-
-def basis_band(spec: BasisSpec, s_values):
-    """The live translates at each point: (P x w row index, P x w value).
-
-    Lane a of a point holds translate floor(2**n s) - (w - 1) + a; see
-    _lanes. Row indices count from the first translate of the family; a
-    translate outside translate_range gets value 0 and a clipped index.
-    Values are bit-identical to eval_father.
-    """
-    s = np.asarray(s_values, dtype=float).ravel()
-    first, lanes = _lanes(spec, s)
-    rows = first[:, None] + np.arange(spec.support_width)
-    np.clip(rows, 0, spec.size - 1, out=rows)
-    return rows, lanes.T
 
 
 def _band_blocks(spec: BasisSpec, s: np.ndarray):

@@ -15,7 +15,9 @@ Each table command is declared once, in COMMANDS, and refuses to run
 before it allocates if its `footprint` is over MEMORY_LIMIT bytes.
 
 A table command prints the path it wrote to stderr, so that
-`--out /dev/stdout` sends the table alone to stdout.
+`--out /dev/stdout` sends the table alone to stdout. The table is written
+through the descriptor the shell opened, so `>` replaces a file and `>>`
+appends to it, and a failed write truncates the file back to what it held.
 
 Exit status: 0 success, 1 validation or usage error, 2 oracle failure.
 """

@@ -12,7 +12,7 @@ psi_j(s)^2 of `kernel_diag`, which is K(s, s) for the projection.
 `kernel_diag` is `basis.quadratic_form` of A*A's band, its one diagonal
 alpha^2; the embedded curves in `densop.learn` are the same form of the
 state band D M D. Neither calls BLAS.
-`kernel_eval`, `kernel_matrix`, `trace_k_rho(A, zeta)` and
+`kernel_eval`, `trace_k_rho(A, zeta)` and
 `trace_k_map(A, samples)` build the same numbers another way (dense basis
 rows, quadrature of the diagonal against a `DensityCurve`) for tests and
 the oracle suites; the curves never call them.
@@ -99,13 +99,6 @@ def kernel_diag(A: EmbeddingOperator, s):
     s = np.asarray(s, dtype=float)
     out = quadratic_form(A.basis, A.weights[:, None] ** 2, s)
     return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
-
-
-def kernel_matrix(A: EmbeddingOperator, s_values, t_values) -> np.ndarray:
-    """Cross matrix K(s_a, t_b) for point vectors."""
-    bs = basis_matrix(A.basis, np.asarray(s_values, dtype=float).ravel())
-    bt = basis_matrix(A.basis, np.asarray(t_values, dtype=float).ravel())
-    return (bs * A.weights[:, None]).T @ bt
 
 
 def trace_k_rho(A: EmbeddingOperator, zeta) -> float:

@@ -285,19 +285,24 @@ class BetaTarget:
         """
         s = np.asarray(s, dtype=float)
         scalar = s.ndim == 0
-        x = (np.atleast_1d(s) - self.interval.lo) / self.interval.width
-        at_lo, at_hi = x == 0.0, x == 1.0
-        inside = (x > 0.0) & (x < 1.0)
-        x = x[inside]
-        log_x = np.log(x)
-        log_x *= self.a - 1.0
-        np.log1p(np.negative(x, out=x), out=x)
-        x *= self.b - 1.0
-        log_x += x
-        del x
-        log_x -= _log_beta(self.a, self.b) + math.log(self.interval.width)
-        out = np.zeros(inside.shape)
-        out[inside] = np.exp(log_x, out=log_x)
+        # Overflow is harmless here: x of a point far outside a narrow
+        # interval is +-inf, outside (0, 1); and a density past the
+        # largest double is inf, which `curve` refuses.
+        with np.errstate(over="ignore"):
+            x = (np.atleast_1d(s) - self.interval.lo) / self.interval.width
+            at_lo, at_hi = x == 0.0, x == 1.0
+            inside = (x > 0.0) & (x < 1.0)
+            x = x[inside]
+            log_x = np.log(x)
+            log_x *= self.a - 1.0
+            np.log1p(np.negative(x, out=x), out=x)
+            x *= self.b - 1.0
+            log_x += x
+            del x
+            log_x -= (_log_beta(self.a, self.b)
+                      + math.log(self.interval.width))
+            out = np.zeros(inside.shape)
+            out[inside] = np.exp(log_x, out=log_x)
         out[at_lo] = self._edge_value(self.a)
         out[at_hi] = self._edge_value(self.b)
         return float(out[0]) if scalar else out
@@ -316,12 +321,20 @@ class BetaTarget:
         for end in (0, -1):
             if grid.points[end] in (self.interval.lo, self.interval.hi):
                 values[end] *= 2.0
-        if not np.all(np.isfinite(values)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            lo, hi = self.interval.lo, self.interval.hi
+            at = grid.points[bad[0]]
+            if at in (lo, hi):
+                raise ValueError(
+                    f"the Beta({self.a:g}, {self.b:g}) target density is "
+                    f"infinite at an end of [{lo:g}, {hi:g}] that is a "
+                    f"grid point: a shape below 1 has no finite table "
+                    f"there")
             raise ValueError(
-                f"the Beta({self.a:g}, {self.b:g}) target density is "
-                f"infinite at an end of [{self.interval.lo:g}, "
-                f"{self.interval.hi:g}] that is a grid point: a shape "
-                f"below 1 has no finite table there")
+                f"the Beta({self.a:g}, {self.b:g}) target density, as "
+                f"computed at these shapes, overflows a double at "
+                f"s = {float(at)!r}, inside [{lo:g}, {hi:g}]")
         zeta = DensityCurve(grid, values)
         zeta.require_unit_mass()
         return zeta

@@ -69,6 +69,7 @@ import contextlib
 import functools
 import os
 import re
+import stat
 from itertools import chain, count
 
 import numpy as np
@@ -342,20 +343,37 @@ def write_rows(fh, columns) -> None:
         fh.write(text.tobytes().translate(None, b"\0"))
 
 
+def _held_as_stdout(path):
+    """os.fstat(1) if `path` names the file this process holds as fd 1,
+    else None."""
+    with contextlib.suppress(OSError):
+        held = os.fstat(1)
+        if os.path.samestat(os.stat(path), held):
+            return held
+    return None
+
+
 def write_table(path, header, columns) -> None:
     """Write `columns` to `path` by `write_rows`, after a line of the names
     in `header` if it has any. A NaN or infinite value is refused before
-    `path` is opened. A failed write then removes `path` if it is a
-    regular file, empties the regular file it links to if it is a link,
-    and leaves anything else alone; the write's error is raised even if
-    that fails."""
+    `path` is opened.
+
+    When `path` is the file this process holds as fd 1, as /dev/stdout
+    is, the table is written through fd 1, so the shell's `>` or `>>`
+    decides where it starts and what the file keeps; a failed write then
+    truncates a regular file back to the size it had when the write
+    began. Any other path is opened with "wb", and a failed write removes
+    `path` if it is a regular file, empties the regular file it links to
+    if it is a link, and leaves anything else alone. The write's error is
+    raised even if that cleanup fails."""
     columns = [np.atleast_2d(c) for c in columns]
     for name, column in zip(header or count(), chain(*columns)):
         bad = np.count_nonzero(~np.isfinite(column))
         if bad:
             raise ValueError(f"cannot write {path}: column {name} holds "
                              f"{bad} NaN or infinite values")
-    fh = open(path, "wb")
+    stdout = _held_as_stdout(path)
+    fh = open(path, "wb") if stdout is None else open(1, "wb", closefd=False)
     try:
         with fh:
             if header:
@@ -363,7 +381,10 @@ def write_table(path, header, columns) -> None:
             write_rows(fh, columns)
     except BaseException:
         with contextlib.suppress(OSError):
-            if os.path.isfile(path):
+            if stdout is not None:
+                if stat.S_ISREG(stdout.st_mode):
+                    os.ftruncate(1, stdout.st_size)
+            elif os.path.isfile(path):
                 if os.path.islink(path):
                     os.truncate(path, 0)
                 else:

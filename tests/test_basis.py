@@ -21,11 +21,9 @@ from densop import (
     EmbeddingOperator,
     Grid,
     Interval,
-    basis_band,
     band_to_dense,
     basis_matrix,
     coefficient_band,
-    eval_father,
     gram_check,
     kernel_diag,
     quadratic_form,
@@ -40,6 +38,7 @@ from densop.oracles import (
     refinement_residual,
     riemann_integral,
 )
+from references import eval_father
 
 UNIT = Interval(0.0, 3.0)
 
@@ -58,6 +57,11 @@ def test_interval_rejects_bad_bounds():
         Interval(2.0, -1.0)
     with pytest.raises(ValueError):
         Interval(0.0, math.inf)
+    # each bound is finite, but hi - lo is not; a grid on it once held
+    # NaN and inf points
+    with pytest.raises(ValueError, match=re.escape(
+            "interval [-1e+308, 1e+308] is wider than the largest double")):
+        Interval(-1e308, 1e308)
 
 
 def test_grid_uniform_shape_and_spacing():
@@ -201,32 +205,35 @@ def test_spec_validation():
 # ---------------------------------------------------------------- evaluation
 
 
+def father_row(spec, k, s):
+    # phi_nk at the points s: the row of translate k in basis_matrix
+    return basis_matrix(spec, s)[k - spec.translate_range[0]]
+
+
 def test_haar_evaluation_closed_form():
     spec0 = BasisSpec("haar", 0, UNIT)
-    assert eval_father(spec0, 0, 0.5) == 1.0
+    assert father_row(spec0, 0, [0.5])[0] == 1.0
     spec2 = BasisSpec("haar", 2, UNIT)
-    assert eval_father(spec2, 3, 0.8) == 2.0
     # half-open convention: right edge of the box evaluates to 0
-    assert eval_father(spec2, 3, 0.75) == 2.0
-    assert eval_father(spec2, 3, 1.0) == 0.0
-    assert eval_father(spec2, 2, 0.75) == 0.0
+    assert list(father_row(spec2, 3, [0.8, 0.75, 1.0])) == [2.0, 2.0, 0.0]
+    assert father_row(spec2, 2, [0.75])[0] == 0.0
 
 
 def test_daub4_evaluation_at_integers():
     spec = BasisSpec("daubechies4", 0, UNIT)
     table = scaling_values_daub4(TABLE_LEVEL)
-    assert eval_father(spec, 0, 1.0) == table[2 ** TABLE_LEVEL]
-    assert eval_father(spec, 0, 0.0) == 0.0
-    assert eval_father(spec, 0, 3.0) == 0.0
+    assert list(father_row(spec, 0, [1.0, 0.0, 3.0])) == [
+        table[2 ** TABLE_LEVEL], 0.0, 0.0]
 
 
 def test_father_scaling_and_translation():
     spec2 = BasisSpec("daubechies4", 2, UNIT)
     spec0 = BasisSpec("daubechies4", 0, UNIT)
     s = np.linspace(0.3, 0.9, 7)
-    direct = eval_father(spec2, 1, s)
+    direct = father_row(spec2, 1, s)
     # phi_nk(s) = 2^(n/2) phi(2^n s - k)
-    via_mother = 2.0 * np.array([eval_father(spec0, 0, 4 * v - 1) for v in s])
+    via_mother = 2.0 * np.array([father_row(spec0, 0, [4 * v - 1])[0]
+                                 for v in s])
     assert_allclose(direct, via_mother, rtol=0, atol=1e-15)
 
 
@@ -277,10 +284,10 @@ def test_band_matrix_equals_eval_father_bitwise(family, scale_n):
     assert b.shape == (spec.size, s.size)
     for row, k in enumerate(spec.translates):
         assert_allclose(b[row], eval_father(spec, int(k), s), rtol=0, atol=0)
-    rows, values = basis_band(spec, s)
+    first, lanes = basis_module._lanes(spec, s)
     width = {"haar": 1, "daubechies4": 3}[family]
-    assert rows.shape == values.shape == (s.size, width)
-    assert rows.min() >= 0 and rows.max() < spec.size
+    assert first.shape == (s.size,) and lanes.shape == (width, s.size)
+    assert first.min() >= 1 - width and first.max() < spec.size
 
 
 def scalar_father(spec, k, s):
@@ -320,14 +327,14 @@ def test_daub4_lookup_equals_scalar_reference_bitwise(monkeypatch, scale_n,
         assert np.array_equal(bits(eval_father(spec, int(k), s)), bits(expect))
     # a non-finite point has no translate index, so the band is probed at
     # the finite points only
-    rows, values = basis_band(spec, finite)
+    _, lanes = basis_module._lanes(spec, finite)
     first = np.floor(finite * 2 ** scale_n).astype(np.int64) - 2
     k_min, k_max = spec.translate_range
     for col in range(3):
         ks = first + col
         expect = [scalar_father(spec, int(k), float(v))
                   if k_min <= k <= k_max else 0.0 for k, v in zip(ks, finite)]
-        assert np.array_equal(bits(values[:, col]), bits(expect))
+        assert np.array_equal(bits(lanes[col]), bits(expect))
 
 
 @pytest.mark.parametrize("scale_n", [0, 2, 5])
@@ -353,8 +360,8 @@ def test_band_lanes_where_rounding_matters_equal_scalar_reference(scale_n):
     expect = np.array([[scalar_father(spec, int(k), float(v))
                         if k_min <= k <= k_max else 0.0 for k in (f, f + 1, f + 2)]
                        for f, v in zip(first, s)])
-    _, values = basis_band(spec, s)
-    assert np.array_equal(values.view(np.int64), expect.view(np.int64))
+    _, lanes = basis_module._lanes(spec, s)
+    assert np.array_equal(lanes.T.view(np.int64), expect.view(np.int64))
     dense = np.zeros((spec.size, s.size))
     for col in range(3):
         live = (first + col >= k_min) & (first + col <= k_max)
@@ -366,13 +373,22 @@ def test_band_is_zero_outside_the_span():
     spec = BasisSpec("daubechies4", 2, UNIT)
     span = spec.span()
     s = np.array([span.lo - 0.3, span.lo, span.hi, span.hi + 0.7])
-    _, values = basis_band(spec, s)
-    assert np.all(values == 0.0)
+    _, lanes = basis_module._lanes(spec, s)
+    assert np.all(lanes == 0.0)
+
+
+def one_band(spec, s):
+    # every point's w lanes in one pass, as (P x w row, P x w value); a
+    # lane outside the family is 0 and its row is clipped into the family
+    first, lanes = basis_module._lanes(spec, np.asarray(s, dtype=float))
+    rows = first[:, None] + np.arange(spec.support_width)
+    np.clip(rows, 0, spec.size - 1, out=rows)
+    return rows, lanes.T
 
 
 def dense_scatter(spec, s, weights):
     # reference: the d x d scatter of every point's full w x w block
-    rows, values = basis_band(spec, s)
+    rows, values = one_band(spec, s)
     d = spec.size
     flat = rows[:, :, None] * d + rows[:, None, :]
     terms = weights[:, None, None] * (values[:, :, None] * values[:, None, :])
@@ -382,7 +398,7 @@ def dense_scatter(spec, s, weights):
 
 def dense_quadratic_form(spec, matrix, s):
     # reference: the w x w block read from a dense d x d matrix
-    rows, u = basis_band(spec, s)
+    rows, u = one_band(spec, s)
     out = np.zeros(rows.shape[0])
     for a in range(rows.shape[1]):
         for b in range(rows.shape[1]):
@@ -395,7 +411,7 @@ def dense_quadratic_form(spec, matrix, s):
 def test_coefficient_matrix_and_quadratic_form_match_dense(family, scale_n):
     # the band holds exactly the dense scatter's diagonals, and the banded
     # read gives exactly the dense read, also at points past both ends of
-    # the span, where basis_band clips rows
+    # the span, where one_band clips rows
     spec = BasisSpec(family, scale_n, UNIT)
     rng = np.random.Generator(np.random.PCG64(11))
     span = spec.span()
@@ -419,13 +435,13 @@ def test_coefficient_matrix_checks_weights():
 
 def unblocked_kernel_diag(op, s):
     # reference: one band over every point, summed as a whole
-    rows, values = basis_band(op.basis, s)
+    rows, values = one_band(op.basis, s)
     return np.sum((op.weights ** 2)[rows] * values * values, axis=1)
 
 
 def unblocked_wavelet_approximation(spec, grid, f):
     # reference: one bincount over every point, then one reconstruction
-    rows, values = basis_band(spec, grid.points)
+    rows, values = one_band(spec, grid.points)
     terms = values * grid.weights()[:, None] * f[:, None]
     coeffs = np.bincount(rows.ravel(), weights=terms.ravel(),
                          minlength=spec.size)
@@ -434,7 +450,7 @@ def unblocked_wavelet_approximation(spec, grid, f):
 
 def unblocked_basis_matrix(spec, s):
     # reference: each band column written into the dense matrix at once
-    rows, values = basis_band(spec, s)
+    rows, values = one_band(spec, s)
     out = np.zeros((spec.size, s.size))
     for c in range(rows.shape[1]):
         live = np.flatnonzero(values[:, c])
@@ -525,7 +541,7 @@ def test_band_refuses_points_without_a_translate_index(family):
     spec = BasisSpec(family, 2, UNIT)
     op = EmbeddingOperator.projection(spec)
     band = coefficient_band(spec, np.array([0.5, 1.5]), np.ones(2))
-    calls = [lambda s: basis_band(spec, s), lambda s: kernel_diag(op, s),
+    calls = [lambda s: basis_matrix(spec, s), lambda s: kernel_diag(op, s),
              lambda s: quadratic_form(spec, band, s)]
     later = np.linspace(0.0, 3.0, BAND_BLOCK + 2)
     later[-1] = np.nan

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import densop
@@ -504,6 +504,47 @@ def test_a_table_sent_to_stdout_is_whole(tmp_path):
     assert redirected.read_bytes() == out.read_bytes()
 
 
+def test_a_table_appended_to_stdout_keeps_what_the_file_held(tmp_path):
+    # `>> file` onto --out /dev/stdout: the table follows the line the file
+    # held, and a write that fails midway leaves the file as it was. The
+    # writer once reopened /dev/stdout with "wb", which dropped that line.
+    cfgpath = write_small_config(tmp_path)
+    out = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b",
+                 "--config", str(cfgpath), "--out", str(out)]) == 0
+    src = str(Path(densop.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    appended = tmp_path / "appended.csv"
+    appended.write_bytes(b"KEEP\n")
+    with open(appended, "ab") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "densop", "reproduce", "--figure", "fig2b",
+             "--config", str(cfgpath), "--out", "/dev/stdout"],
+            stdout=fh, stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert appended.read_bytes() == b"KEEP\n" + out.read_bytes()
+    # a full disk on the second block of rows, after the first is written
+    fail_midway = (
+        "import numpy as np\n"
+        "from densop import textio\n"
+        "slots, calls = textio._slots, []\n"
+        "def fail_on_second_block(*args):\n"
+        "    calls.append(1)\n"
+        "    if len(calls) == 2:\n"
+        "        raise OSError(28, 'No space left on device')\n"
+        "    return slots(*args)\n"
+        "textio._slots = fail_on_second_block\n"
+        "textio.write_table('/dev/stdout', ['s'],\n"
+        "                   [np.ones(2 * textio._block_rows(1))])\n")
+    with open(appended, "ab") as fh:
+        proc = subprocess.run([sys.executable, "-c", fail_midway], stdout=fh,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    assert proc.returncode == 1 and "No space left on device" in proc.stderr
+    assert appended.read_bytes() == b"KEEP\n" + out.read_bytes()
+
+
 def test_fig3a_is_identical_across_blas_thread_counts(tmp_path):
     # The curves use no BLAS call, so the thread count cannot change them.
     # The default count is the machine's core count: on a 2-core machine
@@ -803,38 +844,111 @@ SAMPLE_LINES = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=30)
-@given(family=st.sampled_from(["haar", "daubechies4"]),
-       scale_n=st.integers(min_value=0, max_value=3),
-       grid_cells=st.integers(min_value=8, max_value=2048),
-       lines=st.lists(SAMPLE_LINES, max_size=12),
-       repeat=st.booleans())
-def test_estimate_has_exactly_two_outcomes(tmp_path_factory, family, scale_n,
-                                           grid_cells, lines, repeat):
-    # either exit 0 with a finite, nonnegative table whose ratio has unit
-    # trapezoid mass, or exit 1 with a message and no output file
-    tmp = tmp_path_factory.mktemp("contract")
-    cfgpath = write_small_config(tmp, family=family, scale_n=scale_n,
-                                 grid_cells=grid_cells)
-    samples = tmp / "s.txt"
-    samples.write_text("\n".join(lines * (2 if repeat else 1)) + "\n")
-    out = tmp / "est.csv"
+# Each config draws up to three of its keys from wide ranges: target
+# shapes log-uniform in [1e-3, 1e300], weights up to 1e200, lo and hi up
+# to +-1e308, scale_n up to 60 and grid_cells up to 10**400. The other
+# keys come from narrow ranges around the defaults, so that many configs
+# run to a table.
+SHAPES = st.floats(min_value=-3.0, max_value=300.0).map(lambda e: 10.0 ** e)
+BOUNDS = st.floats(min_value=-1e308, max_value=1e308)
+WIDE = {
+    "interval": st.tuples(BOUNDS, BOUNDS),
+    "scale_n": st.integers(min_value=0, max_value=60),
+    "grid_cells": st.integers(min_value=0, max_value=10 ** 400),
+    "target_a": SHAPES,
+    "target_b": SHAPES,
+    "weight": st.floats(min_value=0.0, max_value=1e200),
+}
+NARROW = {
+    "interval": st.just((0.0, 3.0)),
+    "scale_n": st.integers(min_value=0, max_value=3),
+    "grid_cells": st.integers(min_value=8, max_value=2048),
+    "target_a": st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+    "target_b": st.sampled_from([0.5, 1.0, 2.0, 5.0]),
+    "weight": st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0, 17.5]),
+}
+# the most weights drawn one by one; a wider family takes the projection
+MAX_DRAWN_WEIGHTS = 64
+# A config that the memory rule admits runs the same code at any size,
+# but one whose footprint is over this takes seconds; such configs are
+# left to the footprint tests above.
+CONTRACT_BYTES = 2 ** 24
+
+
+@st.composite
+def wide_configs(draw):
+    wide = draw(st.sets(st.sampled_from(sorted(WIDE)), max_size=3))
+
+    def pick(key):
+        return (WIDE if key in wide else NARROW)[key]
+
+    lo, hi = draw(pick("interval"))
+    family = draw(st.sampled_from(["haar", "daubechies4"]))
+    scale_n = draw(pick("scale_n"))
+    fields = {"lo": repr(lo), "hi": repr(hi), "family": family,
+              "scale_n": scale_n, "grid_cells": draw(pick("grid_cells")),
+              "target_a": repr(draw(pick("target_a"))),
+              "target_b": repr(draw(pick("target_b")))}
+    try:
+        size = BasisSpec(family, scale_n, Interval(lo, hi)).size
+    except ValueError:
+        size = MAX_DRAWN_WEIGHTS + 1
+    if size <= MAX_DRAWN_WEIGHTS and not draw(st.booleans()):
+        fields["weights"] = ",".join(map(repr, draw(st.lists(
+            pick("weight"), min_size=size, max_size=size), label="weights")))
+    return fields
+
+
+def run_within_contract(tmp, fields, argv, command, n_samples):
+    """(exit code, table path) of main(argv + --config + --out
+    tmp/table.csv) on a config of `fields`, checked against the contract:
+    exit 0 prints the table's path alone to stderr, and exit 1 prints one
+    `error:` line and leaves no file. Neither prints a traceback."""
+    cfgpath = write_small_config(tmp, **fields)
+    with contextlib.suppress(ValueError):
+        cfg = parse_config(cfgpath.read_text())
+        need = footprint(cfg.basis(), cfg.grid_cells, command, n_samples)
+        assume(not CONTRACT_BYTES < need <= MEMORY_LIMIT)
+    out = tmp / "table.csv"
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        code = main(["estimate", str(samples), "--config", str(cfgpath),
-                     "--out", str(out)])
+        code = main([*argv, "--config", str(cfgpath), "--out", str(out)])
+    assert "Traceback" not in err.getvalue(), err.getvalue()
     if code == 0:
-        data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-        assert np.all(np.isfinite(data))
-        s, mapped, ratio = data.T
+        assert err.getvalue() == f"{out}\n"
+    else:
+        assert code == 1
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        assert not out.exists()
+    return code, out
+
+
+@settings(deadline=None, max_examples=30)
+@given(fields=wide_configs(), data=st.data(), repeat=st.booleans())
+def test_estimate_has_exactly_two_outcomes(tmp_path_factory, fields, data,
+                                           repeat):
+    # either exit 0 with a finite, nonnegative table whose ratio has unit
+    # trapezoid mass, or exit 1 with a message and no output file
+    tmp = tmp_path_factory.mktemp("contract")
+    lo, hi = float(fields["lo"]), float(fields["hi"])
+    inside = st.floats(lo, hi).map(repr) if lo < hi else st.nothing()
+    lines = data.draw(st.lists(st.one_of(SAMPLE_LINES, inside), max_size=12),
+                      label="lines")
+    samples = tmp / "s.txt"
+    lines = lines * (2 if repeat else 1)
+    samples.write_text("\n".join(lines) + "\n")
+    code, out = run_within_contract(
+        tmp, fields, ["estimate", str(samples)], "estimate",
+        sum(bool(line.strip()) for line in lines))
+    if code == 0:
+        table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(table))
+        s, mapped, ratio = table.T
         assert np.all(mapped >= 0.0) and np.all(ratio >= 0.0)
         assert abs(np.trapezoid(ratio, s) - 1.0) <= 1e-12
         assert abs(np.trapezoid(mapped, s) - 1.0) <= EMBEDDED_MASS_BOUND
-    else:
-        assert code == 1
-        assert err.getvalue().startswith("error:"), err.getvalue()
-        assert not out.exists()
 
 
 def _is_density(name):
@@ -843,38 +957,15 @@ def _is_density(name):
 
 
 @settings(deadline=None, max_examples=60)
-@given(figure=st.sampled_from(FIGURES),
-       family=st.sampled_from(["haar", "daubechies4"]),
-       scale_n=st.integers(min_value=0, max_value=3),
-       grid_cells=st.integers(min_value=8, max_value=2048),
-       projection=st.booleans(),
-       target_a=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
-       target_b=st.sampled_from([0.5, 1.0, 2.0, 5.0]),
-       data=st.data())
-def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, family,
-                                            scale_n, grid_cells, projection,
-                                            target_a, target_b, data):
+@given(figure=st.sampled_from(FIGURES), fields=wide_configs())
+def test_reproduce_has_exactly_two_outcomes(tmp_path_factory, figure, fields):
     # either exit 0 with a finite table whose density columns are
     # nonnegative and whose ratio columns have unit trapezoid mass, or exit
     # 1 with a message and no output file
     tmp = tmp_path_factory.mktemp("contract")
-    size = BasisSpec(family, scale_n, Interval(0.0, 3.0)).size
-    weights = "projection" if projection else ",".join(map(repr, data.draw(
-        st.lists(st.sampled_from([0.0, 1e-3, 0.25, 1.0, 3.0, 17.5, 1e200]),
-                 min_size=size, max_size=size), label="weights")))
-    cfgpath = write_small_config(tmp, family=family, scale_n=scale_n,
-                                 grid_cells=grid_cells, weights=weights,
-                                 target_a=target_a, target_b=target_b)
-    out = tmp / "table.csv"
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        code = main(["reproduce", "--figure", figure,
-                     "--config", str(cfgpath), "--out", str(out)])
+    code, out = run_within_contract(
+        tmp, fields, ["reproduce", "--figure", figure], figure, 50)
     if code != 0:
-        assert code == 1
-        assert err.getvalue().startswith("error:"), err.getvalue()
-        assert not out.exists()
         return
     names = out.read_text().splitlines()[0].split(",")
     table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
@@ -980,6 +1071,9 @@ EXTREME_CONFIGS = {
     "scale_n-1100": ("scale_n = 1100", "scale_n=1100 takes the interval"),
     "lo-1e308-scale_n-0": ("lo = -1e308\nscale_n = 0",
                            "needs inf GiB of arrays, over the 1 GiB limit"),
+    "lo-1e308-hi-1e308": ("lo = -1e308\nhi = 1e308\nscale_n = 0",
+                          "interval [-1e+308, 1e+308] is wider than the "
+                          "largest double"),
     "lo-1e200-hi-1e200": ("lo = -1e200\nhi = 1e200\nscale_n = 0",
                           "GiB of arrays, over the 1 GiB limit"),
     "lo-1e300-one-ulp": ("lo = 1e300\nhi = 1.0000000000000002e300\n"

@@ -16,15 +16,14 @@ from densop import (
     basis_matrix,
     embedded_density_exact,
     embedded_density_map,
-    eval_father,
     kernel_diag,
     kernel_eval,
-    kernel_matrix,
     trace_k_map,
     trace_k_rho,
 )
 from densop.basis import TABLE_LEVEL, scaling_values_daub4
 from densop.oracles import haar_trace_against_density, mercer_positivity
+from references import eval_father, kernel_matrix
 
 UNIT = Interval(0.0, 3.0)
 

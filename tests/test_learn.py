@@ -28,7 +28,6 @@ from densop import (
     embedded_density_exact,
     embedded_density_map,
     kernel_diag,
-    kernel_matrix,
     log_posterior_coefficients,
     log_posterior_discrete,
     map_coefficients,
@@ -42,6 +41,7 @@ from densop.oracles import (
     map_coefficients_psd,
     posterior_coordinate_invariance,
 )
+from references import kernel_matrix
 
 UNIT = Interval(0.0, 3.0)
 

@@ -6,6 +6,7 @@ never imports it.
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -84,6 +85,10 @@ def test_density_zero_outside_interval():
     target = BetaTarget(2.0, 5.0, UNIT)
     assert target.density(-0.1) == 0.0
     assert target.density(3.4) == 0.0
+    # on an interval 5e-324 wide, x = (s - lo) / width of a point 1 away
+    # overflows; it once raised a RuntimeWarning there
+    narrow = BetaTarget(2.0, 5.0, Interval(5e-324, 1e-323))
+    assert list(narrow.density([-1.0, 1.0])) == [0.0, 0.0]
 
 
 def test_density_endpoint_limits():
@@ -172,6 +177,13 @@ def test_curve_refuses_a_density_off_unit_mass():
     # the grid covers half of Beta(1, 1)'s mass
     with pytest.raises(ValueError, match="zeta quadrature mass 0.50"):
         BetaTarget(1.0, 1.0, UNIT).curve(Grid(Interval(0.0, 1.5), 1536))
+    # at these shapes log B(a, b) loses far more than its units digit, so
+    # the computed density overflows; it was once refused as infinite at an
+    # end, where a shape below 1 makes it so, after a RuntimeWarning
+    with pytest.raises(ValueError, match=re.escape(
+            "the Beta(1e+123, 1e+123) target density, as computed at these "
+            "shapes, overflows a double at s = 1.5, inside [0, 3]")):
+        BetaTarget(1e123, 1e123, UNIT).curve(Grid(UNIT, 192))
 
 
 def test_unit_mass_for_random_shapes():
@@ -392,9 +404,14 @@ def test_save_samples_writes_one_17_digit_line_per_point(tmp_path):
     path = tmp_path / "samples.txt"
     save_samples(path, SampleSet(points))
     assert path.read_text() == "".join(f"{v:.17g}\n" for v in points)
-    every_double = Interval(-sys.float_info.max, sys.float_info.max)
-    back = load_samples(path, every_double).points
-    assert back.tobytes() == points.tobytes()  # sign of zero included
+    # no interval holds every double, as hi - lo would overflow, so each
+    # sign is read back from a file of its own
+    for negative, interval in ((True, Interval(-sys.float_info.max, 0.0)),
+                               (False, Interval(0.0, sys.float_info.max))):
+        half = points[np.signbit(points) == negative]
+        save_samples(path, SampleSet(half))
+        back = load_samples(path, interval).points
+        assert back.tobytes() == half.tobytes()  # sign of zero included
 
 
 def test_load_samples_reports_line_numbers(tmp_path):
