@@ -14,16 +14,16 @@ of the states less 1e-10 * I; only a stack it cannot prove has its
 eigenvalues computed, to refuse or rebuild members. A refusal names the
 index of the first member that breaks a rule. A NaN or infinite entry
 fails the same comparisons, and the refusal then names that entry.
-`members` hands out the members of a validated stack without validating
-them again. The basis change and both Born-rule readouts broadcast over a
-stack, and the random constructors draw a whole stack in one call when
-given a `count`; without one they draw a single state, from the same
-stream as always.
+The basis change and both Born-rule readouts broadcast over a stack: a
+stack meets a single state member by member, and two stacks pair up
+only when they hold as many members. The random constructors draw a
+whole stack in one call when given a `count`; without one they draw a
+single state, from the same stream as always.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -219,22 +219,6 @@ class UnitaryBasis:
         return self.columns.shape[-1]
 
 
-def members(stack):
-    """Each member of a validated `DensityMatrix`, `DiscreteDistribution`
-    or `UnitaryBasis` stack as a value of that type holding a read-only
-    view of the stack. Every rule holds member by member, so none is
-    validated again. A single state yields itself."""
-    (field,) = fields(stack)
-    values = getattr(stack, field.name)
-    if values.ndim == (1 if isinstance(stack, DiscreteDistribution) else 2):
-        yield stack
-        return
-    for value in values:
-        member = object.__new__(type(stack))
-        object.__setattr__(member, field.name, value)
-        yield member
-
-
 def ensemble_from_distribution(z: DiscreteDistribution) -> DensityMatrix:
     """Diagonal density matrix with the distribution on the diagonal;
     a stack of distributions gives a stack of matrices."""
@@ -251,18 +235,21 @@ def wavefunction_from_distribution(z: DiscreteDistribution) -> WaveFunction:
     return WaveFunction(np.sqrt(z.probabilities).astype(complex))
 
 
-def _float_or_stack(value: np.ndarray):
-    return float(value) if value.ndim == 0 else value
+def pair_up(*stacks) -> None:
+    """Refuse arrays whose member counts differ. Each is given as
+    (array, item_ndim), with the number of axes of one item; an array of
+    no more axes is one item, and pairs up with any stack."""
+    counts = list(dict.fromkeys(a.shape[0] for a, item_ndim in stacks
+                                if a.ndim > item_ndim))
+    if len(counts) > 1:
+        raise ValueError(f"stacks of {counts[0]} and {counts[1]} members "
+                         f"do not pair up")
 
 
-def born_probability(rho: DensityMatrix, j: int):
-    """P(s_j | rho): the real part of the j-th diagonal entry.
-
-    A float for one state, one value per member for a stack.
-    """
-    if not 0 <= j < rho.d:
-        raise IndexError(f"index {j} out of range for dimension {rho.d}")
-    return _float_or_stack(rho.entries[..., j, j].real)
+def born_probability(rho: DensityMatrix) -> np.ndarray:
+    """The position distribution P(s_j | rho), the real part of the
+    diagonal: shape (d,) for one state, (count, d) for a stack."""
+    return np.diagonal(rho.entries, axis1=-2, axis2=-1).real
 
 
 def change_basis(rho: DensityMatrix, unitary: UnitaryBasis) -> DensityMatrix:
@@ -277,27 +264,28 @@ def change_basis(rho: DensityMatrix, unitary: UnitaryBasis) -> DensityMatrix:
         raise ValueError(
             f"dimension mismatch: rho is {rho.d}, unitary is {unitary.d}"
         )
+    pair_up((rho.entries, 2), (unitary.columns, 2))
     u = unitary.columns
     return DensityMatrix(_dagger(u) @ rho.entries @ u)
 
 
-def probability_from_coefficients(w: DensityMatrix, unitary: UnitaryBasis,
-                                  j: int):
-    """P(s_j) from the coefficient matrix in a non-position basis.
+def probability_from_coefficients(w: DensityMatrix,
+                                  unitary: UnitaryBasis) -> np.ndarray:
+    """The position distribution from the coefficient matrix in a
+    non-position basis.
 
-    Contracts w against the j-th row of the unitary,
-    sum_kl w[k, l] U[j, k] conj(U[j, l]), without rebuilding the
-    position-basis matrix. Broadcasts over stacks like `change_basis`: a
-    float for one state, one value per member for a stack.
+    Contracts w against each row of the unitary,
+    p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]), without rebuilding the
+    position-basis matrix. Broadcasts over stacks like `change_basis`:
+    shape (d,) for one state, (count, d) for a stack.
     """
     if unitary.d != w.d:
         raise ValueError(
             f"dimension mismatch: coefficients are {w.d}, unitary is {unitary.d}"
         )
-    if not 0 <= j < w.d:
-        raise IndexError(f"index {j} out of range for dimension {w.d}")
-    row = unitary.columns[..., j, None, :]
-    return _float_or_stack((row @ w.entries @ _dagger(row))[..., 0, 0].real)
+    pair_up((w.entries, 2), (unitary.columns, 2))
+    rows = unitary.columns[..., :, None, :]
+    return (rows @ w.entries[..., None, :, :] @ _dagger(rows))[..., 0, 0].real
 
 
 def _shape(count: int | None, *item: int) -> tuple:

@@ -5,11 +5,13 @@ log likelihood, with the evidence constant dropped. On a discrete space it
 comes in two coordinate systems that must agree, with an optional noise
 matrix on the observations: over the position probabilities, and over a
 coefficient matrix in some orthonormal basis; their agreement is the
-package's central invariance check. On the interval, from noiseless
-samples, the state is the paper's sample ensemble, the empirical
-coefficient matrix M = (1/N) sum_i b(S_i) b(S_i)^T over the basis vector
-b(s). It is not the posterior mode of every family: rho = M / tr M
-maximizes the interval likelihood sum_i log b(S_i)^T rho b(S_i) only when
+package's central invariance check. Both score the count of each
+observed index, the sufficient statistic, and broadcast over stacks of
+states. On the interval, from noiseless samples, the state is the
+paper's sample ensemble, the empirical coefficient matrix
+M = (1/N) sum_i b(S_i) b(S_i)^T over the basis vector b(s). It is not
+the posterior mode of every family: rho = M / tr M maximizes the
+interval likelihood sum_i log b(S_i)^T rho b(S_i) only when
 lambda_max(G(rho)) <= 1, with G(rho) = (1/N) sum_i b b^T / (b^T rho b)
 at b = b(S_i). That holds for Haar; for Daubechies-4, lambda_max is
 1.2-2.0 on Beta(2, 5) samples at n = 2 and 3, N = 300 and 10^4.
@@ -32,7 +34,6 @@ any BLAS thread count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,13 @@ from .basis import (
     coefficient_band,
     quadratic_form,
 )
-from .discrete import DensityMatrix, DiscreteDistribution, UnitaryBasis
+from .discrete import (
+    DensityMatrix,
+    DiscreteDistribution,
+    UnitaryBasis,
+    pair_up,
+    probability_from_coefficients,
+)
 from .embedding import (
     VANISHING_DENSITY_TRACE,
     VANISHING_SAMPLE_TRACE,
@@ -140,73 +147,69 @@ class MapCoefficients:
         return float(np.sum(self.band[:, 0]))
 
 
-def _log_likelihood(p, sample_indices, noise_matrix=None) -> float:
-    """Sum of log observed[b] over the draws b, in draw order, with
-    observed = p @ noise, or p without a noise matrix; -inf when one draw
-    has zero likelihood. The noise rows must form a d x d stack of
-    `DiscreteDistribution`s. The draws must be integers in [0, d), all
-    checked first, so one out of range raises IndexError even after a
-    zero likelihood."""
-    if noise_matrix is not None:
-        noise = DiscreteDistribution(noise_matrix).probabilities
-        if noise.shape != (p.size, p.size):
+def _log_likelihood(p, counts, noise=None):
+    """sum_j counts[j] log observed[j] over the last axis, with
+    observed = p @ noise, or p without noise. A counted index whose
+    likelihood is <= 0, as a coefficient route can round an empty index
+    to about -1e-17, scores -inf; an uncounted one adds 0. The noise rows
+    are validated as one stack of `DiscreteDistribution`s."""
+    d = p.shape[-1]
+    counts = np.asarray(counts)
+    if counts.ndim not in (1, 2) or counts.shape[-1] != d:
+        raise ValueError(f"counts of shape {counts.shape} do not hold one "
+                         f"count per index of dimension {d}")
+    if not np.issubdtype(counts.dtype, np.integer) or np.any(counts < 0):
+        raise ValueError(f"counts must be nonnegative integers: {counts}")
+    if noise is not None:
+        noise = np.asarray(noise)
+        if noise.ndim in (2, 3):
+            rows = DiscreteDistribution(np.vstack(noise)).probabilities
+        if noise.ndim not in (2, 3) or noise.shape[-2:] != (d, d):
             raise ValueError(f"noise matrix shape {noise.shape} does not "
-                             f"match dimension {p.size}")
-        p = p @ noise
-    draws = np.asarray(sample_indices)
-    if draws.size == 0:
-        return 0.0
-    if not np.issubdtype(draws.dtype, np.integer):
-        raise ValueError(f"sample indices must be integers, not {draws.dtype}")
-    if draws.min() < 0:
-        raise IndexError(f"sample index {draws.min()} out of range for "
-                         f"dimension {p.size}")
-    total = 0.0
-    for like in p[draws].tolist():
-        if like <= 0.0:
-            return -math.inf
-        total += math.log(like)
-    return total
+                             f"match dimension {d}")
+        noise = rows.reshape(noise.shape)
+        pair_up((p, 1), (noise, 2))
+        p = (p[..., None, :] @ noise)[..., 0, :]
+    pair_up((p, 1), (counts, 1))
+    with np.errstate(divide="ignore"):
+        logs = np.where(counts > 0, np.log(np.maximum(p, 0.0)), 0.0)
+    return np.sum(counts * logs, axis=-1)
 
 
-def log_posterior_discrete(z: DiscreteDistribution, sample_indices,
-                           noise_matrix=None) -> float:
+def log_posterior_discrete(z: DiscreteDistribution, counts, noise=None):
     """Position-basis log posterior on a discrete sample space.
 
-    `z` is one distribution Z over the states, not a stack, and the rows
-    of `noise_matrix[true, observed]` are distributions. The likelihood of
-    observing index b in [0, d) is then (Z @ noise)[b]. Under the flat
-    prior the log posterior is the log likelihood, with the evidence
-    constant dropped.
+    `counts[j]` is the number of draws that observed index j, and the rows
+    of `noise[true, observed]` are distributions. The likelihood of one
+    draw observing j is then (Z @ noise)[j], and the log posterior is
+    sum_j counts[j] log (Z @ noise)[j]: under the flat prior, the log
+    likelihood, with the evidence constant dropped. The counts must be
+    nonnegative integers, one per index. Any of `z`, `counts` and `noise`
+    may be a stack, (count, d), (count, d) or (count, d, d), and stacks
+    must pair up: a float for one state, one value per member otherwise.
     """
-    if z.probabilities.ndim != 1:
-        raise ValueError(f"the posterior takes one distribution, not a "
-                         f"stack of shape {z.probabilities.shape}")
-    return _log_likelihood(z.probabilities, sample_indices, noise_matrix)
+    return _log_likelihood(z.probabilities, counts, noise)
 
 
 def log_posterior_coefficients(w: DensityMatrix, unitary: UnitaryBasis,
-                               sample_indices, noise_matrix=None) -> float:
+                               counts, noise=None):
     """Log posterior computed entirely in an arbitrary orthonormal basis.
 
-    `w` is the coefficient matrix of one state in the basis whose columns
+    `w` is the coefficient matrix of a state in the basis whose columns
     are the columns of `unitary`, both of one dimension d <= 64.
-    Position-basis probabilities are recovered through the double
-    contraction p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]) rather than by
+    Position-basis probabilities are recovered through
+    `probability_from_coefficients`, the double contraction
+    p_j = sum_kl w[k, l] U[j, k] conj(U[j, l]), rather than by
     transforming w back, so agreement with `log_posterior_discrete`
     exercises a genuinely different computation route. Under the flat
-    prior both are the log likelihood, so the two are equal.
+    prior both are the log likelihood, so the two are equal. Counts,
+    noise and stacks are as in `log_posterior_discrete`.
     """
-    w, u = w.entries, unitary.columns
-    if w.ndim != 2 or u.shape != w.shape:
-        raise ValueError(f"the posterior takes one state and one basis of "
-                         f"the same dimension, not shapes {w.shape} and "
-                         f"{u.shape}")
-    if w.shape[0] > 64:
+    if w.d > 64:
         raise ValueError(
-            f"discrete dimension {w.shape[0]} exceeds the oracle scale 64")
-    p = np.einsum("jk,kl,jl->j", u, w, np.conj(u)).real
-    return _log_likelihood(p, sample_indices, noise_matrix)
+            f"discrete dimension {w.d} exceeds the oracle scale 64")
+    return _log_likelihood(probability_from_coefficients(w, unitary),
+                           counts, noise)
 
 
 def map_coefficients(samples: SampleSet, basis: BasisSpec) -> MapCoefficients:

@@ -30,7 +30,6 @@ from .discrete import (
     born_probability,
     change_basis,
     ensemble_from_distribution,
-    members,
     probability_from_coefficients,
     random_density_matrix,
     random_distribution,
@@ -159,10 +158,8 @@ def born_rule_invariance(rng, trials: int) -> float:
         rho = random_density_matrix(d, rng, trial.size)
         u = random_unitary(d, rng, trial.size)
         w = change_basis(rho, u)
-        for j in range(d):
-            worst = max(worst, float(np.max(np.abs(
-                born_probability(rho, j)
-                - probability_from_coefficients(w, u, j)))))
+        worst = max(worst, float(np.max(np.abs(
+            born_probability(rho) - probability_from_coefficients(w, u)))))
     return worst
 
 
@@ -185,7 +182,7 @@ def born_probability_sum(rng, trials: int) -> float:
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
         rho = random_ensemble(d, rng, trial.size)
-        total = sum(born_probability(rho, j) for j in range(d))
+        total = np.sum(born_probability(rho), axis=-1)
         worst = max(worst, float(np.max(np.abs(total - 1.0))))
     return worst
 
@@ -329,23 +326,27 @@ def haar_trace_over_samples(seed: int, n_samples: int, scale_n: int) -> float:
 def posterior_coordinate_invariance(rng, trials: int) -> float:
     """Posterior in position against coefficient coordinates; odd trials
     add a row-stochastic noise matrix. The states of one dimension come
-    as one stack, validated once; the draws differ in length, so each
-    trial's posterior is evaluated on its own, on the stacks' members."""
+    as one stack, validated once, and each trial's draws are scored by
+    their counts. The stacks are scored once without noise, and once with
+    a noise stack whose even trials hold the identity."""
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
         z = random_distribution(d, rng, trial.size)
         u = random_unitary(d, rng, trial.size)
         w = change_basis(ensemble_from_distribution(z), u)
-        for i, z_k, w_k, u_k in zip(trial, *map(members, (z, w, u))):
+        counts = np.empty((trial.size, d), dtype=int)
+        noise = np.tile(np.eye(d), (trial.size, 1, 1))
+        for k, i in enumerate(trial):
             draws = rng.integers(0, d, size=int(rng.integers(1, 21)))
-            noise = None
+            counts[k] = np.bincount(draws, minlength=d)
             if i % 2:
-                noise = rng.random((d, d)) + 0.05
-                noise /= noise.sum(axis=1, keepdims=True)
-            by_position = log_posterior_discrete(z_k, draws, noise)
-            by_coefficients = log_posterior_coefficients(w_k, u_k, draws,
-                                                         noise)
-            worst = max(worst, abs(by_position - by_coefficients))
+                noise[k] = rng.random((d, d)) + 0.05
+                noise[k] /= noise[k].sum(axis=1, keepdims=True)
+        for each in (None, noise):
+            by_position = log_posterior_discrete(z, counts, each)
+            by_coefficients = log_posterior_coefficients(w, u, counts, each)
+            worst = max(worst, float(np.max(np.abs(by_position
+                                                   - by_coefficients))))
     return worst
 
 

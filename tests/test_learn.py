@@ -5,6 +5,7 @@ Haar embeddings whose piecewise-constant closed forms are exact.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from densop import (
     normalized_ratio,
     trace_k_map,
 )
+from densop import oracles
 from densop.learn import _log_likelihood
 from densop.oracles import (
     haar_map_histogram,
@@ -131,12 +133,12 @@ def test_map_coefficients_validation():
 
 def test_discrete_posterior_hand_oracle():
     z = DiscreteDistribution(np.array([0.5, 0.25, 0.25]))
-    idx = [0, 1, 1, 2]
-    lp = log_posterior_discrete(z, idx)
+    counts = [1, 2, 1]  # the draws 0, 1, 1, 2
+    lp = log_posterior_discrete(z, counts)
     assert_allclose(lp, math.log(1.0 / 128.0), rtol=1e-14)
     # identity noise changes nothing
     assert_allclose(
-        log_posterior_discrete(z, idx, np.eye(3)),
+        log_posterior_discrete(z, counts, np.eye(3)),
         lp, rtol=1e-14,
     )
 
@@ -150,17 +152,19 @@ def test_discrete_posterior_with_noise_matrix():
     ])
     observed = z.probabilities @ noise
     idx = [0, 1, 1, 2]
-    lp = log_posterior_discrete(z, idx, noise)
+    lp = log_posterior_discrete(z, np.bincount(idx), noise)
     expected = sum(math.log(observed[b]) for b in idx)
     assert_allclose(lp, expected, rtol=1e-14)
 
 
 def test_discrete_posterior_minus_inf_and_prior():
     z = DiscreteDistribution(np.array([1.0, 0.0]))
-    assert log_posterior_discrete(z, [1]) == -math.inf
+    assert log_posterior_discrete(z, [0, 1]) == -math.inf
+    # an index never drawn adds nothing, whatever its likelihood
+    assert log_posterior_discrete(z, [3, 0]) == 0.0
     # the flat prior adds nothing: the log posterior is the log likelihood
     uniform = DiscreteDistribution(np.array([0.5, 0.5]))
-    assert log_posterior_discrete(uniform, [0]) == math.log(0.5)
+    assert log_posterior_discrete(uniform, [1, 0]) == math.log(0.5)
 
 
 @pytest.mark.parametrize("z, message", [
@@ -181,9 +185,9 @@ def test_discrete_posterior_refuses_what_is_not_a_distribution(z, message):
     state = DensityMatrix(np.eye(2) / 2.0)
     for posterior in (
             lambda: log_posterior_discrete(
-                DiscreteDistribution(np.full(2, 0.5)), [0], noise),
+                DiscreteDistribution(np.full(2, 0.5)), [1, 0], noise),
             lambda: log_posterior_coefficients(
-                state, UnitaryBasis(np.eye(2)), [0], noise)):
+                state, UnitaryBasis(np.eye(2)), [1, 0], noise)):
         with pytest.raises(ValueError, match=match):
             posterior()
 
@@ -202,70 +206,79 @@ def _sequential_log_likelihood(observed, sample_indices):
 @given(st.integers(min_value=1, max_value=12),
        st.integers(min_value=0, max_value=10 ** 9),
        st.integers(min_value=0, max_value=200))
-def test_log_likelihood_adds_in_draw_order(d, seed, n_draws):
-    # the gathered sum keeps the bits of one log per draw, added in order
+def test_log_likelihood_matches_the_sum_over_draws(d, seed, n_draws):
+    # the counts' sum against one log per draw, added in draw order
     rng = np.random.default_rng(seed)
-    observed = rng.random(d) + 1e-300
+    p = rng.random(d) + 1e-300
+    z = DiscreteDistribution(p / p.sum())
     draws = rng.integers(0, d, size=n_draws)
-    got = _log_likelihood(observed, draws)
-    assert got == _sequential_log_likelihood(observed, draws)
-    assert got == _log_likelihood(observed, draws.tolist())
-    assert _log_likelihood(observed, []) == 0.0
-    # a negative index is refused, not read from the end
-    if n_draws:
-        with pytest.raises(IndexError, match="sample index -"):
-            _log_likelihood(observed, draws - d)
+    got = log_posterior_discrete(z, np.bincount(draws, minlength=d))
+    expect = _sequential_log_likelihood(z.probabilities, draws)
+    # With u = 2**-53 and S = sum_i |log q_i| <= N max |log q| over the
+    # draws: adding N logs in order errs by at most (N - 1) u S, the
+    # counts' products and their pairwise sum by at most d u S, and np.log
+    # may differ from math.log by an ulp, 2 u S in all.
+    biggest = max((-math.log(q) for q in z.probabilities[draws]),
+                  default=0.0)
+    tolerance = (n_draws + d + 2) * n_draws * 2.0 ** -53 * biggest
+    assert abs(got - expect) <= tolerance
+    assert log_posterior_discrete(z, np.zeros(d, dtype=int)) == 0.0
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.0, -1e-300, -0.25])
 def test_log_likelihood_is_minus_inf_on_a_draw_without_likelihood(bad):
+    # a coefficient route can round an empty index to about -1e-17
     observed = np.array([0.5, bad, 0.5])
-    assert _log_likelihood(observed, [0, 2, 1, 0]) == -math.inf
-    assert _log_likelihood(observed, [0, 2, 0]) == math.log(0.5) * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _log_likelihood(observed, [2, 1, 1]) == -math.inf
+        assert _log_likelihood(observed, [2, 0, 1]) == math.log(0.5) * 3
+        assert _log_likelihood(np.stack([observed, [0.5, 0.5, 0.0]]),
+                               [2, 1, 1]).tolist() == [-math.inf] * 2
 
 
-def test_log_likelihood_refuses_an_index_out_of_range():
-    observed = np.array([1.0, 0.0])
-    with pytest.raises(IndexError):
-        _log_likelihood(observed, [0, 2])
-    # every index is checked before the zero likelihood of draw 1 is seen
-    with pytest.raises(IndexError):
-        _log_likelihood(observed, [1, 2])
-    with pytest.raises(IndexError):
-        log_posterior_discrete(DiscreteDistribution(observed), [1, -3])
-    # -1 once scored the last state
-    with pytest.raises(IndexError,
-                       match="^sample index -1 out of range for dimension 2$"):
-        _log_likelihood(observed, [0, -1])
-
-
-@pytest.mark.parametrize("draws", [[0.9, 1.7], [0.0], np.array([True]),
-                                   np.array([1.0, 0.0])])
-def test_log_likelihood_refuses_indices_that_are_not_integers(draws):
-    # [0.9, 1.7] was once scored as [0, 1]
-    z = DiscreteDistribution(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="^sample indices must be integers"):
-        log_posterior_discrete(z, draws)
+@pytest.mark.parametrize("counts, message", [
+    ([1, 0, 2, 0], r"^counts of shape \(4,\) do not hold one count per "
+                   r"index of dimension 3$"),
+    ([1, 0], r"^counts of shape \(2,\)"),
+    ([[[1, 0, 0]]], r"^counts of shape \(1, 1, 3\)"),
+    ([], r"^counts of shape \(0,\)"),
+    ([0.9, 1.7, 0.0], r"^counts must be nonnegative integers: \[0\.9 1\.7"),
+    (np.array([1.0, 0.0, 0.0]), "^counts must be nonnegative integers: "),
+    (np.array([True, False, False]), r"^counts .*: \[ True False False\]$"),
+    ([1, -1, 3], r"^counts must be nonnegative integers: \[ 1 -1  3\]$"),
+], ids=["longer", "shorter", "three-axes", "empty", "fractions",
+        "whole-floats", "bools", "negative"])
+def test_posteriors_refuse_what_are_not_counts(counts, message):
+    # one count per index, each a whole number of draws, and none below 0
+    z = DiscreteDistribution(np.full(3, 1.0 / 3.0))
+    state, basis = DensityMatrix(np.eye(3) / 3.0), UnitaryBasis(np.eye(3))
+    with pytest.raises(ValueError, match=message):
+        log_posterior_discrete(z, counts)
+    with pytest.raises(ValueError, match=message):
+        log_posterior_coefficients(state, basis, counts)
 
 
 def test_noise_matrix_validation():
     z = DiscreteDistribution(np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match=r"^noise matrix shape \(3, 3\) "
                                          r"does not match dimension 2$"):
-        log_posterior_discrete(z, [0], np.eye(3))
+        log_posterior_discrete(z, [1, 0], np.eye(3))
     with pytest.raises(ValueError, match="^member 0: probabilities must be "
                                          "nonnegative"):
-        log_posterior_discrete(z, [0], np.array([[1.1, -0.1], [0.0, 1.0]]))
+        log_posterior_discrete(z, [1, 0],
+                               np.array([[1.1, -0.1], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="^member 0: sum 0.9"):
-        log_posterior_discrete(z, [0], np.array([[0.5, 0.4], [0.0, 1.0]]))
+        log_posterior_discrete(z, [1, 0],
+                               np.array([[0.5, 0.4], [0.0, 1.0]]))
     # the rows' rules are the distribution's: a sum off by 1e-11 and an
     # entry of -1e-13 are refused
     with pytest.raises(ValueError, match="^member 1: sum"):
-        log_posterior_discrete(z, [0], np.array([[1.0, 0.0],
-                                                 [0.5, 0.5 + 1e-11]]))
+        log_posterior_discrete(z, [1, 0], np.array([[1.0, 0.0],
+                                                    [0.5, 0.5 + 1e-11]]))
     with pytest.raises(ValueError, match="^member 0: .*nonnegative"):
-        log_posterior_discrete(z, [0], np.array([[1.0 + 1e-13, -1e-13],
-                                                 [0.0, 1.0]]))
+        log_posterior_discrete(z, [1, 0], np.array([[1.0 + 1e-13, -1e-13],
+                                                    [0.0, 1.0]]))
     # a NaN or an infinite row was once scored, as nan
     z = DiscreteDistribution(np.array([0.5, 0.25, 0.25]))
     for bad in (np.nan, np.inf):
@@ -273,14 +286,30 @@ def test_noise_matrix_validation():
         noise[2, 1] = bad
         with pytest.raises(ValueError, match="^member 2: probabilities must "
                                              "be finite, but entry 1 is"):
-            log_posterior_discrete(z, [0, 1], noise)
+            log_posterior_discrete(z, [1, 1, 0], noise)
+
+
+def test_noise_stack_validation():
+    # a stack's shape is refused as a whole, and a refused row is numbered
+    # through the stack's rows
+    z = DiscreteDistribution(np.array([0.5, 0.5]))
+    for noise, shape in ((np.stack([np.eye(3)] * 2), r"\(2, 3, 3\)"),
+                         (np.ones((1, 1)), r"\(1, 1\)"),
+                         (np.full(2, 0.5), r"\(2,\)"),
+                         (np.full((1, 1, 2, 2), 0.5), r"\(1, 1, 2, 2\)")):
+        with pytest.raises(ValueError, match=(
+                f"^noise matrix shape {shape} does not match dimension 2$")):
+            log_posterior_discrete(z, [1, 0], noise)
+    with pytest.raises(ValueError, match="^member 3: sum 0.9"):
+        log_posterior_discrete(z, [1, 0], np.array(
+            [np.eye(2), [[1.0, 0.0], [0.5, 0.4]]]))
 
 
 def test_coefficient_posterior_identity_basis():
     z = np.array([0.5, 0.25, 0.25])
     idx = [0, 1, 1, 2]
     lp = log_posterior_coefficients(DensityMatrix(np.diag(z)),
-                                    UnitaryBasis(np.eye(3)), idx)
+                                    UnitaryBasis(np.eye(3)), np.bincount(idx))
     assert_allclose(lp, math.log(1.0 / 128.0), rtol=1e-14)
 
 
@@ -293,27 +322,51 @@ def test_coefficient_route_matches_position_route(seed):
     assert posterior_coordinate_invariance(rng, 2) <= 1e-12
 
 
+def test_posterior_check_compares_the_noisy_route(monkeypatch):
+    # the check scores its stacks with noise too: shifting the coefficient
+    # posterior only there puts the check over its tolerance
+    route = oracles.log_posterior_coefficients
+
+    def shifted(w, u, counts, noise=None):
+        return route(w, u, counts, noise) + (0.0 if noise is None else 1e-6)
+
+    monkeypatch.setattr(oracles, "log_posterior_coefficients", shifted)
+    assert posterior_coordinate_invariance(np.random.default_rng(3), 8) > 1e-8
+
+
 def test_coefficient_posterior_validation():
     with pytest.raises(ValueError, match="exceeds the oracle scale 64"):
         log_posterior_coefficients(DensityMatrix(np.eye(65) / 65.0),
-                                   UnitaryBasis(np.eye(65)), [0])
-    state, basis = DensityMatrix(np.eye(3) / 3.0), UnitaryBasis(np.eye(3))
-    state_stack = DensityMatrix(np.stack([np.eye(3) / 3.0] * 2))
-    basis_stack = UnitaryBasis(np.stack([np.eye(3)] * 2))
-    for w, u in ((state, UnitaryBasis(np.eye(4))), (state_stack, basis),
-                 (state, basis_stack), (state_stack, basis_stack)):
-        with pytest.raises(ValueError, match=(
-                "^the posterior takes one state and one basis of the same "
-                "dimension, not shapes")):
-            log_posterior_coefficients(w, u, [0])
-
-
-def test_discrete_posterior_refuses_a_stack():
-    stack = DiscreteDistribution(np.full((2, 3), 1.0 / 3.0))
+                                   UnitaryBasis(np.eye(65)), [0] * 65)
     with pytest.raises(ValueError, match=(
-            r"^the posterior takes one distribution, not a stack of shape "
-            r"\(2, 3\)$")):
-        log_posterior_discrete(stack, [0])
+            "^dimension mismatch: coefficients are 3, unitary is 4$")):
+        log_posterior_coefficients(DensityMatrix(np.eye(3) / 3.0),
+                                   UnitaryBasis(np.eye(4)), [1, 0, 0])
+
+
+@pytest.mark.parametrize("route", ["position", "coefficients"])
+def test_posteriors_refuse_stacks_that_do_not_pair_up(route):
+    # counts or noise of another count are refused by name; a stack of 4
+    # states meets counts and noise of 4 members or of one
+    rng = np.random.default_rng(8)
+    z = DiscreteDistribution(np.full((4, 3), 1.0 / 3.0))
+    u = UnitaryBasis(np.stack([np.eye(3)] * 4))
+    w = DensityMatrix(np.stack([np.eye(3) / 3.0] * 4))
+
+    def posterior(counts, noise=None):
+        if route == "position":
+            return log_posterior_discrete(z, counts, noise)
+        return log_posterior_coefficients(w, u, counts, noise)
+
+    counts = rng.integers(0, 3, size=(5, 3))
+    noise = np.stack([np.eye(3)] * 5)
+    for args in ((counts,), (counts[0], noise), (counts[:4], noise)):
+        with pytest.raises(ValueError, match=(
+                "^stacks of 4 and 5 members do not pair up$")):
+            posterior(*args)
+    assert posterior(counts[0]).shape == (4,)
+    assert posterior(counts[:4], noise[:4]).shape == (4,)
+    assert posterior(counts[:4], noise[0]).shape == (4,)
 
 
 # ------------------------------------------------------- closed-form MAP
