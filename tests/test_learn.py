@@ -243,20 +243,31 @@ def test_log_likelihood_is_minus_inf_on_a_draw_without_likelihood(bad):
     ([1, 0], r"^counts of shape \(2,\)"),
     ([[[1, 0, 0]]], r"^counts of shape \(1, 1, 3\)"),
     ([], r"^counts of shape \(0,\)"),
-    ([0.9, 1.7, 0.0], r"^counts must be nonnegative integers: \[0\.9 1\.7"),
-    (np.array([1.0, 0.0, 0.0]), "^counts must be nonnegative integers: "),
-    (np.array([True, False, False]), r"^counts .*: \[ True False False\]$"),
     ([1, -1, 3], r"^counts must be nonnegative integers: \[ 1 -1  3\]$"),
-], ids=["longer", "shorter", "three-axes", "empty", "fractions",
-        "whole-floats", "bools", "negative"])
+], ids=["longer", "shorter", "three-axes", "empty", "negative"])
 def test_posteriors_refuse_what_are_not_counts(counts, message):
-    # one count per index, each a whole number of draws, and none below 0
+    # one count per index, and none below 0
     z = DiscreteDistribution(np.full(3, 1.0 / 3.0))
     state, basis = DensityMatrix(np.eye(3) / 3.0), UnitaryBasis(np.eye(3))
     with pytest.raises(ValueError, match=message):
         log_posterior_discrete(z, counts)
     with pytest.raises(ValueError, match=message):
         log_posterior_coefficients(state, basis, counts)
+
+
+@pytest.mark.parametrize("draws", [[0.9, 1.7, 0.0], [1.0, 0.0, 0.0],
+                                   np.array([True, False, False]),
+                                   np.array([1.0, 0.0, 0.0])])
+def test_log_likelihood_refuses_indices_that_are_not_integers(draws):
+    # `draws` holds the number of draws of each index; [0.9, 1.7, 0.0] was
+    # once scored as [0, 1, 0], and whole floats and bools are refused too
+    z = DiscreteDistribution(np.full(3, 1.0 / 3.0))
+    state, basis = DensityMatrix(np.eye(3) / 3.0), UnitaryBasis(np.eye(3))
+    message = "^counts must be nonnegative integers: "
+    with pytest.raises(ValueError, match=message):
+        log_posterior_discrete(z, draws)
+    with pytest.raises(ValueError, match=message):
+        log_posterior_coefficients(state, basis, draws)
 
 
 def test_noise_matrix_validation():
