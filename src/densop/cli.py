@@ -19,6 +19,13 @@ A table command prints the path it wrote to stderr, so that
 through the descriptor the shell opened, so `>` replaces a file and `>>`
 appends to it, and a failed write truncates the file back to what it held.
 
+`--out` is checked before any work, by `textio.require_writable`. The
+file the command holds as its stdout passes. Any other path that exists
+and is not a regular file, such as /dev/null or a pipe, must be writable
+itself. A regular file or a new path needs a writable, searchable
+directory, so that a failed write can remove it, and an existing regular
+file must be writable too.
+
 Exit status: 0 success, 1 validation or usage error, 2 oracle failure.
 """
 
@@ -26,7 +33,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
+import os  # noqa: F401, tests stub os.access as densop.cli.os.access
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +44,7 @@ from .learn import (embedded_density_exact, embedded_density_map,
                     normalized_ratio)
 from .oracles import SUITES, run_suite
 from .target import count_samples, load_samples
-from .textio import write_table
+from .textio import require_writable, write_table
 
 
 @dataclass(frozen=True)
@@ -176,23 +183,6 @@ def _add_common(sub: argparse.ArgumentParser):
                      help="output path (default <figure>.csv / estimate.csv)")
 
 
-def _require_writable(path: str) -> None:
-    """Reject an output path that cannot be written, before any work.
-
-    Nothing is created: the table is opened only once it is complete, and
-    a failed write removes it, so no partial file is ever left behind.
-    """
-    parent = os.path.dirname(os.path.abspath(path))
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write {path}: it is a directory")
-    if not os.path.exists(parent):
-        raise ValueError(f"cannot write {path}: {parent} does not exist")
-    if not os.path.isdir(parent):
-        raise ValueError(f"cannot write {path}: {parent} is not a directory")
-    if not os.access(parent, os.W_OK | os.X_OK):
-        raise ValueError(f"cannot write {path}: {parent} is not writable")
-
-
 def _figure_table(figure: str, cfg: ExperimentConfig):
     require_memory(cfg, figure, cfg.n_samples)
     spec = cfg.basis()
@@ -264,7 +254,7 @@ def main(argv=None) -> int:
         reproduce = args.command == "reproduce"
         command = args.figure if reproduce else "estimate"
         out_path = args.out or f"{command}.csv"
-        _require_writable(out_path)
+        require_writable(out_path)
         if reproduce:
             names, cols = _figure_table(command, cfg)
         else:

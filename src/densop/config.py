@@ -111,23 +111,17 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
-#: Every key but weights parses as the type of its default.
-_FIELD_PARSERS = {f.name: type(f.default)
-                  for f in dataclasses.fields(ExperimentConfig)
-                  if f.name != "weights"}
-
-
 def _parse_weights(text: str):
-    text = text.strip()
     if text == "projection":
         return None
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(
-            f"weights must be 'projection' or a comma-separated list, "
-            f"got {text!r}"
-        ) from None
+    return tuple(float(part) for part in text.split(","))
+
+
+#: weights parses by `_parse_weights`, every other key as the type of its
+#: default.
+_FIELD_PARSERS = {f.name: _parse_weights if f.name == "weights"
+                  else type(f.default)
+                  for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -145,21 +139,18 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key != "weights" and key not in _FIELD_PARSERS:
+        if key not in _FIELD_PARSERS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         if key in set_on:
             raise ValueError(f"line {lineno}: config key {key!r} is already "
                              f"set on line {set_on[key]}")
         set_on[key] = lineno
-        if key == "weights":
-            changes[key] = _parse_weights(value)
-        else:
-            try:
-                changes[key] = _FIELD_PARSERS[key](value)
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: bad value {value!r} for key {key!r}"
-                ) from None
+        try:
+            changes[key] = _FIELD_PARSERS[key](value)
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: bad value {value!r} for key {key!r}"
+            ) from None
     return ExperimentConfig(**changes)
 
 

@@ -20,16 +20,15 @@ block, numpy computes the text of most values exactly:
   2**-46 of the exact residual. Only a block that holds such a k adds the
   tails.
 - Guard: where 10**k is inexact, a value whose r - rint(r) lies within
-  ``_GUARD`` = 2**-20 of 1/2, a near tie, goes to ``%``, at the e it
-  prints with or at an e it moved from.
-- Exponent: e starts as floor(log10|x|). If N falls outside
-  [10**16, 10**17), e moves by one and N is computed again; a value still
-  outside goes to ``%``. At N = 10**16 the residual's sign decides too.
-  The double 1e-6 lies below 10**-6: at e = -6 its product rounds up to
-  exactly 10**16, and e moves down so that it prints as
-  9.9999999999999995e-07. A product below 10**16 by less than the guard
-  keeps N = 10**16, since one decade down ten times it rounds up to
-  10**17 and prints the same.
+  ``_GUARD`` = 2**-20 of 1/2, a near tie, goes to ``%``.
+- Exponent: e is floor(log10|x|), estimated once, and N is computed once.
+  A value whose N falls outside [10**16, 10**17) goes to ``%``: it lies
+  within an ulp or so of a power of ten, or its 17 digits round up to
+  10**17. So does a value with N = 10**16 whose product lies below
+  10**16 by more than the guard, such as the double 1e-6, which lies
+  below 10**-6 and prints as 9.9999999999999995e-07. A product below
+  10**16 by less than the guard keeps N = 10**16, since one decade down
+  ten times it rounds up to 10**17 and prints the same.
 - Text: fixed notation for e >= -4 and ``d.ddde-XX`` below, with
   trailing zeros and a bare point stripped. Each value owns a slot of
   ``_SLOT`` = 32 bytes, four 8-byte words: the sign, ``0.000``, d0 and its
@@ -86,7 +85,7 @@ _WIDE = 24  # the longest %.17g text, as in -2.2250738585072014e-308
 _E_MIN, _E_SCI, _E_MAX = -99, -5, 15
 # 10**k for 0 <= k <= 116 as the double-double _POW10 + _POW10_TAIL; the
 # tail is 0 for k <= 22, where 10**k is an exact double. k = 116 serves an
-# estimate of e one below the domain, which then moves up.
+# estimate of e one below the domain, whose value then goes to %.
 _POW10 = np.array([float(10 ** k) for k in range(16 - _E_MIN + 2)])
 _POW10_TAIL = np.array([float(10 ** k - int(p)) for k, p in enumerate(_POW10)])
 _EXACT_K = 22
@@ -224,30 +223,14 @@ def _slots(x, tails, tables):
     e = np.floor(np.log10(ax)).astype(np.int64)
     lowest = e.min(initial=0)
     n, r = _digits(ax, e, lowest < 16 - _EXACT_K)
-    # e moves up where N is 10**17 or more, and down where the product lies
-    # below 10**16 by more than the guard.
-    moved = np.flatnonzero(
-        (n - (10 ** 16 + 1)).view(np.uint64) >= 9 * 10 ** 16 - 1)
-    edge = n[moved]
-    off = np.where(edge >= 10 ** 17, -1,
-                   (edge < 10 ** 16) | (r[moved] < -_GUARD))
-    moved, off = moved[off != 0], off[off != 0]
-    exact = None
-    if len(moved):
-        # a near tie may have moved e either way
-        doubtful = moved[(np.abs(r[moved]) > 0.5 - _GUARD)
-                         & (e[moved] < 16 - _EXACT_K)]
-        e[moved] -= off
-        lowest = min(lowest, e[moved].min())
-        n[moved], r[moved] = _digits(ax[moved], e[moved],
-                                     lowest < 16 - _EXACT_K)
-        exact = (n >= 10 ** 16) & (n < 10 ** 17)
-        exact[doubtful] = False
+    # N in [10**16, 10**17), and at 10**16 a product below it by no more
+    # than the guard; the rest belong to another e and go to %.
+    exact = (n - 10 ** 16).view(np.uint64) < 9 * 10 ** 16
+    exact &= (r >= -_GUARD) | (n != 10 ** 16)
     if lowest < 16 - _EXACT_K:
         # near ties where 10**k is inexact
-        tie = (np.abs(r) > 0.5 - _GUARD) & (e < 16 - _EXACT_K)
-        exact = ~tie if exact is None else exact & ~tie
-    if exact is not None and not exact.all():
+        exact &= (np.abs(r) <= 0.5 - _GUARD) | (e >= 16 - _EXACT_K)
+    if not exact.all():
         live = np.arange(m)[live][exact]
         e, n = e[exact], n[exact]
 
@@ -351,6 +334,35 @@ def _held_as_stdout(path):
         if os.path.samestat(os.stat(path), held):
             return held
     return None
+
+
+def require_writable(path) -> None:
+    """Refuse, before any work, a `path` that `write_table` cannot write.
+
+    The file held as fd 1 passes. Any other path that exists and is not a
+    regular file, such as a device or a pipe, needs write permission on
+    itself only. A regular file or a new path needs a writable, searchable
+    directory, so that a failed write can remove it, and a regular file
+    must itself be writable. Nothing is created.
+    """
+    if _held_as_stdout(path) is not None:
+        return
+    cause = None
+    if os.path.isdir(path):
+        cause = "it is a directory"
+    elif os.path.isfile(path) or not os.path.exists(path):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.exists(parent):
+            cause = f"{parent} does not exist"
+        elif not os.path.isdir(parent):
+            cause = f"{parent} is not a directory"
+        elif not os.access(parent, os.W_OK | os.X_OK):
+            cause = f"{parent} is not writable"
+    if cause is None and os.path.exists(path) and not os.access(path,
+                                                                os.W_OK):
+        cause = "it is not writable"
+    if cause is not None:
+        raise ValueError(f"cannot write {path}: {cause}")
 
 
 def write_table(path, header, columns) -> None:

@@ -46,7 +46,7 @@ from densop import oracles
 from densop.learn import SampleSet
 from densop.oracles import run_suite
 from densop.target import BetaTarget
-from densop.textio import _block_rows, write_table
+from densop.textio import _block_rows, require_writable, write_table
 
 # ------------------------------------------------------------- config
 
@@ -311,7 +311,8 @@ def test_config_lines_end_at_newline_alone(tmp_path, breaker):
      "line 3: config key 'seed' is already set on line 1"),
     ("\n\nno equals sign\n", "line 3: expected 'key = value'"),
     ("n_samples = 0\n", "n_samples must be >= 1, got 0"),
-    ("weights = 1.0,abc\n", "weights must be 'projection'"),
+    ("scale_n = 2\nweights = 1,abc\n",
+     "line 2: bad value '1,abc' for key 'weights'"),
 ], ids=["unknown-key", "bad-value", "set-twice", "no-equals", "invalid",
         "bad-weights"])
 def test_load_config_errors_name_the_file(tmp_path, capsys, text, message):
@@ -702,6 +703,49 @@ def test_read_only_out_directory_fails_before_the_table_is_built(
     assert str(out) in err
     assert "not writable" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["/dev/stdout", "/dev/null"])
+def test_device_out_needs_no_writable_directory(tmp_path, capfd, monkeypatch,
+                                                out):
+    # os.access stands in for a user who may not write /dev: every
+    # directory is refused, and a device needs only its own permission
+    cfgpath = write_small_config(tmp_path)
+    table = tmp_path / "fig2b.csv"
+    assert main(["reproduce", "--figure", "fig2b",
+                 "--config", str(cfgpath), "--out", str(table)]) == 0
+    capfd.readouterr()
+    monkeypatch.setattr(os, "access", lambda path, mode: not os.path.isdir(path))
+    assert main(["reproduce", "--figure", "fig2b",
+                 "--config", str(cfgpath), "--out", out]) == 0
+    captured = capfd.readouterr()
+    assert captured.err == f"{out}\n"
+    assert captured.out == (table.read_text() if out == "/dev/stdout" else "")
+
+
+def test_read_only_out_file_fails_before_the_table_is_built(
+        tmp_path, capsys, monkeypatch):
+    # os.access stands in for file permissions, which root bypasses: the
+    # directory may be written, the file may not
+    monkeypatch.setattr("densop.cli._figure_table", _refuse_to_build)
+    out = tmp_path / "fig2a.csv"
+    out.write_text("KEEP\n")
+    out.chmod(0o444)
+    monkeypatch.setattr(os, "access", lambda path, mode: os.path.isdir(path))
+    assert main(["reproduce", "--figure", "fig2a", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: it is not writable\n")
+    assert out.read_text() == "KEEP\n"
+
+
+def test_a_pipe_needs_only_its_own_permission(tmp_path, monkeypatch):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    monkeypatch.setattr(os, "access", lambda path, mode: not os.path.isdir(path))
+    require_writable(str(fifo))
+    monkeypatch.setattr(os, "access", lambda path, mode: os.path.isdir(path))
+    with pytest.raises(ValueError, match="it is not writable$"):
+        require_writable(str(fifo))
 
 
 # ------------------------------------------------------------- estimate
