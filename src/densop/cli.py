@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os  # noqa: F401, tests stub os.access as densop.cli.os.access
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .basis import BasisSpec, basis_matrix, wavelet_approximation
 from .config import ExperimentConfig, load_config
@@ -250,7 +249,7 @@ def main(argv=None) -> int:
         cfg = (ExperimentConfig() if args.config is None
                else load_config(args.config))
         if args.seed is not None:
-            cfg = cfg.replace(seed=args.seed)
+            cfg = replace(cfg, seed=args.seed)
         reproduce = args.command == "reproduce"
         command = args.figure if reproduce else "estimate"
         out_path = args.out or f"{command}.csv"

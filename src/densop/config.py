@@ -95,9 +95,6 @@ class ExperimentConfig:
         require_resolution(spec, grid)
         return grid
 
-    def replace(self, **changes) -> "ExperimentConfig":
-        return dataclasses.replace(self, **changes)
-
     def serialize(self) -> str:
         lines = []
         for f in dataclasses.fields(self):

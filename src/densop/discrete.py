@@ -34,11 +34,18 @@ _PSD_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
 
-def _owned(values, dtype) -> np.ndarray:
-    """A contiguous copy of `values`. The types freeze the array they keep,
-    and a copy is frozen without freezing the caller's array, and cannot
-    change through it or through any array it views."""
+def owned(values, dtype) -> np.ndarray:
+    """A C-contiguous copy of `values`, at least 1-d: the one way a value
+    type takes a caller's array, so that freezing it leaves the caller's
+    array writeable and nothing the caller holds can change the value."""
     return np.array(values, dtype=dtype, order="C", ndmin=1)
+
+
+def freeze(value, name: str, array: np.ndarray) -> None:
+    """Make the checked `array` read-only and store it as field `name` of
+    the frozen dataclass instance `value`."""
+    array.flags.writeable = False
+    object.__setattr__(value, name, array)
 
 
 def _as_stack(values, dtype, item: str, what: str):
@@ -46,7 +53,7 @@ def _as_stack(values, dtype, item: str, what: str):
     one leading member axis. `item` is "vector" or "square matrix";
     anything but one nonempty item or a nonempty stack of them is
     refused."""
-    a = _owned(values, dtype)
+    a = owned(values, dtype)
     item_ndim = 1 if item == "vector" else 2
     square = item_ndim == 1 or (a.ndim >= 2 and a.shape[-1] == a.shape[-2])
     if a.ndim not in (item_ndim, item_ndim + 1) or not square or a.size == 0:
@@ -85,7 +92,7 @@ class WaveFunction:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amp = _owned(self.amplitudes, complex)
+        amp = owned(self.amplitudes, complex)
         if amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitudes must form a nonempty vector")
         norm_sq = float(np.sum(np.abs(amp) ** 2))
@@ -93,8 +100,7 @@ class WaveFunction:
             raise ValueError(_finite_or(
                 amp, "amplitudes",
                 f"squared norm {norm_sq:.15f} is not 1 within {_NORM_TOL}"))
-        amp.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amp)
+        freeze(self, "amplitudes", amp)
 
     @property
     def d(self) -> int:
@@ -159,8 +165,7 @@ class DensityMatrix:
                 vals /= vals.sum()
                 rebuilt = (vecs * vals) @ vecs.conj().T
                 stack[i] = 0.5 * (rebuilt + rebuilt.conj().T)
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
+        freeze(self, "entries", m)
 
     @property
     def d(self) -> int:
@@ -187,8 +192,7 @@ class DiscreteDistribution:
                       lambda i: _finite_or(
                           stack[i], "probabilities",
                           f"sum {total[i]:.15f} is not 1 within {_TRACE_TOL}"))
-        p.flags.writeable = False
-        object.__setattr__(self, "probabilities", p)
+        freeze(self, "probabilities", p)
 
     @property
     def d(self) -> int:
@@ -211,8 +215,7 @@ class UnitaryBasis:
         _refuse_first(~(off <= _UNITARY_TOL), u.ndim == 3, lambda i: (
             _finite_or(stack[i], "columns",
                        "columns are not orthonormal within 1e-10")))
-        u.flags.writeable = False
-        object.__setattr__(self, "columns", u)
+        freeze(self, "columns", u)
 
     @property
     def d(self) -> int:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import BasisSpec, basis_matrix, quadratic_form
+from .discrete import freeze, owned
 
 # |phi| <= 1 for Haar; the Daubechies-4 table peaks at phi(1) = 1.366
 _PHI_MAX = 1.5
@@ -53,7 +54,7 @@ class EmbeddingOperator:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = owned(self.weights, float)
         if w.shape != (self.basis.size,):
             raise ValueError(
                 f"need one weight per basis translate, got {w.size} "
@@ -72,8 +73,7 @@ class EmbeddingOperator:
                 f"weight {np.max(w):g} is over {bound:.3g}, the largest "
                 f"for which alpha^2 (w 2**n max phi^2)^2 is a finite "
                 f"double at w={width}, scale_n={n} and |phi| <= {_PHI_MAX}")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        freeze(self, "weights", w)
 
     @classmethod
     def projection(cls, basis: BasisSpec) -> "EmbeddingOperator":

@@ -49,6 +49,8 @@ from .discrete import (
     DensityMatrix,
     DiscreteDistribution,
     UnitaryBasis,
+    freeze,
+    owned,
     pair_up,
     probability_from_coefficients,
 )
@@ -68,13 +70,12 @@ class SampleSet:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.ascontiguousarray(self.points, dtype=float)
+        points = owned(self.points, float)
         if points.ndim != 1:
             raise ValueError("sample points must form a 1-d vector")
         if points.size and not np.all(np.isfinite(points)):
             raise ValueError("sample points must be finite")
-        points.flags.writeable = False
-        object.__setattr__(self, "points", points)
+        freeze(self, "points", points)
 
     @property
     def n(self) -> int:
@@ -89,7 +90,7 @@ class DensityCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=float)
+        values = owned(self.values, float)
         if values.shape != self.grid.points.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid "
@@ -99,9 +100,8 @@ class DensityCurve:
             raise ValueError("density values must be finite")
         if np.any(values < -1e-12):
             raise ValueError("density values must be nonnegative")
-        values = np.maximum(values, 0.0)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        np.maximum(values, 0.0, out=values)
+        freeze(self, "values", values)
 
     def mass(self) -> float:
         return self.grid.integrate(self.values)
@@ -126,7 +126,7 @@ class MapCoefficients:
     band: np.ndarray
 
     def __post_init__(self):
-        band = np.ascontiguousarray(self.band, dtype=float)
+        band = owned(self.band, float)
         shape = (self.basis.size, self.basis.support_width)
         if band.shape != shape:
             raise ValueError(
@@ -135,8 +135,7 @@ class MapCoefficients:
             )
         if not np.all(np.isfinite(band)):
             raise ValueError("coefficient band must be finite")
-        band.flags.writeable = False
-        object.__setattr__(self, "band", band)
+        freeze(self, "band", band)
 
     @property
     def matrix(self) -> np.ndarray:

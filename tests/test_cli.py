@@ -6,6 +6,7 @@ exercise the full-size defaults.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -265,7 +266,7 @@ def test_config_serialize_parse_round_trip():
 def test_config_round_trip_with_weights():
     base = ExperimentConfig(family="haar", scale_n=1, grid_cells=64)
     weights = tuple(float(i % 3) for i in range(base.basis().size))
-    cfg = base.replace(weights=weights)
+    cfg = dataclasses.replace(base, weights=weights)
     back = parse_config(cfg.serialize())
     assert back == cfg
     assert np.array_equal(back.operator().weights, weights)
@@ -696,7 +697,7 @@ def test_read_only_out_directory_fails_before_the_table_is_built(
         tmp_path, capsys, monkeypatch):
     # os.access stands in for directory permissions, which root bypasses
     monkeypatch.setattr("densop.cli._figure_table", _refuse_to_build)
-    monkeypatch.setattr("densop.cli.os.access", lambda path, mode: False)
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
     out = tmp_path / "fig2a.csv"
     assert main(["reproduce", "--figure", "fig2a", "--out", str(out)]) == 1
     err = capsys.readouterr().err

@@ -12,8 +12,15 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from densop import (
+    BasisSpec,
+    DensityCurve,
     DensityMatrix,
     DiscreteDistribution,
+    EmbeddingOperator,
+    Grid,
+    Interval,
+    MapCoefficients,
+    SampleSet,
     UnitaryBasis,
     WaveFunction,
     born_probability,
@@ -87,33 +94,54 @@ def test_unitary_invariants():
         UnitaryBasis(np.ones((2, 3)))
 
 
-@pytest.mark.parametrize("cls, values", [
+_HAAR = BasisSpec("haar", 1, Interval(0.0, 1.0))
+# the fields a value type takes before the array it keeps
+_LEADING = {DensityCurve: (Grid(Interval(0.0, 1.0), 3),),
+            MapCoefficients: (_HAAR,), EmbeddingOperator: (_HAAR,)}
+_OWNERSHIP_CASES = [
     (WaveFunction, np.array([0.6, 0.8j])),
     (DensityMatrix, np.eye(3, dtype=complex) / 3),
     (DensityMatrix, np.stack([np.eye(2, dtype=complex) / 2] * 3)),
     (DiscreteDistribution, np.full(4, 0.25)),
     (DiscreteDistribution, np.full((3, 4), 0.25)),
     (UnitaryBasis, np.eye(3, dtype=complex)),
-])
+    (SampleSet, np.array([0.25, 0.5])),
+    (DensityCurve, np.full(4, 1.0)),
+    (MapCoefficients, np.full((2, 1), 0.5)),
+    (EmbeddingOperator, np.ones(2)),
+]
+
+
+def _kept(cls, values):
+    """The one array that the value built from `values` keeps."""
+    value = cls(*_LEADING.get(cls, ()), values)
+    kept, = [a for a in vars(value).values() if isinstance(a, np.ndarray)]
+    return kept
+
+
+@pytest.mark.parametrize("cls, values", _OWNERSHIP_CASES)
 def test_types_leave_the_callers_array_writeable(cls, values):
     # the array already has the type's dtype and layout, so no conversion
-    # copies it; the type keeps a frozen copy of its own
-    state = cls(values)
-    kept = next(iter(vars(state).values()))
+    # copies it; the type keeps a frozen copy of its own. Both tests share
+    # the case arrays, so each changes a copy.
+    values = values.copy()
+    kept = _kept(cls, values)
     assert values.flags.writeable and not kept.flags.writeable
     expected = kept.copy()
     values[...] = 7.0
     assert np.array_equal(kept, expected)
 
 
-def test_types_keep_no_view_of_the_callers_array():
+@pytest.mark.parametrize("cls, values", _OWNERSHIP_CASES)
+def test_types_keep_no_view_of_the_callers_array(cls, values):
     # a read-only view of a writeable array is not the type's to freeze
-    base = np.full(4, 0.25)
+    base = values.copy()
     view = base.view()
     view.flags.writeable = False
-    distribution = DiscreteDistribution(view)
-    base[0] = 7.0
-    assert distribution.probabilities.sum() == 1.0
+    kept = _kept(cls, view)
+    expected = kept.copy()
+    base[...] = 7.0
+    assert np.array_equal(kept, expected)
 
 
 # ---------------------------------------------------------------- ensembles
