@@ -17,7 +17,9 @@ from .basis import (
     band_to_dense,
     basis_matrix,
     coefficient_band,
+    coefficient_vector,
     gram_check,
+    linear_form,
     quadratic_form,
     scaling_values_daub4,
     wavelet_approximation,
@@ -56,7 +58,6 @@ from .target import (
     BetaTarget,
     load_samples,
     regularized_incomplete_beta,
-    save_samples,
 )
 
 __version__ = "0.1.0"
@@ -81,12 +82,14 @@ __all__ = [
     "born_probability",
     "change_basis",
     "coefficient_band",
+    "coefficient_vector",
     "embedded_density_exact",
     "embedded_density_map",
     "ensemble_from_distribution",
     "gram_check",
     "kernel_diag",
     "kernel_eval",
+    "linear_form",
     "load_config",
     "load_samples",
     "log_posterior_coefficients",
@@ -97,7 +100,6 @@ __all__ = [
     "probability_from_coefficients",
     "quadratic_form",
     "regularized_incomplete_beta",
-    "save_samples",
     "scaling_values_daub4",
     "trace_k_map",
     "trace_k_rho",

@@ -15,10 +15,10 @@ idempotent near the boundary.
 
 A point meets at most w translates (w = 1 for Haar, 3 for Daubechies 4).
 The banded primitives evaluate them lane by lane, one block of points at
-a time (`_lanes`), and index accumulators, bands and coefficient vectors
-padded with w - 1 zero rows at both ends, so no dense basis matrix and no
-clipped row index is built. `basis_matrix` is the one dense evaluation:
-the same lanes, written into a d x P matrix.
+a time (`_lanes`). Every coefficient path is one scatter into, or one
+gather from, an array padded with w - 1 zero rows at both ends, so no
+dense basis matrix and no clipped row index is built. `basis_matrix` is
+the one dense evaluation: the same lanes, written into a d x P matrix.
 """
 
 from __future__ import annotations
@@ -312,14 +312,11 @@ def _lanes(spec: BasisSpec, s: np.ndarray):
 def _band_blocks(spec: BasisSpec, s: np.ndarray):
     """(slice, first, lanes): _lanes of s, BAND_BLOCK points at a time.
 
-    Every consumer of the band walks its points this way, so the lookup's
-    per-point temporaries are one block's worth, reused warm from block
-    to block, while each point's own operations stay the same. A consumer
-    indexes an array padded with w - 1 zero rows at both ends by first +
-    w - 1 + a: a lane outside the family is 0 and lands in the pad, and
-    adding a +-0 term to a sum that starts at +0.0 leaves its bits alone.
-    It deletes its block's arrays at the end of the loop body: the loop's
-    names would otherwise hold them while the next block is evaluated.
+    The lookup's per-point temporaries are one block's worth, reused warm
+    from block to block, while each point's own operations stay the same.
+    A consumer deletes its block's arrays at the end of the loop body: the
+    loop's names would otherwise hold them while the next block is
+    evaluated.
     """
     for start in range(0, s.size, BAND_BLOCK):
         block = slice(start, start + BAND_BLOCK)
@@ -342,45 +339,82 @@ def basis_matrix(spec: BasisSpec, s_values) -> np.ndarray:
     return out
 
 
-def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
-    """sum_p weights_p b(s_p) b(s_p)^T over the translates, as d x w diagonals.
+def _scatter(spec: BasisSpec, s_values, weights, terms, width: int):
+    """sum_p weights_p v_a(s_p) v_b(s_p) into d x width slots, by terms.
 
-    Entry [j, o] is M[j, j + o]. Each point adds the upper triangle of its
-    w x w block into one padded accumulator, in point order, block by
-    block: bit-reproducible. Within a block the products
-    (v_a * v_b) * weight are written column by column into a point-major
-    P x pairs array, and np.add.at adds them in that order, continuing the
-    same sequential sum across blocks that one bincount over all points
-    would make.
+    Term (a, b, offset) adds (v_a * v_b) * weight, v_b = 1 where b is
+    None, at first * width + offset of an accumulator padded with w - 1
+    rows at both ends, where a lane outside the family, 0, lands. One
+    np.add.at per block sums every slot in point order, as one pass would.
+    The terms and their int64 indices share one (2, rows, terms) buffer,
+    reused from block to block, so its pages stay mapped.
     """
     s = np.asarray(s_values, dtype=float).ravel()
     weights = np.asarray(weights, dtype=float).ravel()
     if weights.shape != s.shape:
         raise ValueError(
             f"need one weight per point, got {weights.size} weights for "
-            f"{s.size} points"
-        )
-    d, w = spec.size, spec.support_width
-    pad = w - 1
-    pairs = list(zip(*np.triu_indices(w)))
-    out = np.zeros((d + 2 * pad) * w)
-    # one block's point-major terms and flat indices, reused from block to
-    # block so that their pages are touched once per call
-    rows = min(s.size, BAND_BLOCK)
-    terms = np.empty((rows, len(pairs)))
-    flat = np.empty((rows, len(pairs)), dtype=np.int64)
+            f"{s.size} points")
+    d, pad = spec.size, spec.support_width - 1
+    out = np.zeros((d + 2 * pad) * width)
+    work = np.empty((2, min(s.size, BAND_BLOCK), len(terms)))
+    values, flat = work[0], work[1].view(np.int64)
     for block, first, lanes in _band_blocks(spec, s):
         p = first.size
-        first *= w
-        for c, (a, b) in enumerate(pairs):
-            column = terms[:p, c]
-            np.multiply(lanes[a], lanes[b], out=column)
+        first *= width
+        for c, (a, b, offset) in enumerate(terms):
+            column = values[:p, c]
+            np.multiply(lanes[a], 1.0 if b is None else lanes[b], out=column)
             column *= weights[block]
-            # the flat index of pair (a, b) in the padded d x w accumulator
-            np.add(first, (pad + a) * w + b - a, out=flat[:p, c])
-        np.add.at(out, flat[:p].ravel(), terms[:p].ravel())
+            np.add(first, offset, out=flat[:p, c])
+        np.add.at(out, flat[:p].ravel(), values[:p].ravel())
         del first, lanes
-    return out[pad * w:(pad + d) * w].reshape(d, w)
+    return out[pad * width:(pad + d) * width].reshape(d, width)
+
+
+def _gather(spec: BasisSpec, table: np.ndarray, s_values, terms):
+    """sum over terms (a, b, offset) of table[first * width + offset] u_a u_b.
+
+    `table` (d x width) is read flat from a copy padded with w - 1 zero
+    rows at both ends, so a lane outside the family reads 0; u_b = 1 where
+    b is None. Each point sums its terms in list order from +0.0, where a
+    +-0 term leaves the bits alone.
+    """
+    d, pad = spec.size, spec.support_width - 1
+    width = table.shape[1]
+    padded = np.zeros((d + 2 * pad) * width)
+    padded[pad * width:(pad + d) * width] = table.ravel()
+    s = np.asarray(s_values, dtype=float).ravel()
+    out = np.zeros(s.size)
+    for block, first, u in _band_blocks(spec, s):
+        first *= width
+        acc = out[block]
+        for a, b, offset in terms:
+            term = padded.take(first + offset)
+            term *= u[a]
+            term *= 1.0 if b is None else u[b]
+            acc += term
+        del first, u, term
+    return out
+
+
+def coefficient_band(spec: BasisSpec, s_values, weights) -> np.ndarray:
+    """sum_p weights_p b(s_p) b(s_p)^T over the translates, as d x w diagonals.
+
+    Entry [j, o] is M[j, j + o]: each point adds the upper triangle of its
+    w x w block, (v_a * v_b) * weight, in point order.
+    """
+    w = spec.support_width
+    terms = [(a, b, (w - 1 + a) * w + b - a)
+             for a in range(w) for b in range(a, w)]
+    return _scatter(spec, s_values, weights, terms, w)
+
+
+def coefficient_vector(spec: BasisSpec, s_values, weights) -> np.ndarray:
+    """sum_p weights_p b(s_p), one entry per translate, in point order."""
+    pad = spec.support_width - 1
+    terms = [(a, None, pad + a) for a in range(pad + 1)]
+    return _scatter(spec, s_values, weights, terms, 1).ravel()
 
 
 def band_to_dense(band) -> np.ndarray:
@@ -397,11 +431,8 @@ def quadratic_form(spec: BasisSpec, band, s_values) -> np.ndarray:
     """b(s)^T M b(s) at each point, in O(P w m).
 
     `band` (d x m, 1 <= m <= w) holds M's first m diagonals, M being zero
-    beyond them; any other shape is refused. Only the entries of the w x w
-    block of M that the point's live translates select and the band holds
-    are read, from a copy padded with w - 1 zero rows at both ends, so a
-    lane outside the family reads 0. The terms (u_a * M_ab) * u_b with
-    |a - b| < m are summed in row-major order, block by block.
+    beyond them; any other shape is refused. The terms M_ab * u_a * u_b
+    with |a - b| < m are summed in row-major order.
     """
     band = np.asarray(band, dtype=float)
     d, w = spec.size, spec.support_width
@@ -409,24 +440,22 @@ def quadratic_form(spec: BasisSpec, band, s_values) -> np.ndarray:
         raise ValueError(
             f"band has shape {band.shape}, need ({d}, m) with 1 <= m <= {w}: "
             f"one row per translate, at most {w} diagonals")
-    s = np.asarray(s_values, dtype=float).ravel()
-    m, pad = band.shape[1], w - 1
-    padded = np.zeros((d + 2 * pad) * m)
-    padded[pad * m:(pad + d) * m] = band.ravel()
-    pairs = [(a, b) for a in range(w) for b in range(w) if abs(a - b) < m]
-    out = np.zeros(s.size)
-    for block, first, u in _band_blocks(spec, s):
-        first *= m
-        first += pad * m
-        acc = out[block]
-        for a, b in pairs:
-            lo, hi = min(a, b), max(a, b)
-            term = padded.take(first + (lo * m + hi - lo))
-            term *= u[a]
-            term *= u[b]
-            acc += term
-        del first, u, term
-    return out
+    m = band.shape[1]
+    terms = [(a, b, (w - 1 + min(a, b)) * m + abs(a - b))
+             for a in range(w) for b in range(w) if abs(a - b) < m]
+    return _gather(spec, band, s_values, terms)
+
+
+def linear_form(spec: BasisSpec, coefficients, s_values) -> np.ndarray:
+    """b(s)^T c at each point, summed in lane order from +0.0."""
+    c = np.asarray(coefficients, dtype=float)
+    if c.shape != (spec.size,):
+        raise ValueError(
+            f"coefficients have shape {c.shape}, need ({spec.size},): one "
+            f"per translate")
+    pad = spec.support_width - 1
+    terms = [(a, None, pad + a) for a in range(pad + 1)]
+    return _gather(spec, c[:, None], s_values, terms)
 
 
 def require_resolution(spec: BasisSpec, grid: Grid):
@@ -456,12 +485,11 @@ def gram_check(spec: BasisSpec, grid: Grid) -> np.ndarray:
 def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
     """Project function values onto the family: sum_k <phi_nk, f> phi_nk.
 
-    The coefficients are trapezoid inner products on the given grid and the
+    The coefficients are trapezoid inner products on the given grid, each
+    point weighted once by its trapezoid weight times f, and the
     reconstruction is evaluated on the same grid. The output can take
     negative values even for nonnegative f; that is inherent to wavelet
-    approximation, not an error. The coefficients are scattered point by
-    point into a vector padded with w - 1 zeros at both ends, and each
-    point sums its w products in lane order from +0.0.
+    approximation, not an error.
     """
     require_resolution(spec, grid)
     f_values = np.asarray(f_values, dtype=float)
@@ -470,33 +498,5 @@ def wavelet_approximation(f_values, spec: BasisSpec, grid: Grid) -> np.ndarray:
             f"function values shape {f_values.shape} does not match grid "
             f"({grid.points.shape})"
         )
-    weights = grid.weights()
-    w = spec.support_width
-    coeffs = np.zeros(spec.size + 2 * (w - 1))
-    # one block's point-major terms and flat indices, reused from block to
-    # block so that their pages are touched once per call
-    rows = min(grid.points.size, BAND_BLOCK)
-    terms = np.empty((rows, w))
-    flat = np.empty((rows, w), dtype=np.int64)
-    for block, first, lanes in _band_blocks(spec, grid.points):
-        p = first.size
-        for a, x in enumerate(lanes):
-            column = terms[:p, a]
-            np.multiply(x, weights[block], out=column)
-            column *= f_values[block]
-            np.add(first, w - 1 + a, out=flat[:p, a])
-        np.add.at(coeffs, flat[:p].ravel(), terms[:p].ravel())
-        del first, lanes
-    del terms, flat
-    # the reconstruction evaluates the band again rather than hold it for
-    # every point; the lane-order sum from +0.0 is the one np.sum over a
-    # P x w array makes
-    out = np.zeros(grid.points.size)
-    for block, first, lanes in _band_blocks(spec, grid.points):
-        first += w - 1
-        acc = out[block]
-        for a, x in enumerate(lanes):
-            x *= coeffs.take(first + a)
-            acc += x
-        del first, lanes
-    return out
+    coeffs = coefficient_vector(spec, grid.points, grid.weights() * f_values)
+    return linear_form(spec, coeffs, grid.points)

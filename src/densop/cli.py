@@ -79,20 +79,19 @@ MEMORY_LIMIT = 2 ** 30
 #: Temporaries per grid point that a command holds beside its arrays:
 #: a curve or a ratio after its last block, or the target density.
 GRID_VALUES = 4
-#: Bytes of the one block of work that is live at a time, whatever d, G
-#: and N are. Measured peaks: a block of basis.BAND_BLOCK points of the
+#: Bytes of the one block of work that is live at a time, whatever d, G and
+#: N are. Measured peaks: a block of basis.BAND_BLOCK points of the
 #: Daubechies-4 band, about 1.25 MB (19.0 values per point in
-#: coefficient_band, whose point-major terms and indices are reused from
-#: block to block, 17.0 in wavelet_approximation and 7.0 in
-#: quadratic_form); the beta quantile on
-#: a chunk of target.SAMPLE_CHUNK lanes, at most 4.5 MB (34 values per
-#: lane for shape (8013, 2), whose lanes all iterate in the first cell,
-#: and 25 for (200, 0.05)); the table writer's block of at most 4096
-#: values and its buffer, with the last slot words it builds once per
+#: coefficient_band, whose point-major terms and indices share one buffer
+#: reused from block to block, 13.0 in coefficient_vector and
+#: wavelet_approximation, 7.0 in quadratic_form and linear_form); the beta
+#: quantile on a chunk of target.SAMPLE_CHUNK lanes, at most 4.5 MB (34
+#: values per lane for shape (8013, 2), whose lanes all iterate in the
+#: first cell, and 25 for (200, 0.05)); the table writer's block of at most
+#: 4096 values and its buffer, with the last slot words it builds once per
 #: table, at most 1.2 MiB (0.78-0.82 MiB on random doubles, 0.95 MiB on
-#: fine-scale's estimate table, 1.13-1.17 MiB on values whose point
-#: moves, as in [10, 1e14] or log-uniform over the whole of
-#: 1e-99 < |x| < 1e15).
+#: fine-scale's estimate table, 1.13-1.17 MiB on values whose point moves,
+#: as in [10, 1e14] or log-uniform over the whole of 1e-99 < |x| < 1e15).
 #: fig2a's writer block is one row only when d + 2 > 4096, where the
 #: d x G basis rows alone are over 8 GB, or the grid is too coarse for the
 #: resolution rule.

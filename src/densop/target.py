@@ -26,7 +26,7 @@ import numpy as np
 
 from .basis import Grid, Interval
 from .learn import DensityCurve, SampleSet
-from .textio import open_text, require_text, write_table
+from .textio import open_text, require_text
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-15
@@ -408,11 +408,6 @@ class BetaTarget:
         return SampleSet(points=s)
 
 
-def save_samples(path, samples: SampleSet) -> None:
-    """Write sample points one per line at full precision."""
-    write_table(path, (), [samples.points])
-
-
 def count_samples(path) -> int:
     """Number of non-blank lines in a sample file: the N of load_samples."""
     with open_text(path) as fh:
@@ -420,7 +415,7 @@ def count_samples(path) -> int:
 
 
 def load_samples(path, interval: Interval) -> SampleSet:
-    """Read a one-column sample file written by save_samples.
+    """Read a one-column sample file: one number per line.
 
     Blank lines are ignored. A line that is not a finite number, or a
     value outside `interval`, raises ValueError naming its line number in

@@ -24,8 +24,10 @@ from densop import (
     band_to_dense,
     basis_matrix,
     coefficient_band,
+    coefficient_vector,
     gram_check,
     kernel_diag,
+    linear_form,
     quadratic_form,
     scaling_values_daub4,
     wavelet_approximation,
@@ -38,7 +40,7 @@ from densop.oracles import (
     refinement_residual,
     riemann_integral,
 )
-from references import eval_father
+from references import eval_father, kernel_matrix
 
 UNIT = Interval(0.0, 3.0)
 
@@ -429,8 +431,33 @@ def test_coefficient_matrix_and_quadratic_form_match_dense(family, scale_n):
 
 def test_coefficient_matrix_checks_weights():
     spec = BasisSpec("haar", 1, UNIT)
-    with pytest.raises(ValueError, match="one weight per point"):
-        coefficient_band(spec, np.array([0.5, 1.5]), np.ones(3))
+    for scatter in (coefficient_band, coefficient_vector):
+        for weights in (np.ones(3), np.ones(1)):
+            with pytest.raises(ValueError, match="one weight per point"):
+                scatter(spec, np.array([0.5, 1.5]), weights)
+
+
+@pytest.mark.parametrize("family, scale_n", [("daubechies4", 2), ("haar", 3)])
+def test_linear_estimator_equals_the_kernel_trick(family, scale_n):
+    # b(s)^T (1/N) sum_i b(S_i) is the kernel mean (1/N) sum_i K(s, S_i) of
+    # the projection kernel; for Haar it is the histogram of bins 2**-n
+    spec = BasisSpec(family, scale_n, UNIT)
+    samples = BetaTarget(2.0, 5.0, UNIT).sample(300, seed=7).points
+    n = samples.size
+    c = coefficient_vector(spec, samples, np.full(n, 1.0 / n))
+    span = spec.span()
+    grid = Grid(span, round(span.width * 512))
+    P = EmbeddingOperator.projection(spec)
+    for s in (grid.points, band_probe_points(spec)):
+        linear = linear_form(spec, c, s)
+        kernel = kernel_matrix(P, s, samples).sum(axis=1) / n
+        assert np.max(np.abs(linear - kernel)) <= 1e-12 * np.max(kernel)
+        if family == "haar":
+            bins = np.floor(samples * 2 ** scale_n)
+            at = np.floor(s * 2 ** scale_n)[:, None]
+            histogram = np.sum(at == bins, axis=1) * 2.0 ** scale_n / n
+            assert (np.max(np.abs(linear - histogram))
+                    <= 1e-12 * np.max(histogram))
 
 
 def unblocked_kernel_diag(op, s):
@@ -439,13 +466,27 @@ def unblocked_kernel_diag(op, s):
     return np.sum((op.weights ** 2)[rows] * values * values, axis=1)
 
 
+def unblocked_coefficient_vector(spec, s, weights):
+    # reference: one bincount over every point's lanes
+    rows, values = one_band(spec, s)
+    terms = values * weights[:, None]
+    return np.bincount(rows.ravel(), weights=terms.ravel(),
+                       minlength=spec.size)
+
+
+def unblocked_linear_form(spec, c, s):
+    # reference: every point's lanes against c, summed as a whole
+    rows, values = one_band(spec, s)
+    return np.sum(c[rows] * values, axis=1)
+
+
 def unblocked_wavelet_approximation(spec, grid, f):
-    # reference: one bincount over every point, then one reconstruction
-    rows, values = one_band(spec, grid.points)
-    terms = values * grid.weights()[:, None] * f[:, None]
-    coeffs = np.bincount(rows.ravel(), weights=terms.ravel(),
-                         minlength=spec.size)
-    return np.sum(coeffs[rows] * values, axis=1)
+    # reference: one bincount of the terms values * (h * f), then one
+    # reconstruction; h * f weights each point once, as coefficient_band
+    # weights its products
+    hf = grid.weights() * f
+    coeffs = unblocked_coefficient_vector(spec, grid.points, hf)
+    return unblocked_linear_form(spec, coeffs, grid.points)
 
 
 def unblocked_basis_matrix(spec, s):
@@ -475,6 +516,10 @@ def test_blocked_primitives_equal_one_pass_references_bitwise(family):
     assert np.array_equal(band_to_dense(band), dense)
     assert np.array_equal(quadratic_form(spec, band, pts),
                           dense_quadratic_form(spec, dense, pts))
+    c = coefficient_vector(spec, pts, weights)
+    assert np.array_equal(c, unblocked_coefficient_vector(spec, pts, weights))
+    assert np.array_equal(linear_form(spec, c, pts),
+                          unblocked_linear_form(spec, c, pts))
     op = EmbeddingOperator(spec, rng.uniform(0.0, 2.0, size=spec.size))
     assert np.array_equal(kernel_diag(op, pts), unblocked_kernel_diag(op, pts))
     assert np.array_equal(basis_matrix(spec, pts),
@@ -512,12 +557,15 @@ def test_band_consumers_hold_one_block_at_a_time():
     pts = rng.uniform(0.0, 3.0, n)
     weights = np.full(n, 1.0 / n)
     band = coefficient_band(spec, pts, weights)
+    c = coefficient_vector(spec, pts, weights)
     op = EmbeddingOperator(spec, rng.uniform(0.5, 1.5, spec.size))
     grid = Grid(spec.span(), n - 1)
     f = rng.uniform(0.0, 2.0, n)
     bound = 19.5 * 8 * BAND_BLOCK + 64 * 2 ** 10
     for call in (lambda: coefficient_band(spec, pts, weights),
+                 lambda: coefficient_vector(spec, pts, weights),
                  lambda: quadratic_form(spec, band, pts),
+                 lambda: linear_form(spec, c, pts),
                  lambda: kernel_diag(op, pts),
                  lambda: basis_matrix(spec, pts),
                  lambda: wavelet_approximation(f, spec, grid)):
@@ -536,13 +584,24 @@ def test_quadratic_form_refuses_a_band_of_the_wrong_shape():
             quadratic_form(spec, np.ones(shape), s)
 
 
+def test_linear_form_refuses_coefficients_of_the_wrong_shape():
+    spec = BasisSpec("daubechies4", 2, UNIT)
+    s = np.array([0.5, 1.5, 2.5])
+    for shape in [(13,), (15,), (14, 1), (1, 14), ()]:
+        message = f"coefficients have shape {shape}, need (14,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            linear_form(spec, np.ones(shape), s)
+
+
 @pytest.mark.parametrize("family", ["haar", "daubechies4"])
 def test_band_refuses_points_without_a_translate_index(family):
     spec = BasisSpec(family, 2, UNIT)
     op = EmbeddingOperator.projection(spec)
     band = coefficient_band(spec, np.array([0.5, 1.5]), np.ones(2))
     calls = [lambda s: basis_matrix(spec, s), lambda s: kernel_diag(op, s),
-             lambda s: quadratic_form(spec, band, s)]
+             lambda s: quadratic_form(spec, band, s),
+             lambda s: coefficient_vector(spec, s, np.ones(s.size)),
+             lambda s: linear_form(spec, np.ones(spec.size), s)]
     later = np.linspace(0.0, 3.0, BAND_BLOCK + 2)
     later[-1] = np.nan
     cases = [(np.array([np.nan, np.inf, 1.0]), "2 point.*: nan, inf"),

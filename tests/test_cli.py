@@ -28,7 +28,6 @@ from densop import (
     Interval,
     load_config,
     parse_config,
-    save_samples,
 )
 from densop import cli as cli_module
 from densop.basis import RESOLUTION
@@ -151,7 +150,7 @@ def test_command_peak_is_within_its_footprint(tmp_path, command, changes):
     # the count, which allows one block of work and 4 values per grid point.
     cfg = ExperimentConfig(**changes)
     samples = str(tmp_path / "samples.txt")
-    save_samples(samples, cfg.target().sample(cfg.n_samples, 5))
+    write_table(samples, (), [cfg.target().sample(cfg.n_samples, 5).points])
 
     def run():
         if command == "estimate":
@@ -816,7 +815,7 @@ def test_bytes_that_are_not_utf8_are_refused_naming_file_and_line(
         samples.write_bytes(b"0.5\n1.\xe9\n")
     else:
         bad, line = cfgpath, 3
-        save_samples(samples, SampleSet(np.array([0.5, 1.0])))
+        write_table(samples, (), [np.array([0.5, 1.0])])
         cfgpath.write_bytes(b"grid_cells = 1024\n\n# caf\xe9 au lait\n")
     out = tmp_path / "est.csv"
     assert main(["estimate", str(samples), "--config", str(cfgpath),

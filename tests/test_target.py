@@ -21,14 +21,13 @@ from densop import (
     ExperimentConfig,
     Grid,
     Interval,
-    SampleSet,
     embedded_density_exact,
     load_samples,
     regularized_incomplete_beta,
-    save_samples,
 )
 from densop import target as target_module
 from densop.target import SAMPLE_CHUNK, count_samples
+from densop.textio import write_table
 
 UNIT = Interval(0.0, 3.0)
 
@@ -391,7 +390,7 @@ def test_save_load_round_trip(tmp_path):
     target = BetaTarget(2.0, 5.0, UNIT)
     s = target.sample(64, seed=9)
     path = tmp_path / "samples.txt"
-    save_samples(path, s)
+    write_table(path, (), [s.points])
     back = load_samples(path, UNIT)
     assert np.array_equal(back.points, s.points)
 
@@ -402,14 +401,14 @@ def test_save_samples_writes_one_17_digit_line_per_point(tmp_path):
     points[rng.random(points.size) < 0.5] *= -1
     points[:6] = [-0.0, 0.0, 5e-324, 1e16, 1e17, 0.1]
     path = tmp_path / "samples.txt"
-    save_samples(path, SampleSet(points))
+    write_table(path, (), [points])
     assert path.read_text() == "".join(f"{v:.17g}\n" for v in points)
     # no interval holds every double, as hi - lo would overflow, so each
     # sign is read back from a file of its own
     for negative, interval in ((True, Interval(-sys.float_info.max, 0.0)),
                                (False, Interval(0.0, sys.float_info.max))):
         half = points[np.signbit(points) == negative]
-        save_samples(path, SampleSet(half))
+        write_table(path, (), [half])
         back = load_samples(path, interval).points
         assert back.tobytes() == half.tobytes()  # sign of zero included
 

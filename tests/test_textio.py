@@ -15,7 +15,6 @@ import pytest
 
 from densop.cli import _estimate_table, _figure_table
 from densop.config import ExperimentConfig
-from densop.target import save_samples
 from densop.textio import _block_rows, write_rows, write_table
 
 
@@ -262,9 +261,8 @@ def test_figure_tables_match_savetxt(tmp_path, figure):
 def test_estimate_table_and_sample_file_match_savetxt(tmp_path):
     cfg = ExperimentConfig()
     samples = tmp_path / "samples.txt"
-    drawn = cfg.target().sample(300, seed=3)
-    points = drawn.points
-    save_samples(samples, drawn)
+    points = cfg.target().sample(300, seed=3).points
+    write_table(samples, (), [points])
     expected = io.BytesIO()
     np.savetxt(expected, points, fmt="%.17g")
     assert samples.read_bytes() == expected.getvalue()
