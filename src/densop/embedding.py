@@ -82,9 +82,10 @@ class EmbeddingOperator:
 
 def kernel_matrix(A: EmbeddingOperator, s, t) -> np.ndarray:
     """Cross matrix K(s_a, t_b) = sum_j alpha_j psi_j(s_a) psi_j(t_b), one
-    row per point of s, from one `basis_matrix` at s and one at t."""
-    return np.einsum("j,ja,jb->ab", A.weights, basis_matrix(A.basis, s),
-                     basis_matrix(A.basis, t))
+    row per point of s, from one `basis_matrix` at s, weighted, and one at
+    t."""
+    weighted = A.weights[:, None] * basis_matrix(A.basis, s)
+    return np.einsum("ja,jb->ab", weighted, basis_matrix(A.basis, t))
 
 
 def kernel_diag(A: EmbeddingOperator, s):

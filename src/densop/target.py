@@ -4,12 +4,13 @@ The incomplete beta function and its quantile are implemented here rather
 than pulled from a statistics package so that sampled streams are
 bit-reproducible from (seed, n) alone: a log-gamma front factor, the Lentz
 continued fraction for the regularized incomplete beta, and for the
-quantile a safeguarded Newton iteration on a table of the incomplete beta
-on dyadic nodes. Each lane starts from the cubic Hermite interpolant of
-the inverse in its table cell, or, in the first cell, from the x**a power
-law, which it then solves in log x; a lane in the last cell solves the
-mirrored shape. A lane stops after the Newton step whose predicted error
-is under the tolerance, so most lanes evaluate the incomplete beta once.
+quantile a safeguarded Newton iteration in log x on a table of the
+incomplete beta on dyadic nodes. Each lane starts from the cubic Hermite
+interpolant of the inverse in its table cell, or, in the first cell, from
+the x**a power law; a lane in the last cell solves the mirrored shape.
+Every lane then takes the same Newton step on log I = log u and stops
+after the step whose predicted error relative to x is under the
+tolerance, so most lanes evaluate the incomplete beta once.
 Every quantile lane depends only on its own u, so the first m points of a
 stream are the same for any n >= m. The uniform stream is numpy's PCG64
 generator, whose output for a given seed is stable under numpy's
@@ -39,8 +40,8 @@ _SOLVE_MAX_ITER = 64
 _STOP_SAFETY = 4.0
 #: The least subnormal, the floor of a first-cell root of u > 0.
 _TINY = 5e-324
-#: Lanes the sampler solves at once. The quantile holds at most about 34
-#: values per lane, so a chunk of 2**14 lanes holds under 5 MB whatever n
+#: Lanes the sampler solves at once. The quantile holds at most about 30
+#: values per lane, so a chunk of 2**14 lanes holds under 4 MB whatever n
 #: is.
 SAMPLE_CHUNK = 2 ** 14
 
@@ -162,8 +163,7 @@ def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 def _start(u: np.ndarray, a: float, b: float, log_norm: float):
-    """Each lane's start x, its bracket lo <= x <= hi, and whether it lies
-    in the table's first cell."""
+    """Each lane's start x and its bracket lo <= x <= hi."""
     nodes, table, slopes = _bracket_table(a, b)
     k = np.clip(np.searchsorted(table, u, side="left"), 1, nodes.size - 1)
     lo, hi = nodes[k - 1], nodes[k]
@@ -192,13 +192,13 @@ def _start(u: np.ndarray, a: float, b: float, log_norm: float):
             start = np.fmin(np.fmax(start, _TINY), hi[first])
             x[first] = np.where(inside, start, 0.0)
             lo[first] = np.where(inside, _TINY, 0.0)
-    return x, lo, hi, first
+    return x, lo, hi
 
 
 def _solve_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
     """The safeguarded Newton iteration of _beta_quantile on every lane."""
     log_norm = _log_beta(a, b)
-    x, lo, hi, first = _start(u, a, b, log_norm)
+    x, lo, hi = _start(u, a, b, log_norm)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.empty_like(u)
         lanes = np.arange(u.size)
@@ -208,45 +208,33 @@ def _solve_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
             f = value - u
             lo = np.where(f < 0, x, lo)
             hi = np.where(f > 0, x, hi)
-            # the Newton step f / pdf, with pdf = front / (x (1 - x)); it
-            # leaves an error of about K step**2, where K is half the
-            # curvature over the slope of the solved function: for I(x) - u
-            # that is half of |d log pdf / dx| at the new iterate
-            newton = f * x * (1.0 - x) / front
-            x_next = x - newton
-            error = 0.5 * np.abs((a - 1.0) / x_next - (b - 1.0)
-                                 / (1.0 - x_next)) * newton ** 2
-            middle = lo + 0.5 * (hi - lo)
-            if first.any():
-                # in the first cell Newton solves log I = log u in log x,
-                # along which log I is nearly linear, with slope
-                # r = x pdf / I; bisection halves the bracket in log x
-                x1 = x[first]
-                r = front[first] / ((1.0 - x1) * value[first])
-                log_step = np.log1p(f[first] / u[first]) / r
-                x_log = x1 * np.exp(-log_step)
-                x_next[first] = x_log
-                newton[first] = x1 - x_log
-                error[first] = 0.5 * x_log * log_step ** 2 * np.abs(
-                    a - r - (b - 1.0) * x_log / (1.0 - x_log))
-                middle[first] = np.sqrt(lo[first]) * np.sqrt(hi[first])
-            # NaN and inf fail the bracket test, so they bisect too
+            # Newton solves log I = log u in log x, along which log I is
+            # nearly linear, with slope r = x pdf / I. The step leaves a
+            # relative error of about K log_step**2, where K is half the
+            # curvature over the slope: half of |d log r / d log x|
+            r = front / ((1.0 - x) * value)
+            log_step = np.log1p(f / u) / r
+            x_next = x * np.exp(-log_step)
+            error = 0.5 * log_step ** 2 * np.abs(
+                a - r - (b - 1.0) * x_next / (1.0 - x_next))
+            # NaN and inf fail the bracket test, so they bisect too; the
+            # bisection halves the bracket in log x
             bisect = ~((x_next >= lo) & (x_next <= hi))
-            bisect |= np.abs(2.0 * newton) > np.abs(step_before)
-            x_next = np.where(bisect, middle, x_next)
+            bisect |= np.abs(2.0 * (x - x_next)) > np.abs(step_before)
+            x_next = np.where(bisect, np.sqrt(lo) * np.sqrt(hi), x_next)
             # a root stays put even where the pdf is 0 or inf
             x_next = np.where(f == 0, x, x_next)
             step_before, step = step, x - x_next
             tol = _STOP_ULPS * np.spacing(x_next)
             out[lanes] = x_next
-            settled = ~bisect & (_STOP_SAFETY * error < tol)
+            settled = ~bisect & (_STOP_SAFETY * error < tol / x_next)
             going = ((f != 0) & (np.abs(step) > tol) & (hi - lo > tol)
                      & ~settled)
             if not going.any():
                 break
-            lanes, u, x, lo, hi, step, step_before, first = (
+            lanes, u, x, lo, hi, step, step_before = (
                 v[going] for v in (lanes, u, x_next, lo, hi, step,
-                                   step_before, first))
+                                   step_before))
     return out
 
 
@@ -355,21 +343,21 @@ class BetaTarget:
         interpolant of the inverse, whose slopes 1/pdf at the nodes are
         cached with the table. The first cell, where I grows like x**a
         and roots reach the subnormals, starts between the power law
-        through its node and the asymptote (u a B(a, b))**(1/a), and is
-        solved in log x, where log I is nearly linear: Newton on
-        log I = log u, and bisection by geometric means down to the least
-        subnormal. The safeguarded Newton iteration takes the bisection
-        step whenever the Newton step leaves the bracket, is not finite,
-        or has not halved the step from two iterations before. A lane
-        stops when I(x) == u; after a Newton step whose predicted error
-        K step**2, K half of |d log pdf / dx| at the new point (in log x
-        on the first cell), is under _STOP_ULPS units in the last place of
-        x with a safety factor of _STOP_SAFETY; when its step or bracket
-        is within those units; and at the latest after _SOLVE_MAX_ITER
-        evaluations. Most lanes stop after one evaluation of I. Only lanes
-        still running are evaluated, and each lane's result depends on
-        (u, a, b) alone, so a sampled stream does not depend on how many
-        points are drawn with it.
+        through its node and the asymptote (u a B(a, b))**(1/a), with a
+        bracket down to the least subnormal. Every lane is solved in
+        log x, where log I is nearly linear: Newton on log I = log u, and
+        bisection by geometric means. The safeguarded Newton iteration
+        takes the bisection step whenever the Newton step leaves the
+        bracket, is not finite, or has not halved the step from two
+        iterations before. A lane stops when I(x) == u; after a Newton
+        step whose predicted relative error K log_step**2, K half of
+        |d log r / d log x| with r = x pdf / I, is under _STOP_ULPS units
+        in the last place of x, relative to x, with a safety factor of
+        _STOP_SAFETY; when its step or bracket is within those units; and
+        at the latest after _SOLVE_MAX_ITER evaluations. Most lanes stop
+        after one evaluation of I. Only lanes still running are evaluated,
+        and each lane's result depends on (u, a, b) alone, so a sampled
+        stream does not depend on how many points are drawn with it.
         """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
