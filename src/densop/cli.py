@@ -86,9 +86,9 @@ GRID_VALUES = 4
 #: coefficient_band, whose point-major terms and indices share one buffer
 #: reused from block to block, 13.0 in coefficient_vector and
 #: wavelet_approximation, 7.0 in quadratic_form and linear_form); the beta
-#: quantile on a chunk of target.SAMPLE_CHUNK lanes, at most 3.8 MB (30
-#: values per lane for shape (8013, 2), whose lanes all iterate in the
-#: first cell, and 21 for (200, 0.05)); the table writer's block of at most
+#: quantile on a chunk of target.SAMPLE_CHUNK lanes, at most 3.5 MiB (28.1
+#: values per lane for shape (8013, 2), 27.2 for (2, 8013) and 20.3 for
+#: (200, 0.05)); the table writer's block of at most
 #: 4096 values and its buffer, with the last slot words it builds once per
 #: table, at most 1.2 MiB (0.78-0.82 MiB on random doubles, 0.95 MiB on
 #: fine-scale's estimate table, 1.13-1.17 MiB on values whose point moves,

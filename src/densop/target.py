@@ -5,9 +5,10 @@ than pulled from a statistics package so that sampled streams are
 bit-reproducible from (seed, n) alone: a log-gamma front factor, the Lentz
 continued fraction for the regularized incomplete beta, and for the
 quantile a safeguarded Newton iteration in log x on a table of the
-incomplete beta on dyadic nodes. Each lane starts from the cubic Hermite
-interpolant of the inverse in its table cell, or, in the first cell, from
-the x**a power law; a lane in the last cell solves the mirrored shape.
+incomplete beta on dyadic nodes and, below them, on every power of two
+down to the least subnormal. Each lane starts from the cubic Hermite
+interpolant of log x in log I in its table cell; a lane in the last cell
+solves the mirrored shape.
 Every lane then takes the same Newton step on log I = log u and stops
 after the step whose predicted error relative to x is under the
 tolerance, so most lanes evaluate the incomplete beta once.
@@ -38,11 +39,12 @@ _SOLVE_MAX_ITER = 64
 #: A lane stops after a Newton step whose predicted error, times this
 #: factor, is under _STOP_ULPS units in the last place.
 _STOP_SAFETY = 4.0
-#: The least subnormal, the floor of a first-cell root of u > 0.
+#: The least subnormal: the floor of a root of u > 0, and the least
+#: power of two among the bracket table's nodes.
 _TINY = 5e-324
-#: Lanes the sampler solves at once. The quantile holds at most about 30
-#: values per lane, so a chunk of 2**14 lanes holds under 4 MB whatever n
-#: is.
+#: Lanes the sampler solves at once. The quantile holds at most about 28
+#: values per lane, so a chunk of 2**14 lanes holds about 3.5 MiB whatever
+#: n is.
 SAMPLE_CHUNK = 2 ** 14
 
 
@@ -132,17 +134,22 @@ def _incomplete_beta(x: np.ndarray, a: float, b: float,
 
 @functools.lru_cache(maxsize=16)
 def _bracket_table(a: float, b: float) -> tuple[np.ndarray, ...]:
-    """The dyadic nodes of [0, 1], I_x(a, b) on them and the slopes
-    dx/du = 1/pdf of the inverse there, read-only.
+    """Nodes of [0, 1], I_x(a, b) on them and the slopes
+    d log x / d log I = I (1 - x) / front of the inverse there, read-only.
 
+    The nodes are 0, the powers of two from the least subnormal up to
+    2**-(_TABLE_LEVEL + 1) and the 2**_TABLE_LEVEL dyadic nodes above 0,
+    so no cell but the first spans more than a factor of 2 in x.
     Cached per shape, since every sampler of one target starts from the
     same table; the arrays are frozen because every caller shares them.
-    A slope is inf where the pdf underflows and NaN at an end.
+    A slope is NaN or inf where the front factor is 0.
     """
-    nodes = np.linspace(0.0, 1.0, 2 ** _TABLE_LEVEL + 1)
+    exponents = np.arange(int(math.log2(_TINY)), -_TABLE_LEVEL)
+    nodes = np.insert(np.linspace(0.0, 1.0, 2 ** _TABLE_LEVEL + 1), 1,
+                      np.ldexp(1.0, exponents))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         value, front = _incomplete_beta(nodes, a, b, _log_beta(a, b))
-        slopes = nodes * (1.0 - nodes) / front
+        slopes = value * (1.0 - nodes) / front
     # searchsorted needs a sorted table, which rounding alone does not
     # promise across the continued fraction's two branches
     table = np.maximum.accumulate(value)
@@ -162,43 +169,31 @@ def _beta_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return x
 
 
-def _start(u: np.ndarray, a: float, b: float, log_norm: float):
+def _start(u: np.ndarray, a: float, b: float):
     """Each lane's start x and its bracket lo <= x <= hi."""
     nodes, table, slopes = _bracket_table(a, b)
     k = np.clip(np.searchsorted(table, u, side="left"), 1, nodes.size - 1)
     lo, hi = nodes[k - 1], nodes[k]
-    f_lo, f_hi = table[k - 1], table[k]
-    first = k == 1
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # cubic Hermite interpolation of the inverse, from the slopes at
-        # the cell's nodes, or linear where the cubic leaves the cell
-        rise = f_hi - f_lo
-        t = np.where(rise > 0, (u - f_lo) / rise, 0.0)
-        x = (lo + (hi - lo) * t * t * (3.0 - 2.0 * t) + rise * t * (1.0 - t)
-             * ((1.0 - t) * slopes[k - 1] - t * slopes[k]))
-        x = np.where((x >= lo) & (x <= hi), x, lo + t * (hi - lo))
-        if first.any():
-            # I grows like x**a from 0. The first cell starts at
-            # x_p * g**(1 - p): x_p = x_1 p, p = (u / I_1)**(1/a), is the
-            # power law through the node (x_1, I_1), and g = x_0 / x_p the
-            # ratio of the asymptote x_0 = (u a B(a, b))**(1/a) to it, so
-            # the start runs from x_0 as u -> 0 to the node. A root of
-            # u > 0 is taken to be at least the least subnormal.
-            log_g = (math.log(table[1]) + math.log(a) + log_norm) / a \
-                - math.log(nodes[1]) if table[1] > 0 else 0.0
-            power = t[first] ** (1.0 / a)
-            start = hi[first] * power * np.exp((1.0 - power) * log_g)
-            inside = u[first] > 0
-            start = np.fmin(np.fmax(start, _TINY), hi[first])
-            x[first] = np.where(inside, start, 0.0)
-            lo[first] = np.where(inside, _TINY, 0.0)
-    return x, lo, hi
+        # cubic Hermite interpolation of log x in log I, from the slopes
+        # at the cell's nodes
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        f_lo = np.log(table[k - 1])
+        rise = np.log(table[k]) - f_lo
+        t = (np.log(u) - f_lo) / rise
+        x = np.exp(log_lo + (log_hi - log_lo) * t * t * (3.0 - 2.0 * t)
+                   + rise * t * (1.0 - t)
+                   * ((1.0 - t) * slopes[k - 1] - t * slopes[k]))
+    # a root of u > 0 is at least the least subnormal; a NaN start, as in
+    # a cell that starts at I = 0, becomes lo
+    lo = np.fmax(lo, np.where(u > 0, _TINY, 0.0))
+    return np.fmin(np.fmax(x, lo), hi), lo, hi
 
 
 def _solve_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
     """The safeguarded Newton iteration of _beta_quantile on every lane."""
     log_norm = _log_beta(a, b)
-    x, lo, hi = _start(u, a, b, log_norm)
+    x, lo, hi = _start(u, a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.empty_like(u)
         lanes = np.arange(u.size)
@@ -335,17 +330,18 @@ class BetaTarget:
     def quantile(self, u):
         """Inverse CDF: the x in [0, 1] with I_x(a, b) = u, mapped onto s.
 
-        A table of I on the 2**_TABLE_LEVEL + 1 dyadic nodes of [0, 1]
-        brackets each u. Within a cell of 1, x keeps too few digits for I
-        to resolve u, so a u in the last cell is solved as
-        x = 1 - Q(1 - u; b, a) by the mirrored shape, in whose first cell
-        the root lies. An inner cell starts from the cubic Hermite
-        interpolant of the inverse, whose slopes 1/pdf at the nodes are
-        cached with the table. The first cell, where I grows like x**a
-        and roots reach the subnormals, starts between the power law
-        through its node and the asymptote (u a B(a, b))**(1/a), with a
-        bracket down to the least subnormal. Every lane is solved in
-        log x, where log I is nearly linear: Newton on log I = log u, and
+        A table of I on the 2**_TABLE_LEVEL + 1 dyadic nodes of [0, 1],
+        and on the powers of two from the least subnormal up to
+        2**-(_TABLE_LEVEL + 1), brackets each u, so no cell but the first
+        spans more than a factor of 2 in x. Within a cell of 1, x keeps
+        too few digits for I to resolve u, so a u in the last cell is
+        solved as x = 1 - Q(1 - u; b, a) by the mirrored shape, in whose
+        first cells the root lies. Every lane starts from the cubic
+        Hermite interpolant of log x in log I in its cell, clamped into
+        the cell; its slopes d log x / d log I = I / (x pdf) at the nodes
+        are cached with the table. A root of u > 0 is taken to be at
+        least the least subnormal. Every lane is solved in log x, where
+        log I is nearly linear: Newton on log I = log u, and
         bisection by geometric means. The safeguarded Newton iteration
         takes the bisection step whenever the Newton step leaves the
         bracket, is not finite, or has not halved the step from two

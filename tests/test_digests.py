@@ -15,7 +15,8 @@ that numpy. A change that moves bits on purpose rewrites the digests with
 
     PYTHONPATH=src python tests/test_digests.py
 
-and names each table that moved.
+and names each table that moved; the script prints the name of each case
+whose digest changed.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         sha = {name: hashlib.sha256(_output(name, Path(tmp))).hexdigest()
                for name in CASES}
+    before = json.loads(DIGESTS.read_text())["sha256"]
+    for name in sha:
+        if sha[name] != before.get(name):
+            print(f"moved: {name}", file=sys.stderr)
     DIGESTS.write_text(json.dumps({**_versions(), "sha256": sha},
                                   indent=2) + "\n")
     print(f"wrote {len(sha)} digests to {DIGESTS}", file=sys.stderr)

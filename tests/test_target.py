@@ -286,32 +286,46 @@ def test_quantile_is_monotone_over_sorted_draws(a, b):
 
 
 @pytest.mark.parametrize("a,b,u,root", [
-    # roots of I_x(a, b) = u found by mpmath at 40 digits
+    # roots of I_x(a, b) = u found by mpmath at 40 digits, the last two
+    # solved in log x, since findroot in x fails at their sizes
     (2.0, 8013.0, 0.6072637591703937, 2.5574078485001626e-4),
     (8013.0, 2.0, 0.3926810991711883, 0.9997442331512333),
+    (0.3, 3.0, 1e-12, 2.6173553603077482e-41),
+    (0.05, 0.05, 1e-6, 9.7118236027201568e-115),
 ])
 def test_quantile_solves_a_first_cell_lane_far_above_the_floor(a, b, u, root):
-    # both lanes once returned the floor, 5e-324 and 1.0: a step landed on
-    # the least subnormal, where half the predicted error in x rounded to
-    # 0 and counted as settled
+    # the first two lanes once returned the floor, 5e-324 and 1.0: a step
+    # landed on the least subnormal, where half the predicted error in x
+    # rounded to 0 and counted as settled. The last two lie deep in
+    # [0, 1/256], which the table splits at each power of two
     x = BetaTarget(a, b, Interval(0.0, 1.0)).quantile(u)
     assert abs(x - root) <= 1e-11 * root
 
 
+def test_quantile_floors_a_root_below_the_least_subnormal():
+    # I(5e-324; 0.001, 0.001) is about 0.24, so the root of u = 0.1, near
+    # 1e-699, has no double above 0; a root of u > 0 is floored at 5e-324
+    target = BetaTarget(0.001, 0.001, Interval(0.0, 1.0))
+    assert target.quantile(0.1) == 5e-324
+
+
 # evaluations of I per lane, about 5 % over the count of 10**4 draws at
 # seed 1
-EVALUATIONS_PER_LANE = {(2.0, 5.0): 1.14, (0.3, 3.0): 1.51, (5.0, 0.7): 1.25,
-                        (30.0, 40.0): 1.60, (0.05, 200.0): 1.70,
-                        (0.05, 0.05): 1.19}
+EVALUATIONS_PER_LANE = {(2.0, 5.0): 1.06, (0.3, 3.0): 1.22, (5.0, 0.7): 1.22,
+                        (30.0, 40.0): 1.53, (0.05, 200.0): 1.32,
+                        (0.05, 0.05): 1.12, (2.0, 8013.0): 3.13,
+                        (8013.0, 2.0): 3.12}
 
 
 @pytest.mark.parametrize("a,b", EVALUATIONS_PER_LANE)
 def test_quantile_evaluates_the_incomplete_beta_about_once_per_lane(
         monkeypatch, a, b):
-    # the start from the cubic Hermite interpolant or the power law, and
-    # the stop after a Newton step whose predicted error is under the
-    # tolerance, take most lanes to one evaluation of I; the solve once
-    # took 3.01 per lane for (2, 5)
+    # the start from the cubic Hermite interpolant of log x in log I, in
+    # cells no wider than a factor of 2 in x, and the stop after a Newton
+    # step whose predicted error is under the tolerance, take most lanes to
+    # one evaluation of I. The solve once took 3.01 per lane for (2, 5),
+    # and 10.4 for (2, 8013) while its first cell [0, 1/256] started from
+    # a power law
     target = BetaTarget(a, b, UNIT)
     target.sample(10, seed=1)  # fills the bracket table's cache
     lanes = []
