@@ -88,12 +88,10 @@ def kernel_matrix(A: EmbeddingOperator, s, t) -> np.ndarray:
     return np.einsum("ja,jb->ab", weighted, basis_matrix(A.basis, t))
 
 
-def kernel_diag(A: EmbeddingOperator, s):
-    """<s|A*A|s> = sum_j alpha_j^2 psi_j(s)^2, always >= 0: the form of
-    A*A's band, its one diagonal alpha^2."""
-    s = np.asarray(s, dtype=float)
-    out = quadratic_form(A.basis, A.weights[:, None] ** 2, s)
-    return float(out[0]) if s.ndim == 0 else out.reshape(s.shape)
+def kernel_diag(A: EmbeddingOperator, s) -> np.ndarray:
+    """<s|A*A|s> = sum_j alpha_j^2 psi_j(s)^2 >= 0 at each point, read flat:
+    the form of A*A's band, its one diagonal alpha^2."""
+    return quadratic_form(A.basis, A.weights[:, None] ** 2, s)
 
 
 def trace_k_rho(A: EmbeddingOperator, zeta) -> float:

@@ -89,10 +89,10 @@ def _projection(family: str, scale_n: int) -> EmbeddingOperator:
     return EmbeddingOperator.projection(BasisSpec(family, scale_n, _UNIT))
 
 
-# The fixtures that the checks of one run_suite call share, by key. The
-# outermost call sets a fresh dict and resets it when it returns, so no
-# fixture outlives its run, and a check called on its own, outside a run,
-# builds its own from whatever the routes it calls are at that moment.
+# The fixtures that the checks of one run_suite call share, keyed by their
+# inputs alone. The outermost call sets a fresh dict and resets it when it
+# returns, so no fixture outlives its run, and a check called on its own,
+# outside a run, builds its own from whatever the routes it calls are then.
 _FIXTURES: ContextVar[dict | None] = ContextVar("fixtures", default=None)
 
 
@@ -120,24 +120,9 @@ def _daub4_gram(scale_n: int) -> np.ndarray:
 
 
 def _samples(n: int, seed: int) -> SampleSet:
-    """The default target's sample(n, seed). Within a run, the first n
-    points of the longest stream of `seed` drawn so far: a stream's first
-    points do not depend on its length."""
-    target = ExperimentConfig().target()
-    memo = _FIXTURES.get()
-    if memo is None:
-        return target.sample(n, seed)
-    drawn = memo.get(("samples", seed))
-    if drawn is None or drawn.n < n:
-        drawn = memo[("samples", seed)] = target.sample(n, seed)
-    return drawn if drawn.n == n else SampleSet(drawn.points[:n])
-
-
-def _map_coefficients(seed: int, samples: SampleSet):
-    """map_coefficients of the default basis on `samples`, which are
-    _samples(samples.n, seed)."""
-    return _fixture(("map", seed, samples.n), lambda: map_coefficients(
-        samples, ExperimentConfig().basis()))
+    """The default target's sample(n, seed), drawn once per run."""
+    return _fixture(("samples", seed, n),
+                    lambda: ExperimentConfig().target().sample(n, seed))
 
 
 def _by_dimension(rng, trials: int):
@@ -374,7 +359,8 @@ def haar_map_histogram(seed: int, n_samples: int, scales, cells: int) -> float:
 @_check("learn", "map coefficient matrix is psd", 1e-10, 1, 300)
 def map_coefficients_psd(seed: int, n_samples: int) -> float:
     """Most negative eigenvalue of the MAP coefficient matrix."""
-    coeffs = _map_coefficients(seed, _samples(n_samples, seed))
+    coeffs = map_coefficients(_samples(n_samples, seed),
+                              ExperimentConfig().basis())
     return max(0.0, -float(np.linalg.eigvalsh(coeffs.matrix)[0]))
 
 
@@ -383,7 +369,7 @@ def map_coefficients_psd(seed: int, n_samples: int) -> float:
 def map_coefficient_trace(seed: int, n_samples: int) -> float:
     """MAP coefficient trace against the sample trace of the kernel."""
     samples = _samples(n_samples, seed)
-    coeffs = _map_coefficients(seed, samples)
+    coeffs = map_coefficients(samples, ExperimentConfig().basis())
     return abs(coeffs.trace()
                - trace_k_map(ExperimentConfig().operator(), samples))
 
@@ -462,9 +448,10 @@ def suite_learn() -> list[CheckResult]:
 def run_suite(name: str) -> list[CheckResult]:
     """Run one suite, or all four in order, and return its results.
 
-    The checks of one call share their fixtures: the Daubechies-4 Gram
-    matrix, each seed's default-target samples and the MAP coefficients
-    are built once per call, not once per check.
+    The checks of one call share their fixtures, each keyed by its
+    inputs alone: the Daubechies-4 Gram matrix of each scale and the
+    default target's samples of each (seed, n) are built once per call,
+    not once per check.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES}")

@@ -15,7 +15,8 @@ tolerance, so most lanes evaluate the incomplete beta once.
 Every quantile lane depends only on its own u, so the first m points of a
 stream are the same for any n >= m. The uniform stream is numpy's PCG64
 generator, whose output for a given seed is stable under numpy's
-random-stream compatibility policy.
+random-stream compatibility policy. A function of points reads them flat,
+as `basis` does, and returns one float64 per point in a flat array.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ _TINY = 5e-324
 SAMPLE_CHUNK = 2 ** 14
 
 
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
 def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     """Continued fraction for the incomplete beta (modified Lentz).
 
@@ -59,7 +56,6 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     _CF_EPS of 1, so converged entries stop changing and the result is
     independent of how many extra iterations the slowest lane needs.
     """
-    x = np.asarray(x, dtype=float)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -92,21 +88,34 @@ def _betacf(a: float, b: float, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def regularized_incomplete_beta(x, a: float, b: float):
-    """I_x(a, b), the regularized incomplete beta function, vectorized in x.
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) of a beta shape; refuses, naming the cause, a shape
+    that is not positive, not finite, or whose log B(a, b) overflows."""
+    if not (a > 0 and b > 0):
+        raise ValueError(
+            f"beta parameters must be positive, got a={a}, b={b}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"beta parameters must be finite, got a={a}, b={b}")
+    try:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError:
+        raise ValueError(
+            f"Beta({a:g}, {b:g}) has no finite log B(a, b), so its density "
+            f"cannot be normalized") from None
 
-    Refuses an x outside [0, 1], NaN included.
+
+def regularized_incomplete_beta(x, a: float, b: float) -> np.ndarray:
+    """I_x(a, b), the regularized incomplete beta function, at each x.
+
+    Refuses an x outside [0, 1], NaN included, and, with BetaTarget's
+    message, each shape that BetaTarget refuses.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"need a > 0 and b > 0, got a={a}, b={b}")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).astype(float)
+    log_beta = _log_beta(a, b)
+    x = np.asarray(x, dtype=float).ravel()
     if not np.all((x >= 0) & (x <= 1)):
         raise ValueError("x must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        out = _incomplete_beta(x, a, b, _log_beta(a, b))[0]
-    return float(out[0]) if scalar else out
+        return _incomplete_beta(x, a, b, log_beta)[0]
 
 
 def _incomplete_beta(x: np.ndarray, a: float, b: float,
@@ -242,22 +251,10 @@ class BetaTarget:
     interval: Interval
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(
-                f"beta parameters must be positive, got a={self.a}, b={self.b}"
-            )
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(
-                f"beta parameters must be finite, got a={self.a}, b={self.b}")
-        try:
-            _log_beta(self.a, self.b)
-        except OverflowError:
-            raise ValueError(
-                f"Beta({self.a:g}, {self.b:g}) has no finite log B(a, b), "
-                f"so its density cannot be normalized") from None
+        _log_beta(self.a, self.b)
 
-    def density(self, s):
-        """Density value at s; 0 outside the interval.
+    def density(self, s) -> np.ndarray:
+        """Density at each point of s; 0 outside the interval. NaN is refused.
 
         At an endpoint the mean of the one-sided limits is returned: 0 for
         a shape above 1, half the inner limit at 1, infinite below 1.
@@ -266,13 +263,16 @@ class BetaTarget:
         that order, in place on the points inside, so that besides its
         output it holds at most two values per point.
         """
-        s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
+        s = np.asarray(s, dtype=float).ravel()
+        nan = np.count_nonzero(np.isnan(s))
+        if nan:
+            raise ValueError(
+                f"cannot evaluate the density at {nan} NaN point(s)")
         # Overflow is harmless here: x of a point far outside a narrow
         # interval is +-inf, outside (0, 1); and a density past the
         # largest double is inf, which `curve` refuses.
         with np.errstate(over="ignore"):
-            x = (np.atleast_1d(s) - self.interval.lo) / self.interval.width
+            x = (s - self.interval.lo) / self.interval.width
             at_lo, at_hi = x == 0.0, x == 1.0
             inside = (x > 0.0) & (x < 1.0)
             x = x[inside]
@@ -288,7 +288,7 @@ class BetaTarget:
             out[inside] = np.exp(log_x, out=log_x)
         out[at_lo] = self._edge_value(self.a)
         out[at_hi] = self._edge_value(self.b)
-        return float(out[0]) if scalar else out
+        return out
 
     def _edge_value(self, shape: float) -> float:
         if shape != 1.0:
@@ -322,12 +322,13 @@ class BetaTarget:
         zeta.require_unit_mass()
         return zeta
 
-    def cdf(self, s):
+    def cdf(self, s) -> np.ndarray:
+        """I_x(a, b) at each point of s: 0 below the interval, 1 above."""
         s = np.asarray(s, dtype=float)
         x = (s - self.interval.lo) / self.interval.width
         return regularized_incomplete_beta(np.clip(x, 0.0, 1.0), self.a, self.b)
 
-    def quantile(self, u):
+    def quantile(self, u) -> np.ndarray:
         """Inverse CDF: the x in [0, 1] with I_x(a, b) = u, mapped onto s.
 
         A table of I on the 2**_TABLE_LEVEL + 1 dyadic nodes of [0, 1],
@@ -355,14 +356,11 @@ class BetaTarget:
         and each lane's result depends on (u, a, b) alone, so a sampled
         stream does not depend on how many points are drawn with it.
         """
-        u = np.asarray(u, dtype=float)
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u).astype(float)
+        u = np.asarray(u, dtype=float).ravel()
         if not np.all((u >= 0) & (u <= 1)):
             raise ValueError("u must lie in [0, 1]")
-        x = _beta_quantile(u.ravel(), self.a, self.b).reshape(u.shape)
-        out = self.interval.lo + self.interval.width * x
-        return float(out[0]) if scalar else out
+        x = _beta_quantile(u, self.a, self.b)
+        return self.interval.lo + self.interval.width * x
 
     def sample(self, n: int, seed: int) -> SampleSet:
         """n points by inverse-CDF from a PCG64 uniform stream.

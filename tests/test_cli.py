@@ -7,6 +7,7 @@ exercise the full-size defaults.
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import math
 import os
@@ -1323,6 +1324,25 @@ ORACLE_CHECKS = [
 ]
 
 
+def test_oracle_check_count_matches_the_benchmark_plan(monkeypatch,
+                                                      tmp_path):
+    # the oracle-all workload passes only when stdout ends with exactly
+    # its planned count of passed checks
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules as they are made
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    [command] = workloads.plan("oracle-all", 0, tmp_path).commands
+    assert len(ORACLE_CHECKS) == command.oracle_checks, (
+        f"{len(ORACLE_CHECKS)} oracle checks are registered but "
+        f"bench/workloads.py plans {command.oracle_checks}, so the "
+        f"oracle-all workload would fail; a change to the registered "
+        f"checks waits on ROADMAP item 1, which derives the count from "
+        f"oracles.REGISTRY, or ships with it")
+
+
 def test_run_suite_all_green():
     results = run_suite("all")
     assert [r.name for r in results] == ORACLE_CHECKS
@@ -1359,8 +1379,9 @@ def _results(results):
 
 
 def test_run_suite_shares_fixtures_without_changing_a_result(monkeypatch):
-    # the Gram matrix, the samples and the MAP coefficients are built once
-    # per run; each check called alone builds its own and gets the same bits
+    # the Gram matrix and the samples are built once per run, keyed by
+    # their inputs; each check called alone builds its own and gets the
+    # same bits
     drawn = []
     sample = BetaTarget.sample
 
@@ -1370,9 +1391,9 @@ def test_run_suite_shares_fixtures_without_changing_a_result(monkeypatch):
 
     monkeypatch.setattr(BetaTarget, "sample", counted)
     results = _results(run_suite("all"))
-    # seeds 7 and 11 draw once; seed 1's three draws of 300 points and its
-    # 100 are one stream of 300, and its 10 000 one more
-    assert drawn == [200, 500, 300, 10000]
+    # seeds 7 and 11 draw once; seed 1's three checks at 300 points share
+    # one draw, and its 100 and 10 000 points are draws of their own
+    assert drawn == [200, 500, 300, 100, 10000]
     assert oracles._FIXTURES.get() is None
     assert results == _checks_alone()
 

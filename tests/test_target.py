@@ -18,10 +18,12 @@ from scipy.special import betaincinv as scipy_betaincinv
 
 from densop import (
     BetaTarget,
+    EmbeddingOperator,
     ExperimentConfig,
     Grid,
     Interval,
     embedded_density_exact,
+    kernel_diag,
     load_samples,
     regularized_incomplete_beta,
 )
@@ -46,9 +48,11 @@ def test_incomplete_beta_matches_scipy(a, b):
 
 
 def test_incomplete_beta_edge_values_and_scalars():
-    assert regularized_incomplete_beta(0.0, 2.0, 5.0) == 0.0
-    assert regularized_incomplete_beta(1.0, 2.0, 5.0) == 1.0
-    assert isinstance(regularized_incomplete_beta(0.5, 2.0, 5.0), float)
+    # a scalar x gives a flat array of one value
+    assert np.array_equal(regularized_incomplete_beta(0.0, 2.0, 5.0), [0.0])
+    assert np.array_equal(regularized_incomplete_beta(1.0, 2.0, 5.0), [1.0])
+    value = regularized_incomplete_beta(0.5, 2.0, 5.0)
+    assert value.shape == (1,) and value.dtype == np.float64
 
 
 def test_incomplete_beta_validation():
@@ -61,6 +65,23 @@ def test_incomplete_beta_validation():
         regularized_incomplete_beta([0.3, np.nan], 2.0, 5.0)
     with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
         BetaTarget(2.0, 5.0, UNIT).cdf(np.array([1.5, np.nan]))
+
+
+@pytest.mark.parametrize("a,b,message", [
+    (math.inf, 5.0, "must be finite, got a=inf, b=5.0"),
+    (2.0, math.inf, "must be finite, got a=2.0, b=inf"),
+    (math.nan, 5.0, "must be positive, got a=nan, b=5.0"),
+    (2.0, math.nan, "must be positive, got a=2.0, b=nan"),
+    (1e308, 1e308, re.escape("Beta(1e+308, 1e+308) has no finite log B")),
+], ids=["a-inf", "b-inf", "a-nan", "b-nan", "log-beta-overflow"])
+def test_incomplete_beta_refuses_each_shape_beta_target_refuses(a, b,
+                                                                message):
+    # these shapes once gave [nan nan], and (1e308, 1e308) a bare
+    # OverflowError
+    with pytest.raises(ValueError, match=message):
+        regularized_incomplete_beta(np.array([0.2, 0.5]), a, b)
+    with pytest.raises(ValueError, match=message):
+        BetaTarget(a, b, UNIT)
 
 
 # ------------------------------------------------------- density
@@ -98,6 +119,16 @@ def test_density_endpoint_limits():
     assert BetaTarget(5.0, 1.0, UNIT).density(3.0) == pytest.approx(5.0 / 6.0)
     assert BetaTarget(0.5, 0.5, UNIT).density(0.0) == np.inf
     assert BetaTarget(5.0, 0.8, UNIT).density(3.0) == np.inf
+
+
+def test_density_refuses_nan_points_by_count():
+    # a NaN point once gave a density of 0 beside the other points' values
+    target = BetaTarget(2.0, 5.0, UNIT)
+    with pytest.raises(ValueError, match=re.escape(
+            "cannot evaluate the density at 2 NaN point(s)")):
+        target.density(np.array([np.nan, 1.0, np.nan]))
+    # +-inf lies outside the interval, where the density is 0
+    assert np.array_equal(target.density([-np.inf, np.inf]), [0.0, 0.0])
 
 
 def test_density_matches_scipy_pdf():
@@ -142,9 +173,9 @@ def test_density_equals_its_one_expression_form_bitwise(a, b, lo, hi):
                           reference(s).view(np.uint64))
     for point in special:
         value = target.density(float(point))
-        assert isinstance(value, float)
-        assert np.array_equal(np.float64(value).view(np.uint64),
-                              reference(point).view(np.uint64))
+        assert value.shape == (1,)
+        assert np.array_equal(value.view(np.uint64),
+                              reference([point]).view(np.uint64))
 
 
 def test_curve_takes_the_inner_limit_at_a_grid_end_on_the_interval():
@@ -192,7 +223,8 @@ def test_unit_mass_for_random_shapes():
     for _ in range(8):
         a, b = rng.uniform(0.5, 8.0, size=2)
         target = BetaTarget(float(a), float(b), UNIT)
-        mass, err = quad(target.density, 0.0, 3.0, limit=200)
+        mass, err = quad(lambda s: target.density(s)[0], 0.0, 3.0,
+                         limit=200)
         assert err < 1e-7  # quad reports a conservative estimate
         assert abs(mass - 1.0) <= 1e-8
 
@@ -340,13 +372,44 @@ def test_quantile_evaluates_the_incomplete_beta_about_once_per_lane(
     assert sum(lanes) <= EVALUATIONS_PER_LANE[a, b] * 10 ** 4
 
 
-def test_quantile_keeps_the_shape_of_u():
-    target = BetaTarget(2.0, 5.0, UNIT)
-    u = np.linspace(0.1, 0.9, 6).reshape(2, 3)
-    x = target.quantile(u)
-    assert x.shape == (2, 3)
-    assert np.array_equal(x.ravel(), target.quantile(u.ravel()))
-    assert isinstance(target.quantile(0.25), float)
+_BETA = BetaTarget(2.0, 5.0, UNIT)
+_PROJECTION = EmbeddingOperator.projection(ExperimentConfig().basis())
+# each function of points, with the interval its points are drawn from
+FUNCTIONS_OF_POINTS = {
+    "regularized_incomplete_beta": (
+        lambda x: regularized_incomplete_beta(x, 2.0, 5.0), (0.0, 1.0)),
+    "density": (_BETA.density, (-0.5, 3.5)),
+    "cdf": (_BETA.cdf, (-0.5, 3.5)),
+    "quantile": (_BETA.quantile, (0.0, 1.0)),
+    "kernel_diag": (lambda s: kernel_diag(_PROJECTION, s), (-0.5, 3.5)),
+}
+
+
+@pytest.mark.parametrize("name", FUNCTIONS_OF_POINTS)
+def test_functions_of_points_return_one_flat_float64_per_point(name):
+    # a 0-d, 1-D or 2-D input, C-ordered or not, is read flat, and each
+    # point gets the bits it gets in the 1-D call
+    function, (lo, hi) = FUNCTIONS_OF_POINTS[name]
+    points = np.random.Generator(np.random.PCG64(3)).uniform(lo, hi, 12)
+    flat = function(points)
+    assert type(flat) is np.ndarray
+    assert flat.dtype == np.float64 and flat.shape == (12,)
+
+    def bits(values):
+        return np.asarray(values).view(np.uint64)
+
+    for shaped, expect in [
+            (float(points[0]), flat[:1]),
+            (points[0], flat[:1]),
+            (points[:1].reshape(()), flat[:1]),
+            (list(points), flat),
+            (points.reshape(3, 4), flat),
+            (points.reshape(4, 3).T, flat.reshape(4, 3).T.ravel()),
+    ]:
+        out = function(shaped)
+        assert type(out) is np.ndarray
+        assert out.dtype == np.float64 and out.shape == (np.size(shaped),)
+        assert np.array_equal(bits(out), bits(expect))
 
 
 # ------------------------------------------------------- sampler
