@@ -8,8 +8,8 @@ Output tables are plain text: one header line with the column names
 joined by `,`, then one line per grid point with each value printed as
 `%.17g` and separated by `,`. Every line ends in `\n`, and there is no
 comment prefix. Parsing a value recovers the exact double, and identical
-config and seed produce byte-identical files. A command that fails
-writes no table, not even part of one.
+inputs (config, seed, sample file) produce byte-identical files. A
+command that fails writes no table, not even part of one.
 
 Each table command is declared once, in COMMANDS, and refuses to run
 before it allocates if its `footprint` is over MEMORY_LIMIT bytes.
@@ -161,6 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce = sub.add_parser("reproduce",
                                help="write a reference figure data table")
     reproduce.add_argument("--figure", required=True, choices=FIGURES)
+    reproduce.add_argument("--seed", type=int, default=None,
+                           help="override the config's sample seed")
     _add_common(reproduce)
 
     estimate = sub.add_parser("estimate",
@@ -176,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--config", default=None,
                      help="flat key = value config file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the config seed")
     sub.add_argument("--out", default=None,
                      help="output path (default <figure>.csv / estimate.csv)")
 
@@ -248,9 +248,9 @@ def main(argv=None) -> int:
             return _run_oracle(args.suite)
         cfg = (ExperimentConfig() if args.config is None
                else load_config(args.config))
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         reproduce = args.command == "reproduce"
+        if reproduce and args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         command = args.figure if reproduce else "estimate"
         out_path = f"{command}.csv" if args.out is None else args.out
         require_writable(out_path)

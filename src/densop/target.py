@@ -242,6 +242,16 @@ def _solve_quantile(u: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
+def _points(s, what: str) -> np.ndarray:
+    """s as a flat float64 array; refuses its NaN points, naming their
+    count, since a NaN has no place in or out of the interval."""
+    s = np.asarray(s, dtype=float).ravel()
+    nan = np.count_nonzero(np.isnan(s))
+    if nan:
+        raise ValueError(f"cannot evaluate the {what} at {nan} NaN point(s)")
+    return s
+
+
 @dataclass(frozen=True)
 class BetaTarget:
     """Beta(a, b) density rescaled from [0, 1] onto an interval."""
@@ -263,11 +273,7 @@ class BetaTarget:
         that order, in place on the points inside, so that besides its
         output it holds at most two values per point.
         """
-        s = np.asarray(s, dtype=float).ravel()
-        nan = np.count_nonzero(np.isnan(s))
-        if nan:
-            raise ValueError(
-                f"cannot evaluate the density at {nan} NaN point(s)")
+        s = _points(s, "density")
         # Overflow is harmless here: x of a point far outside a narrow
         # interval is +-inf, outside (0, 1); and a density past the
         # largest double is inf, which `curve` refuses.
@@ -323,8 +329,9 @@ class BetaTarget:
         return zeta
 
     def cdf(self, s) -> np.ndarray:
-        """I_x(a, b) at each point of s: 0 below the interval, 1 above."""
-        s = np.asarray(s, dtype=float)
+        """I_x(a, b) at each point of s: 0 below the interval, 1 above.
+        NaN is refused."""
+        s = _points(s, "cdf")
         x = (s - self.interval.lo) / self.interval.width
         return regularized_incomplete_beta(np.clip(x, 0.0, 1.0), self.a, self.b)
 

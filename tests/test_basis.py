@@ -35,12 +35,6 @@ from densop import (
 )
 from densop import basis as basis_module
 from densop.basis import BAND_BLOCK, TABLE_LEVEL
-from densop.oracles import (
-    daub4_interior_gram,
-    partition_of_unity,
-    refinement_residual,
-    riemann_integral,
-)
 from references import eval_father
 
 UNIT = Interval(0.0, 3.0)
@@ -132,22 +126,10 @@ def test_support_boundary_values_are_zero():
         assert table.size == 3 * 2 ** m + 1
 
 
-def test_refinement_relation_holds_on_the_table():
-    assert refinement_residual(12) <= 1e-10
-
-
 def test_coarse_tables_are_restrictions_of_fine_ones():
     coarse = scaling_values_daub4(6)
     fine = scaling_values_daub4(9)
     assert_allclose(fine[::8], coarse, rtol=0, atol=0)
-
-
-def test_riemann_sum_approaches_unit_integral():
-    assert riemann_integral(12) <= 1e-4
-
-
-def test_partition_of_unity_at_interior_points():
-    assert partition_of_unity(12) <= 1e-8
 
 
 def test_table_level_bounds():
@@ -643,12 +625,6 @@ def test_haar_gram_disjoint_supports():
     # half trapezoid weight meets the half-open box value
     assert_allclose(np.diagonal(g)[1:], 1.0, rtol=0, atol=1e-12)
     assert g[0, 0] < 1.0
-
-
-def test_daub4_interior_gram_is_identity():
-    # grid spacing 2^-(TABLE_LEVEL + n) puts every sample on the dyadic
-    # table, which is what the 1e-6 statement needs
-    assert daub4_interior_gram(2) <= 1e-6
 
 
 # ---------------------------------------------------------------- projection

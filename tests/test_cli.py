@@ -1264,12 +1264,18 @@ def test_fig3_quadrature_refusal_names_grid_cells(tmp_path, capsys,
 # ------------------------------------------------------------- exit codes
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main([]) == 1
     assert main(["reproduce"]) == 1
     assert main(["reproduce", "--figure", "fig9"]) == 1
     assert main(["oracle", "--suite", "bogus"]) == 1
     assert "error:" in capsys.readouterr().err
+    # estimate draws no sample, so it takes no seed
+    samples = tmp_path / "samples.txt"
+    samples.write_text("0.5\n")
+    assert main(["estimate", str(samples), "--seed", "1"]) == 1
+    assert ("error: unrecognized arguments: --seed 1"
+            in capsys.readouterr().err)
 
 
 def test_help_exits_zero(capsys):

@@ -22,7 +22,7 @@ from densop import (
     trace_k_rho,
 )
 from densop.basis import TABLE_LEVEL, scaling_values_daub4
-from densop.oracles import haar_trace_against_density, mercer_positivity
+from densop.oracles import mercer_positivity
 from references import eval_father
 
 UNIT = Interval(0.0, 3.0)
@@ -216,10 +216,6 @@ def test_projection_kernel_idempotent_under_quadrature():
 
 
 # ---------------------------------------------------------------- traces
-
-
-def test_trace_k_rho_haar_equals_scale():
-    assert haar_trace_against_density(2, 3 * 2 ** 10) <= 1e-5
 
 
 def test_trace_k_rho_single_weighted_index():

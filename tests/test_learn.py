@@ -39,7 +39,6 @@ from densop import (
 from densop import oracles
 from densop.learn import _log_likelihood
 from densop.oracles import (
-    haar_map_histogram,
     map_coefficient_trace,
     map_coefficients_psd,
     posterior_coordinate_invariance,
@@ -464,13 +463,6 @@ def test_map_embedding_single_bin_samples():
     inside = (grid.points >= 1.0) & (grid.points < 1.25)
     assert np.all(curve.values[inside] == 4.0)
     assert np.all(curve.values[~inside] == 0.0)
-
-
-def test_map_embedding_matches_histogram():
-    # 500 beta draws, Haar n = 3, 1000 cells; the histogram is 0 at the
-    # right domain endpoint, which sits outside every half-open bin (the
-    # exact zero there is asserted by the single-bin test above)
-    assert haar_map_histogram(11, 500, (3,), 1000) <= 1e-12
 
 
 def test_map_embedding_single_sample_has_unit_mass():
