@@ -54,11 +54,7 @@ from .learn import (
     map_coefficients,
     normalized_ratio,
 )
-from .target import (
-    BetaTarget,
-    load_samples,
-    regularized_incomplete_beta,
-)
+from .target import BetaTarget, load_samples
 
 __version__ = "0.1.0"
 
@@ -99,7 +95,6 @@ __all__ = [
     "parse_config",
     "probability_from_coefficients",
     "quadratic_form",
-    "regularized_incomplete_beta",
     "scaling_values_daub4",
     "trace_k_map",
     "trace_k_rho",

@@ -215,6 +215,17 @@ def _estimate_table(samples_path: str, cfg: ExperimentConfig):
     if n_samples == 0:
         raise ValueError(f"{samples_path}: sample file is empty")
     samples = load_samples(samples_path, cfg.interval())
+    spec = cfg.basis()
+    hi = spec.interval.hi
+    # Haar boxes are half-open, so at a lattice hi every translate is 0
+    if spec.family == "haar" and math.ldexp(hi, spec.scale_n).is_integer():
+        at_hi = int((samples.points == hi).sum())
+        if at_hi:
+            raise ValueError(
+                f"{samples_path}: {at_hi} sample(s) equal hi = {hi:g}, "
+                f"which no Haar box holds: the boxes are half-open, "
+                f"[k/2^n, (k+1)/2^n), and hi is a box edge at scale_n = "
+                f"{spec.scale_n}")
     operator = cfg.operator()
     grid = cfg.curve_grid()
     mapped = embedded_density_map(operator, samples, grid)

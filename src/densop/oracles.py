@@ -2,8 +2,10 @@
 
 Each check is a public function that recomputes a known identity through
 an independent route (closed forms, exact recurrences, histogram counting)
-and returns its residual; its generator or seed and its sizes are
-arguments. A check passes when its residual is at most its tolerance.
+and returns its residual; its seed and its sizes are arguments. A check
+passes when its residual is at most its tolerance. A check that draws
+opens its own generator from its seed, so called with its registered
+arguments it returns the residual that `densop oracle` prints for it.
 `densop oracle` runs the registry at the seeds and sizes registered here,
 and the tests call the same functions at their own seeds and sizes.
 """
@@ -69,10 +71,6 @@ class CheckResult:
                 f"(tolerance {self.tolerance:.3g})")
 
 
-# Stands for the suite's generator in a check's registered arguments. Each
-# suite draws from one PCG64 stream, in registry order.
-STREAM = object()
-SEEDS = {"discrete": 20260823, "embedding": 20260824, "learn": 20260825}
 # (suite, name, tolerance, function, arguments), in the order run.
 REGISTRY: list[tuple] = []
 
@@ -135,9 +133,10 @@ def _by_dimension(rng, trials: int):
             yield d, np.flatnonzero(dims == d)
 
 
-@_check("discrete", "born-rule basis invariance", 1e-10, STREAM, 300)
-def born_rule_invariance(rng, trials: int) -> float:
+@_check("discrete", "born-rule basis invariance", 1e-10, 20260823, 300)
+def born_rule_invariance(seed: int, trials: int) -> float:
     """Born rule on the position diagonal against the coefficient route."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
         rho = random_density_matrix(d, rng, trial.size)
@@ -148,9 +147,10 @@ def born_rule_invariance(rng, trials: int) -> float:
     return worst
 
 
-@_check("discrete", "ensemble round-trip", 0.0, STREAM, 50)
-def ensemble_round_trip(rng, trials: int) -> float:
+@_check("discrete", "ensemble round-trip", 0.0, 20260823, 50)
+def ensemble_round_trip(seed: int, trials: int) -> float:
     """Diagonal of the ensemble built from a distribution against it."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
         z = random_distribution(d, rng, trial.size)
@@ -161,9 +161,10 @@ def ensemble_round_trip(rng, trials: int) -> float:
     return worst
 
 
-@_check("discrete", "born probabilities sum to 1", 1e-10, STREAM, 100)
-def born_probability_sum(rng, trials: int) -> float:
+@_check("discrete", "born probabilities sum to 1", 1e-10, 20260823, 100)
+def born_probability_sum(seed: int, trials: int) -> float:
     """Distance of the summed Born probabilities from 1."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
         rho = random_ensemble(d, rng, trial.size)
@@ -172,9 +173,10 @@ def born_probability_sum(rng, trials: int) -> float:
     return worst
 
 
-@_check("discrete", "spectrum preserved by basis change", 1e-9, STREAM, 100)
-def spectrum_under_basis_change(rng, trials: int) -> float:
+@_check("discrete", "spectrum preserved by basis change", 1e-9, 20260823, 100)
+def spectrum_under_basis_change(seed: int, trials: int) -> float:
     """Eigenvalues of a state before and after a random change of basis."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
         rho = random_density_matrix(d, rng, trial.size)
@@ -247,9 +249,10 @@ def haar_interior_gram(scale_n: int, cells: int) -> float:
     return float(np.max(np.abs(sub - np.eye(sub.shape[0]))))
 
 
-@_check("embedding", "haar kernel block values", 1e-12, STREAM, 40)
-def haar_kernel_block(rng, n_points: int) -> float:
+@_check("embedding", "haar kernel block values", 1e-12, 20260824, 40)
+def haar_kernel_block(seed: int, n_points: int) -> float:
     """Haar n = 2 kernel against 4 on a shared quarter-unit box, else 0."""
+    rng = np.random.default_rng(seed)
     pts = rng.uniform(0.0, 3.0, size=n_points)
     bins = np.floor(pts * 4)
     expect = np.where(bins[:, None] == bins[:10], 4.0, 0.0)
@@ -257,9 +260,10 @@ def haar_kernel_block(rng, n_points: int) -> float:
         kernel_matrix(_projection("haar", 2), pts, pts[:10]) - expect)))
 
 
-@_check("embedding", "mercer positivity of the kernel", 1e-8, STREAM, 60)
-def mercer_positivity(rng, n_points: int) -> float:
+@_check("embedding", "mercer positivity of the kernel", 1e-8, 20260824, 60)
+def mercer_positivity(seed: int, n_points: int) -> float:
     """Most negative eigenvalue of the kernel Gram matrix at random points."""
+    rng = np.random.default_rng(seed)
     proj = _projection("daubechies4", 2)
     span = proj.basis.span()
     xs = rng.uniform(span.lo, span.hi, size=n_points)
@@ -278,9 +282,10 @@ def kernel_symmetry(n_points: int) -> float:
 
 
 @_check("embedding", "projection kernel idempotence (K o K = K)", 1e-5,
-        STREAM, 25)
-def projection_idempotence(rng, n_probe: int) -> float:
+        20260824, 25)
+def projection_idempotence(seed: int, n_probe: int) -> float:
     """K o K by quadrature on a table-aligned grid against K, at probes."""
+    rng = np.random.default_rng(seed)
     proj = _projection("daubechies4", 2)
     span = proj.basis.span()
     probe = rng.uniform(span.lo, span.hi, size=n_probe)
@@ -307,13 +312,15 @@ def haar_trace_over_samples(seed: int, n_samples: int, scale_n: int) -> float:
                - 2.0 ** scale_n)
 
 
-@_check("learn", "coordinate invariance of the posterior", 1e-8, STREAM, 120)
-def posterior_coordinate_invariance(rng, trials: int) -> float:
+@_check("learn", "coordinate invariance of the posterior", 1e-8,
+        20260825, 120)
+def posterior_coordinate_invariance(seed: int, trials: int) -> float:
     """Posterior in position against coefficient coordinates; odd trials
     add a row-stochastic noise matrix. The states of one dimension come
     as one stack, validated once, and each trial's draws are scored by
     their counts. The stacks are scored once without noise, and once with
     a noise stack whose even trials hold the identity."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for d, trial in _by_dimension(rng, trials):
         z = random_distribution(d, rng, trial.size)
@@ -417,13 +424,10 @@ def map_error_ratio(seed: int, small: int, large: int,
 
 
 def _run_registry(suite: str) -> list[CheckResult]:
-    # the basis suite draws nothing
-    rng = np.random.default_rng(SEEDS[suite]) if suite in SEEDS else None
     results = []
     for entry_suite, name, tolerance, function, args in REGISTRY:
         if entry_suite == suite:
-            residual = float(function(*(rng if a is STREAM else a
-                                        for a in args)))
+            residual = float(function(*args))
             results.append(CheckResult(name, residual <= tolerance,
                                        residual, tolerance))
     return results

@@ -104,20 +104,6 @@ def _log_beta(a: float, b: float) -> float:
             f"cannot be normalized") from None
 
 
-def regularized_incomplete_beta(x, a: float, b: float) -> np.ndarray:
-    """I_x(a, b), the regularized incomplete beta function, at each x.
-
-    Refuses an x outside [0, 1], NaN included, and, with BetaTarget's
-    message, each shape that BetaTarget refuses.
-    """
-    log_beta = _log_beta(a, b)
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.all((x >= 0) & (x <= 1)):
-        raise ValueError("x must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        return _incomplete_beta(x, a, b, log_beta)[0]
-
-
 def _incomplete_beta(x: np.ndarray, a: float, b: float,
                      log_beta: float) -> tuple[np.ndarray, np.ndarray]:
     """I_x(a, b) and its front factor x**a (1 - x)**b / B(a, b), unchecked.
@@ -332,8 +318,10 @@ class BetaTarget:
         """I_x(a, b) at each point of s: 0 below the interval, 1 above.
         NaN is refused."""
         s = _points(s, "cdf")
-        x = (s - self.interval.lo) / self.interval.width
-        return regularized_incomplete_beta(np.clip(x, 0.0, 1.0), self.a, self.b)
+        x = np.clip((s - self.interval.lo) / self.interval.width, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            return _incomplete_beta(x, self.a, self.b,
+                                    _log_beta(self.a, self.b))[0]
 
     def quantile(self, u) -> np.ndarray:
         """Inverse CDF: the x in [0, 1] with I_x(a, b) = u, mapped onto s.

@@ -24,7 +24,7 @@ def test_criterion_1_born_rule_basis_invariance():
     # contracting the coefficient matrix against the unitary rows must
     # agree to 1e-10, in under 10 seconds.
     start = time.perf_counter()
-    worst = oracles.born_rule_invariance(np.random.default_rng(101), 1000)
+    worst = oracles.born_rule_invariance(101, 1000)
     elapsed = time.perf_counter() - start
     print(f"criterion 1: worst residual {worst:.3e} in {elapsed:.2f}s")
     assert worst <= 1e-10
@@ -36,8 +36,7 @@ def test_criterion_2_posterior_coordinate_invariance():
     # row-stochastic noise matrix: the position-basis posterior and the
     # coefficient-basis posterior agree to 1e-8, in under 30 seconds.
     start = time.perf_counter()
-    worst = oracles.posterior_coordinate_invariance(
-        np.random.default_rng(202), 500)
+    worst = oracles.posterior_coordinate_invariance(202, 500)
     elapsed = time.perf_counter() - start
     print(f"criterion 2: worst residual {worst:.3e} in {elapsed:.2f}s")
     assert worst <= 1e-8

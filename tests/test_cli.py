@@ -861,11 +861,13 @@ def test_estimate_refuses_a_non_finite_sample_naming_its_line(tmp_path, capsys,
 
 
 def test_estimate_with_no_sample_in_any_support_exits_one(tmp_path, capsys):
-    # both samples sit at the interval's right end, outside every half-open
-    # Haar box, so the sample trace is 0 and no curve exists
-    cfgpath = write_small_config(tmp_path, family="haar", scale_n=2)
-    samples = tmp_path / "edge.txt"
-    samples.write_text("3\n3\n")
+    # both samples sit in the first Haar box, whose weight is 0, so the
+    # sample trace is 0 and no curve exists
+    weights = ",".join(["0"] + ["1"] * 11)
+    cfgpath = write_small_config(tmp_path, family="haar", scale_n=2,
+                                 weights=weights)
+    samples = tmp_path / "box0.txt"
+    samples.write_text("0.1\n0.2\n")
     out = tmp_path / "est.csv"
     assert main(["estimate", str(samples),
                  "--config", str(cfgpath), "--out", str(out)]) == 1
@@ -874,6 +876,39 @@ def test_estimate_with_no_sample_in_any_support_exits_one(tmp_path, capsys):
     assert "outside the support" in err
     assert "trace vanishes" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text, count", [("3\n1\n", 1), ("3\n3\n", 2)],
+                         ids=["beside-1", "alone"])
+def test_haar_estimate_refuses_a_sample_at_a_lattice_hi(tmp_path, capsys,
+                                                        text, count):
+    # no half-open Haar box holds hi = 3 = 12 * 2**-2: beside 1 such a
+    # sample was dropped, and alone it left no sample trace
+    cfgpath = write_small_config(tmp_path, family="haar", scale_n=2)
+    samples = tmp_path / "edge.txt"
+    samples.write_text(text)
+    out = tmp_path / "est.csv"
+    assert main(["estimate", str(samples),
+                 "--config", str(cfgpath), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {samples}: {count} sample(s) equal hi = 3, which no Haar "
+        f"box holds: the boxes are half-open, [k/2^n, (k+1)/2^n), and hi "
+        f"is a box edge at scale_n = 2\n")
+    assert not out.exists()
+
+
+def test_daubechies4_estimate_counts_a_sample_at_hi(tmp_path):
+    # a Daubechies-4 translate is nonzero at hi, so the sample moves the map
+    cfgpath = write_small_config(tmp_path)
+    maps = []
+    for text in ("3\n1\n", "1\n"):
+        samples = tmp_path / "s.txt"
+        samples.write_text(text)
+        out = tmp_path / "est.csv"
+        assert main(["estimate", str(samples),
+                     "--config", str(cfgpath), "--out", str(out)]) == 0
+        maps.append(np.loadtxt(out, delimiter=",", skiprows=1)[:, 1])
+    assert not np.array_equal(*maps)
 
 
 def test_estimate_missing_file(tmp_path, capsys):
@@ -1368,20 +1403,24 @@ def test_run_suite_all_green():
 
 def _checks_alone(suite="all"):
     """(name, residual bits, verdict) of each check of `suite`, called on
-    its own with its registered arguments and its suite's generator."""
-    rngs = {name: np.random.default_rng(seed)
-            for name, seed in oracles.SEEDS.items()}
+    its own with its registered arguments."""
     out = []
     for entry_suite, name, tolerance, check, args in oracles.REGISTRY:
         if suite in ("all", entry_suite):
-            residual = float(check(*(rngs[entry_suite] if a is oracles.STREAM
-                                     else a for a in args)))
+            residual = float(check(*args))
             out.append((name, residual.hex(), residual <= tolerance))
     return out
 
 
 def _results(results):
     return [(r.name, r.residual.hex(), r.passed) for r in results]
+
+
+def test_each_check_alone_returns_its_oracle_line_residual():
+    # a check that draws opens its own generator from its registered seed,
+    # so no check's residual depends on the checks run before it
+    alone = [float(check(*args)).hex() for *_, check, args in oracles.REGISTRY]
+    assert alone == [r.residual.hex() for r in run_suite("all")]
 
 
 def test_run_suite_shares_fixtures_without_changing_a_result(monkeypatch):

@@ -185,7 +185,7 @@ def test_born_probability_diagonal_readout():
 
 
 def test_born_probabilities_sum_to_one():
-    assert oracles.born_probability_sum(rng_for(3), 10) <= 1e-12
+    assert oracles.born_probability_sum(3, 10) <= 1e-12
 
 
 # ---------------------------------------------------------------- basis change
@@ -241,7 +241,7 @@ def test_hadamard_hand_oracle():
 
 
 def test_spectrum_preserved_by_change_of_basis():
-    assert oracles.spectrum_under_basis_change(rng_for(11), 10) <= 1e-9
+    assert oracles.spectrum_under_basis_change(11, 10) <= 1e-9
 
 
 def test_probability_from_coefficients_identity_basis():
@@ -550,14 +550,8 @@ def test_checks_fail_when_a_compared_route_is_shifted(monkeypatch, route,
                                                       check):
     # each check compares two routes, not one route with itself: shifting
     # one route by 1e-6 puts its residual over the tolerance
-    suite, tolerance, args = next(
-        (entry[0], entry[2], entry[4]) for entry in oracles.REGISTRY
-        if entry[3] is check)
-
-    def run():
-        rng = np.random.default_rng(oracles.SEEDS[suite])
-        return check(*(rng if a is oracles.STREAM else a for a in args))
-
-    assert run() <= tolerance
+    tolerance, args = next((entry[2], entry[4]) for entry in oracles.REGISTRY
+                           if entry[3] is check)
+    assert check(*args) <= tolerance
     monkeypatch.setattr(oracles, route, _shifted(getattr(oracles, route)))
-    assert run() > tolerance
+    assert check(*args) > tolerance

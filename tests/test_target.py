@@ -25,7 +25,6 @@ from densop import (
     embedded_density_exact,
     kernel_diag,
     load_samples,
-    regularized_incomplete_beta,
 )
 from densop import target as target_module
 from densop.target import SAMPLE_CHUNK, count_samples
@@ -42,27 +41,22 @@ UNIT = Interval(0.0, 3.0)
     (1.0, 4.0), (3.7, 0.9),
 ])
 def test_incomplete_beta_matches_scipy(a, b):
+    # on [0, 1] the cdf is I_x(a, b) itself
     x = np.linspace(0.0, 1.0, 2001)
-    mine = regularized_incomplete_beta(x, a, b)
+    mine = BetaTarget(a, b, Interval(0.0, 1.0)).cdf(x)
     assert np.max(np.abs(mine - scipy_betainc(a, b, x))) <= 1e-12
 
 
 def test_incomplete_beta_edge_values_and_scalars():
     # a scalar x gives a flat array of one value
-    assert np.array_equal(regularized_incomplete_beta(0.0, 2.0, 5.0), [0.0])
-    assert np.array_equal(regularized_incomplete_beta(1.0, 2.0, 5.0), [1.0])
-    value = regularized_incomplete_beta(0.5, 2.0, 5.0)
+    cdf = BetaTarget(2.0, 5.0, Interval(0.0, 1.0)).cdf
+    assert np.array_equal(cdf(0.0), [0.0])
+    assert np.array_equal(cdf(1.0), [1.0])
+    value = cdf(0.5)
     assert value.shape == (1,) and value.dtype == np.float64
 
 
 def test_incomplete_beta_validation():
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(0.5, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(1.5, 2.0, 5.0)
-    # a NaN once passed as I = nan beside the values of the other lanes
-    with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
-        regularized_incomplete_beta([0.3, np.nan], 2.0, 5.0)
     # cdf clips every finite point into [0, 1], so NaN is its only refusal
     with pytest.raises(ValueError, match=re.escape(
             "cannot evaluate the cdf at 1 NaN point(s)")):
@@ -78,10 +72,8 @@ def test_incomplete_beta_validation():
 ], ids=["a-inf", "b-inf", "a-nan", "b-nan", "log-beta-overflow"])
 def test_incomplete_beta_refuses_each_shape_beta_target_refuses(a, b,
                                                                 message):
-    # these shapes once gave [nan nan], and (1e308, 1e308) a bare
-    # OverflowError
-    with pytest.raises(ValueError, match=message):
-        regularized_incomplete_beta(np.array([0.2, 0.5]), a, b)
+    # these shapes once gave I_x = [nan nan], and (1e308, 1e308) a bare
+    # OverflowError; BetaTarget refuses them, so no cdf is built at them
     with pytest.raises(ValueError, match=message):
         BetaTarget(a, b, UNIT)
 
@@ -378,8 +370,6 @@ _BETA = BetaTarget(2.0, 5.0, UNIT)
 _PROJECTION = EmbeddingOperator.projection(ExperimentConfig().basis())
 # each function of points, with the interval its points are drawn from
 FUNCTIONS_OF_POINTS = {
-    "regularized_incomplete_beta": (
-        lambda x: regularized_incomplete_beta(x, 2.0, 5.0), (0.0, 1.0)),
     "density": (_BETA.density, (-0.5, 3.5)),
     "cdf": (_BETA.cdf, (-0.5, 3.5)),
     "quantile": (_BETA.quantile, (0.0, 1.0)),
